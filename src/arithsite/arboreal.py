@@ -1,12 +1,16 @@
 """Truncated preimage trees for sequences of degree-d dynamical Belyi maps.
 
-Level k of the tree holds the d^k complex roots of B_1 o ... o B_k - alpha.
-Distinctness of the roots is certified exactly (gcd with the derivative over
-Q) before any floating point runs; the numeric side then solves the degree-d
-preimage polynomial under each parent and Newton-polishes every level against
-the full composition chain.  Parenthood is assigned by nearest-image matching
-with an explicit ambiguity guard, so the reported tree shape is a checked
-output, not an artifact of the solver.
+Level k of the tree holds the d^k complex roots of F_k - alpha, where
+F_k = B_1 o ... o B_k.  They are distinct by a theorem: BelyiPoly proves
+exactly that each B_j fixes 0 and 1 with finite critical values in {0, 1};
+by the chain rule each critical value of F_k is B_1 o ... o B_{j-1}(c) for
+a critical value c of some B_j, so it too lies in {0, 1}; and
+genericity_check demands 0 < alpha < 1.  (``squarefree_level`` decides the
+same fact exactly, for ``ar squarefree`` and the tests.)  Each level solves
+the degree-d preimage polynomial under every parent and is Newton-polished
+against the full composition chain.  Parenthood is assigned by nearest-image
+matching with an explicit ambiguity guard, so the reported tree shape is a
+checked output, not an artifact of the solver.
 """
 
 from __future__ import annotations
@@ -80,15 +84,14 @@ class ArborealTree:
 def build_tree(gens: list[BelyiPoly], alpha, n: int, tol: float = 1e-9) -> ArborealTree:
     d = _check_gens(gens)
     alpha = Fraction(alpha)
+    if n < 0:
+        raise ValueError("need n >= 0")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if d**n > MAX_LEAVES:
         raise ValueError(f"refusing d^n = {d**n} > {MAX_LEAVES} leaves")
     if not genericity_check(gens, alpha):
         raise ValueError("alpha is not generic for the generators")
-    for k in range(1, n + 1):
-        if not squarefree_level(gens, alpha, k):
-            raise ValueError(f"level {k} composite is not squarefree at alpha")
 
     levels = [((float(alpha), 0.0, -1),)]
     values = [np.array([complex(alpha)], dtype=np.complex128)]
@@ -119,15 +122,10 @@ def build_tree(gens: list[BelyiPoly], alpha, n: int, tol: float = 1e-9) -> Arbor
         if np.any(second <= 10 * tol):
             raise ValueError(f"matching ambiguity at level {k}: parents too close")
 
+        if np.any(np.bincount(nearest, minlength=len(parents)) != d):
+            raise ValueError(f"matching ambiguity at level {k}: sibling group != {d}")
         # group by parent, sort siblings by (re, im)
-        order = []
-        for pidx in range(len(parents)):
-            sibs = [t for t in range(len(roots)) if nearest[t] == pidx]
-            if len(sibs) != d:
-                raise ValueError(f"matching ambiguity at level {k}: sibling group != {d}")
-            sibs.sort(key=lambda t: (roots[t].real, roots[t].imag))
-            order.extend(sibs)
-        roots = roots[order]
+        roots = roots[np.lexsort((roots.imag, roots.real, nearest))]
         parent_of = np.repeat(np.arange(len(parents)), d)
 
         residuals = np.abs(kernels.chain_values(chain, roots) - complex(alpha))
@@ -136,7 +134,7 @@ def build_tree(gens: list[BelyiPoly], alpha, n: int, tol: float = 1e-9) -> Arbor
             raise ValueError(f"polish failed at level {k}: residual {residuals.max():.3e}")
         max_residual = max(max_residual, float(residuals.max()))
         values.append(roots)
-        levels.append(tuple((float(r.real), float(r.imag), int(p)) for r, p in zip(roots, parent_of)))
+        levels.append(tuple(zip(roots.real.tolist(), roots.imag.tolist(), parent_of.tolist())))
     return ArborealTree(d, alpha, tol, tuple(levels), max_residual)
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import floor
 
 from .conway import Letter, Word, is_normal, split_normal
+from .primes import is_prime
 
 
 def qz(x) -> Fraction:
@@ -72,7 +73,7 @@ def check_condition4(n: int, m: int, datum=QZ) -> bool:
 
 def check_condition5(p: int, q: int, datum=QZ) -> bool:
     """Section/kernel compatibility mirroring the meta-commutation indices."""
-    if p == q:
+    if p == q or not (is_prime(p) and is_prime(q)):
         raise ValueError("need distinct primes")
     kp = datum.kernel(p)
     kq = datum.kernel(q)

@@ -290,7 +290,8 @@ def _run_ar(args) -> None:
     if args.verb == "generic":
         _print_bool(arboreal.genericity_check(gens, alpha))
     elif args.verb == "squarefree":
-        _print_bool(all(arboreal.squarefree_level(gens, alpha, k) for k in range(1, args.depth + 1)))
+        # a double root at level k pulls back to one at every deeper level
+        _print_bool(arboreal.squarefree_level(gens, alpha, args.depth))
     elif args.verb == "tree":
         print(arboreal.tree_json(arboreal.build_tree(gens, alpha, args.depth, tol=args.tol)))
     elif args.verb == "dot":

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arithsite import arboreal, kernels
 from arithsite.belyi import b_dk
@@ -58,6 +59,45 @@ def test_build_tree_depth_zero():
     assert len(t.levels) == 1 and t.levels[0] == ((0.5, 0.0, -1),)
 
 
+def test_build_tree_runs_no_exact_certificate(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("build_tree must not run the exact certificate")
+
+    monkeypatch.setattr(arboreal, "composite", refuse)
+    monkeypatch.setattr(arboreal, "squarefree_level", refuse)
+    t = arboreal.build_tree([b_dk(3, 1), b_dk(3, 2)], Fraction(1, 3), 4)
+    assert t.leaves() == 81 and t.max_residual < 1e-8
+
+
+@st.composite
+def _gens_alpha(draw):
+    d = draw(st.integers(2, 9))
+    gens = [b_dk(d, draw(st.integers(0, d - 1))) for _ in range(draw(st.integers(1, 3)))]
+    den = draw(st.integers(2, 50))
+    return gens, Fraction(draw(st.integers(1, den - 1)), den)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_gens_alpha())
+def test_chain_rule_theorem_against_exact_oracle(case):
+    # build_tree relies on F_k - alpha being squarefree for every alpha in (0, 1)
+    gens, alpha = case
+    d = gens[0].degree
+    for n in range(1, 7):
+        if d**n > 81:
+            break
+        assert arboreal.squarefree_level(gens, alpha, n)
+
+
+def test_sibling_order_on_1024_leaves():
+    t = arboreal.build_tree([b_dk(2, 1)], Fraction(1, 3), 10)
+    for level in t.levels[1:]:
+        parents = [p for _, _, p in level]
+        assert parents == [i // 2 for i in range(len(level))]
+        for i in range(0, len(level), 2):
+            assert level[i][:2] <= level[i + 1][:2]
+
+
 def test_build_tree_depth_four():
     t = arboreal.build_tree([B31], HALF, 4)
     assert [len(lv) for lv in t.levels] == [1, 3, 9, 27, 81]
@@ -89,6 +129,8 @@ def test_tree_shape_stable_under_tighter_tol():
 def test_build_tree_refusals():
     with pytest.raises(ValueError, match="leaves"):
         arboreal.build_tree([b_dk(3, 1)], HALF, 8)
+    with pytest.raises(ValueError, match="need n >= 0"):
+        arboreal.build_tree([B31], HALF, -1)
     from arithsite.belyi import BelyiPoly
     from arithsite.ratpoly import parse_poly
 

@@ -32,6 +32,10 @@ def test_condition5_examples():
     assert bc.check_condition5(3, 5)
     with pytest.raises(ValueError):
         bc.check_condition5(3, 3)
+    with pytest.raises(ValueError, match="primes"):
+        bc.check_condition5(4, 6)
+    with pytest.raises(ValueError, match="primes"):
+        bc.check_condition5(2, 9)
 
 
 def test_condition5_fraction_instance():

@@ -90,6 +90,8 @@ def test_by_verbs(run):
 def test_bc_verbs(run):
     obj = json.loads(run("bc", "cond5", "2", "3")[1])
     assert obj == {"condition": 5, "p": 2, "q": 3, "ok": True, "cells": 6}
+    code, out, err = run("bc", "cond5", "4", "6")
+    assert code == 1 and out == "" and "primes" in err
     assert json.loads(run("bc", "cond3", "6")[1])["ok"] is True
     assert json.loads(run("bc", "cond4", "2", "3")[1])["ok"] is True
     assert run("bc", "op", "2", "1", "1/3")[1].strip() == "2/3"
@@ -100,9 +102,15 @@ def test_bc_verbs(run):
 def test_ar_verbs(run):
     assert run("ar", "generic", "-2*x^3+3*x^2", "--alpha", "1/2")[1].strip() == "true"
     assert run("ar", "squarefree", "-2*x^3+3*x^2", "--alpha", "1/2", "--depth", "2")[1].strip() == "true"
+    # x^3 - 0 has a triple root at level 1, which every deeper level inherits
+    assert run("ar", "squarefree", "x^3", "--alpha", "0", "--depth", "2")[1].strip() == "false"
     obj = json.loads(run("ar", "tree", "-2*x^3+3*x^2", "--alpha", "1/2", "--depth", "2")[1])
     assert len(obj["levels"][2]) == 9 and obj["levels"][2][0]["value"]
     assert "->" in run("ar", "dot", "-2*x^3+3*x^2", "--alpha", "1/2", "--depth", "1")[1]
+    code, out, err = run("ar", "tree", "-2*x^3+3*x^2", "--alpha", "1/2", "--depth", "-1")
+    assert code == 1 and out == "" and "need n >= 0" in err
+    code, out, err = run("ar", "squarefree", "-2*x^3+3*x^2", "--alpha", "1/2", "--depth", "0")
+    assert code == 1 and out == "" and "need n >= 1" in err
 
 
 def test_pt_verbs(run):
