@@ -1,7 +1,7 @@
 """Exact combinatorics of three arithmetic sites and the maps between them.
 
 Submodules: ratpoly (exact kernel), supernatural, bigpicture, conway,
-dessins, belyi, bostconnes, points, arboreal, kernels (numba/numpy), cli.
+dessins, belyi, bostconnes, points, arboreal, kernels (numpy), cli.
 """
 
 from . import (  # noqa: F401

@@ -25,7 +25,14 @@ from . import kernels
 from .belyi import BelyiPoly
 from .ratpoly import PolyQ, poly_gcd
 
+# Size caps, each on a count that grows as d^n with the depth n.
+# MAX_LEAVES bounds the numeric tree: the leaves of build_tree.
+# MAX_EXACT_DEGREE bounds the exact composite of composite and
+# squarefree_level; on a 2-core Xeon host squarefree_level took 0.4 s at
+# degree 512 (d = 8) and 2.1 s at degree 729 (d = 3), and cost climbs
+# steeply beyond.
 MAX_LEAVES = 2000
+MAX_EXACT_DEGREE = 512
 
 
 def _check_gens(gens: list[BelyiPoly]) -> int:
@@ -35,6 +42,15 @@ def _check_gens(gens: list[BelyiPoly]) -> int:
     if any(g.degree != d for g in gens):
         raise ValueError("generators must share one degree")
     return d
+
+
+def _check_size(d: int, n: int, cap: int, what: str) -> None:
+    """Refuse d^n > cap; the depth test keeps d^n from being computed for a
+    huge n, and bounds the depth of degree-1 sequences, where d^n stays 1."""
+    if n > cap.bit_length():
+        raise ValueError(f"refusing depth {n} > {cap.bit_length()} under the cap of {cap} {what}")
+    if d**n > cap:
+        raise ValueError(f"refusing d^n = {d**n} > {cap} {what}")
 
 
 def _factor(gens: list[BelyiPoly], k: int) -> BelyiPoly:
@@ -53,7 +69,7 @@ def genericity_check(gens: list[BelyiPoly], alpha: Fraction) -> bool:
 
 def composite(gens: list[BelyiPoly], n: int) -> PolyQ:
     """B_{i_1} o ... o B_{i_n} with exact coefficients."""
-    _check_gens(gens)
+    _check_size(_check_gens(gens), n, MAX_EXACT_DEGREE, "exact degree")
     f = PolyQ.x()
     for k in range(n, 0, -1):
         f = _factor(gens, k).poly.compose(f)
@@ -88,8 +104,7 @@ def build_tree(gens: list[BelyiPoly], alpha, n: int, tol: float = 1e-9) -> Arbor
         raise ValueError("need n >= 0")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if d**n > MAX_LEAVES:
-        raise ValueError(f"refusing d^n = {d**n} > {MAX_LEAVES} leaves")
+    _check_size(d, n, MAX_LEAVES, "leaves")
     if not genericity_check(gens, alpha):
         raise ValueError("alpha is not generic for the generators")
 

@@ -39,13 +39,6 @@ class PicClass:
 PIC_ONE = PicClass(Fraction(1), Fraction(0))
 
 
-def from_matrix(m: Mat2Q) -> PicClass:
-    """Canonical class of an upper-triangular matrix with positive determinant."""
-    if m.c != 0 or m.a <= 0 or m.d <= 0:
-        raise ValueError("not a big-picture representative")
-    return PicClass(m.a / m.d, m.b / m.d)
-
-
 def hyperdistance(x: PicClass, y: PicClass) -> int:
     """det of the primitive integral form of alpha_x . alpha_y^-1."""
     a = x.alpha() * y.alpha().inv()
@@ -88,7 +81,7 @@ def proj_line_count(n: int) -> int:
     return len(reps)
 
 
-def fiber(n: int, jobs: int | None = None) -> set[PicClass]:
+def fiber(n: int) -> set[PicClass]:
     """All classes at hyper-distance exactly n from the identity class.
 
     Breadth-first expansion along the primes of n, pruned to classes whose
@@ -109,27 +102,14 @@ def fiber(n: int, jobs: int | None = None) -> set[PicClass]:
                     if y not in dist:
                         candidates.append(y)
         frontier = []
-        dists = _distances_from_one(candidates, jobs)
-        for y, d in zip(candidates, dists):
+        for y in candidates:
             if y in dist:
                 continue
+            d = hyperdistance(PIC_ONE, y)
             if n % d == 0:
                 dist[y] = d
                 frontier.append(y)
     return {x for x, d in dist.items() if d == n}
-
-
-def _distances_from_one(classes: list[PicClass], jobs: int | None) -> list[int]:
-    if jobs and jobs > 1 and len(classes) > 64:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(_dist_one, classes, chunksize=32))
-    return [hyperdistance(PIC_ONE, y) for y in classes]
-
-
-def _dist_one(y: PicClass) -> int:
-    return hyperdistance(PIC_ONE, y)
 
 
 def ball_dot(x: PicClass, primes: list[int], radius: int) -> str:

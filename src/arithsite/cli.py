@@ -34,7 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = s.add_parser("fiber")
     p.add_argument("n", type=int)
     p.add_argument("--count", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p = s.add_parser("psi")
     p.add_argument("n", type=int)
     p.add_argument("--proj", action="store_true", help="count P^1(Z/n) orbits instead")
@@ -170,7 +169,7 @@ def _run_bp(args) -> None:
         for c in bp.neighbours(bp.parse_class(args.x), args.p):
             print(bp.format_class(c))
     elif args.verb == "fiber":
-        classes = bp.fiber(args.n, jobs=args.jobs)
+        classes = bp.fiber(args.n)
         if args.count:
             print(len(classes))
         else:

@@ -62,7 +62,7 @@ def validate(d: FramedDessin) -> None:
     if n < 1:
         raise ValueError("dessin needs at least one edge")
     for p in (d.alpha, d.beta):
-        if sorted(p) != list(range(n)):
+        if len(p) != n or sorted(p) != list(range(n)):
             raise ValueError("not a permutation of the edges")
     if not (0 <= d.frame_black < n and 0 <= d.frame_white < n):
         raise ValueError("frame edge out of range")
@@ -73,14 +73,6 @@ def validate(d: FramedDessin) -> None:
     prod = tuple(d.beta[d.alpha[e]] for e in range(n))
     if len(perm_cycles(prod)) != 1:
         raise ValueError("not of polynomial type")
-
-
-def is_valid(d: FramedDessin) -> bool:
-    try:
-        validate(d)
-        return True
-    except ValueError:
-        return False
 
 
 def passport(d: FramedDessin) -> Passport:
@@ -419,13 +411,18 @@ def to_json(d: FramedDessin) -> str:
 
 def from_json(text: str) -> FramedDessin:
     obj = json.loads(text)
-    d = FramedDessin(
-        int(obj["n"]),
-        tuple(int(v) for v in obj["alpha"]),
-        tuple(int(v) for v in obj["beta"]),
-        int(obj["frame_black"]),
-        int(obj["frame_white"]),
-    )
+    if not isinstance(obj, dict):
+        raise ValueError("a dessin is a JSON object")
+    try:
+        d = FramedDessin(
+            int(obj["n"]),
+            tuple(int(v) for v in obj["alpha"]),
+            tuple(int(v) for v in obj["beta"]),
+            int(obj["frame_black"]),
+            int(obj["frame_white"]),
+        )
+    except (TypeError, OverflowError) as e:
+        raise ValueError(f"bad dessin field: {e}") from e
     validate(d)
     return d
 

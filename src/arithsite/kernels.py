@@ -2,24 +2,15 @@
 
 The only hot loops in this package are numeric: batched Durand-Kerner sweeps
 over same-degree polynomials, Newton polishing against a composition chain,
-and pairwise root-distance scans.  Each kernel has a numba @njit build and a
-pure-numpy fallback; set ARITHSITE_NO_NUMBA=1 to force the fallback.
+and pairwise root-distance scans.  Each is one vectorised numpy routine.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+# no compiled kernel path exists; perfbench/run.py records this in every run
 HAS_NUMBA = False
-if os.environ.get("ARITHSITE_NO_NUMBA", "0").lower() not in ("1", "true", "yes"):
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
@@ -37,35 +28,11 @@ def initial_roots(coeffs: np.ndarray) -> np.ndarray:
     return radius[:, None] * np.exp(1j * angles)[None, :]
 
 
-def _dk_batch_loops(coeffs, roots, max_iter, tol):
-    m, n1 = coeffs.shape
-    d = n1 - 1
-    for t in range(m):
-        for _ in range(max_iter):
-            moved = 0.0
-            for i in range(d):
-                x = roots[t, i]
-                v = coeffs[t, d]
-                for k in range(d - 1, -1, -1):
-                    v = v * x + coeffs[t, k]
-                den = coeffs[t, d]
-                for j in range(d):
-                    if j != i:
-                        den *= x - roots[t, j]
-                if den == 0.0:
-                    den = 1e-300 + 0j
-                w = v / den
-                roots[t, i] = x - w
-                aw = abs(w)
-                if aw > moved:
-                    moved = aw
-            if moved < tol:
-                break
-    return roots
-
-
-def _dk_batch_numpy(coeffs, roots, max_iter, tol):
-    m, d = roots.shape
+def dk_batch(coeffs: np.ndarray, max_iter: int = 400, tol: float = 1e-14) -> np.ndarray:
+    """Roots of each row polynomial (ascending coefficients), shape (m, d)."""
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
+    roots = initial_roots(coeffs)
+    d = roots.shape[1]
     lead = coeffs[:, -1]
     eye = np.eye(d, dtype=bool)[None, :, :]
     for _ in range(max_iter):
@@ -88,33 +55,16 @@ def _dk_batch_numpy(coeffs, roots, max_iter, tol):
 # ---------------------------------------------------------------------------
 
 
-def _newton_chain_loops(chain, dchain, xs, alpha, iters):
+def newton_chain(chain: np.ndarray, xs: np.ndarray, alpha: complex, iters: int = 6) -> np.ndarray:
+    """Polish xs as roots of chain[0] o ... o chain[-1] - alpha."""
+    chain = np.ascontiguousarray(chain, dtype=np.complex128)
     k, n1 = chain.shape
-    n = xs.shape[0]
-    for idx in range(n):
-        x = xs[idx]
-        for _ in range(iters):
-            v = x
-            dv = 1.0 + 0j
-            for t in range(k - 1, -1, -1):
-                dvt = dchain[t, n1 - 2]
-                for c in range(n1 - 3, -1, -1):
-                    dvt = dvt * v + dchain[t, c]
-                dv = dvt * dv
-                vt = chain[t, n1 - 1]
-                for c in range(n1 - 2, -1, -1):
-                    vt = vt * v + chain[t, c]
-                v = vt
-            if dv == 0.0:
-                break
-            x = x - (v - alpha) / dv
-        xs[idx] = x
-    return xs
-
-
-def _newton_chain_numpy(chain, dchain, xs, alpha, iters):
-    k, n1 = chain.shape
-    # diverging points saturate to inf and stop moving, matching the loop build
+    dchain = np.zeros_like(chain)
+    for c in range(1, n1):
+        dchain[:, c - 1] = c * chain[:, c]
+    xs = xs.astype(np.complex128).copy()
+    alpha = complex(alpha)
+    # diverging points saturate to inf and stop moving
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(iters):
             v = xs.copy()
@@ -149,18 +99,8 @@ def chain_values(chain: np.ndarray, xs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _min_gap_loops(xs):
-    n = xs.shape[0]
-    best = 1e300
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = abs(xs[i] - xs[j])
-            if d < best:
-                best = d
-    return best
-
-
-def _min_gap_numpy(xs):
+def min_pairwise_gap(xs: np.ndarray) -> float:
+    xs = np.ascontiguousarray(xs, dtype=np.complex128)
     if xs.shape[0] < 2:
         return np.inf
     d = np.abs(xs[:, None] - xs[None, :])
@@ -168,7 +108,13 @@ def _min_gap_numpy(xs):
     return float(d.min())
 
 
-def _count_distinct_loops(xs, eps):
+def count_distinct(xs: np.ndarray, eps: float) -> int:
+    """Number of eps-clusters of the points.
+
+    A plain flood fill over the eps-neighbour graph: the tests use it as an
+    independent oracle for the tree levels, which build_tree does not call.
+    """
+    xs = np.ascontiguousarray(xs, dtype=np.complex128)
     n = xs.shape[0]
     label = np.full(n, -1, dtype=np.int64)
     stack = np.empty(n, dtype=np.int64)
@@ -191,51 +137,8 @@ def _count_distinct_loops(xs, eps):
     return count
 
 
-if HAS_NUMBA:
-    _dk_batch_numba = njit(cache=True)(_dk_batch_loops)
-    _newton_chain_numba = njit(cache=True)(_newton_chain_loops)
-    _min_gap_numba = njit(cache=True)(_min_gap_loops)
-    _count_distinct_numba = njit(cache=True)(_count_distinct_loops)
-
-
-def dk_batch(coeffs: np.ndarray, max_iter: int = 400, tol: float = 1e-14) -> np.ndarray:
-    """Roots of each row polynomial (ascending coefficients), shape (m, d)."""
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    roots = initial_roots(coeffs)
-    if HAS_NUMBA:
-        return _dk_batch_numba(coeffs, roots, max_iter, tol)
-    return _dk_batch_numpy(coeffs, roots, max_iter, tol)
-
-
-def newton_chain(chain: np.ndarray, xs: np.ndarray, alpha: complex, iters: int = 6) -> np.ndarray:
-    """Polish xs as roots of chain[0] o ... o chain[-1] - alpha."""
-    chain = np.ascontiguousarray(chain, dtype=np.complex128)
-    dchain = np.zeros_like(chain)
-    for c in range(1, chain.shape[1]):
-        dchain[:, c - 1] = c * chain[:, c]
-    xs = xs.astype(np.complex128).copy()
-    if HAS_NUMBA:
-        return _newton_chain_numba(chain, dchain, xs, complex(alpha), iters)
-    return _newton_chain_numpy(chain, dchain, xs, complex(alpha), iters)
-
-
-def min_pairwise_gap(xs: np.ndarray) -> float:
-    xs = np.ascontiguousarray(xs, dtype=np.complex128)
-    if HAS_NUMBA:
-        return float(_min_gap_numba(xs))
-    return _min_gap_numpy(xs)
-
-
-def count_distinct(xs: np.ndarray, eps: float) -> int:
-    """Number of eps-clusters of the points."""
-    xs = np.ascontiguousarray(xs, dtype=np.complex128)
-    if HAS_NUMBA:
-        return int(_count_distinct_numba(xs, eps))
-    return _count_distinct_loops(xs, eps)
-
-
 def warmup() -> None:
-    """Trigger jit compilation on tiny inputs (no-op on the numpy path)."""
+    """Run every kernel once on tiny inputs, paying first-call costs outside timed runs."""
     c = np.array([[-1.0, 0.0, 1.0]], dtype=np.complex128)
     r = dk_batch(c)
     newton_chain(c, r[0], 0.0, iters=1)

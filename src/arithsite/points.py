@@ -184,14 +184,21 @@ def to_json(c: TruncatedChain) -> str:
 
 def from_json(text: str) -> TruncatedChain:
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("a chain is a JSON object")
     site = obj["site"]
     extend = bool(obj.get("extend", False))
-    if site == "A":
-        return TruncatedChain("A", tuple(int(e) for e in obj["entries"]), extend)
-    if site == "C":
-        entries = tuple(
-            tuple(conway.letter(int(p), int(i)) for p, i in w) for w in obj["entries"]
-        )
-        return TruncatedChain("C", entries, extend)
-    entries = tuple(tuple(int(i) for i in e) for e in obj["entries"])
-    return TruncatedChain("B", entries, extend, tuple(int(d) for d in obj.get("gen_degrees", ())))
+    try:
+        if site == "A":
+            return TruncatedChain("A", tuple(int(e) for e in obj["entries"]), extend)
+        if site == "C":
+            entries = tuple(
+                tuple(conway.letter(int(p), int(i)) for p, i in w) for w in obj["entries"]
+            )
+            return TruncatedChain("C", entries, extend)
+        if site != "B":
+            raise ValueError(f"unknown site {site!r}")
+        entries = tuple(tuple(int(i) for i in e) for e in obj["entries"])
+        return TruncatedChain("B", entries, extend, tuple(int(d) for d in obj.get("gen_degrees", ())))
+    except (TypeError, OverflowError) as e:
+        raise ValueError(f"bad chain field: {e}") from e

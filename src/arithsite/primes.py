@@ -1,6 +1,17 @@
-"""Small prime-number helpers (trial division; all inputs here are desk scale)."""
+"""Small prime-number helpers (trial division; all inputs here are desk scale).
+
+Trial division stops at TRIAL_BOUND: a number whose cofactor is still
+unresolved there (it has no prime factor up to the bound and exceeds the
+bound's square, 10^12) is refused with ValueError, not searched for ever.
+"""
 
 from __future__ import annotations
+
+TRIAL_BOUND = 10**6
+
+
+def _refuse(n: int) -> ValueError:
+    return ValueError(f"refusing {n}: no prime factor up to {TRIAL_BOUND}, yet above {TRIAL_BOUND}^2")
 
 
 def is_prime(n: int) -> bool:
@@ -12,24 +23,12 @@ def is_prime(n: int) -> bool:
         return False
     f = 3
     while f * f <= n:
+        if f > TRIAL_BOUND:
+            raise _refuse(n)
         if n % f == 0:
             return False
         f += 2
     return True
-
-
-def primes_upto(n: int) -> list[int]:
-    """All primes <= n by sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    p = 2
-    while p * p <= n:
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        p += 1
-    return [i for i, b in enumerate(sieve) if b]
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -43,6 +42,8 @@ def factorize(n: int) -> dict[int, int]:
             n //= p
     f = 5
     while f * f <= n:
+        if f > TRIAL_BOUND:
+            raise _refuse(n)
         for p in (f, f + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
@@ -51,11 +52,6 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def radical(n: int) -> tuple[int, ...]:
-    """Sorted distinct prime divisors of n."""
-    return tuple(sorted(factorize(n))) if n > 1 else ()
 
 
 def smallest_prime_factor(n: int) -> int:

@@ -60,9 +60,6 @@ class Mat2Q:
         return (self.a, self.b, self.c, self.d)
 
 
-MAT_IDENTITY = Mat2Q(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
-
-
 def shear(n: int) -> Mat2Q:
     """The integral shear [[1, n], [0, 1]]."""
     return Mat2Q(Fraction(1), Fraction(n), Fraction(0), Fraction(1))
@@ -237,12 +234,7 @@ class PolyQ:
         return self * (1 / self.leading())
 
 
-POLY_ZERO = PolyQ()
 POLY_ONE = PolyQ((1,))
-
-
-def poly_compose(f: PolyQ, g: PolyQ) -> PolyQ:
-    return f.compose(g)
 
 
 # gcd runs on integer coefficient lists (primitive pseudo-remainder sequence)

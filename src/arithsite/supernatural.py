@@ -68,14 +68,8 @@ class Supernatural:
     def _primes(self) -> set[int]:
         return {p for p, _ in self.exceptions}
 
-    def is_finite(self) -> bool:
-        return self.default == 0 and all(e != INF for _, e in self.exceptions)
-
     def __str__(self) -> str:
         return format_supernatural(self)
-
-
-ONE = Supernatural()
 
 
 def _merge(s: Supernatural, t: Supernatural, op) -> Supernatural:
@@ -120,9 +114,6 @@ def adele_class_equiv(s: Supernatural, t: Supernatural) -> bool:
         if a != b and (a == INF or b == INF):
             return False
     return True
-
-
-stable_iso = adele_class_equiv
 
 
 def from_chain(chain: list[int], limit: bool = False) -> Supernatural:

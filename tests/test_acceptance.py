@@ -194,7 +194,7 @@ def test_criterion_09_bost_connes_conditions():
 
 
 def test_criterion_10_arboreal_tree():
-    kernels.warmup()  # jit compile outside the timed run
+    kernels.warmup()  # first-call costs outside the timed run
     t0 = time.perf_counter()
     tree = arboreal.build_tree([b_dk(3, 1)], Fraction(1, 2), 4)
     elapsed = time.perf_counter() - t0

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -137,6 +138,16 @@ def test_build_tree_refusals():
     dipper = BelyiPoly(parse_poly("16*x^3-24*x^2+9*x"))
     with pytest.raises(ValueError, match="generic"):
         arboreal.build_tree([dipper], Fraction(3, 4), 2)
+    # the caps hold before any d^n or exact composite is built: degree 1
+    # keeps d^n = 1 at any depth, and level 6 of B31 has degree 729 > 512
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="refusing depth 3000"):
+        arboreal.build_tree([BelyiPoly(parse_poly("x"))], HALF, 3000)
+    with pytest.raises(ValueError, match="exact degree"):
+        arboreal.squarefree_level([B31], HALF, 6)
+    with pytest.raises(ValueError, match="exact degree"):
+        arboreal.composite([B31], 10**9)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_tree_dot_and_json():

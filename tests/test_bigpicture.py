@@ -119,10 +119,6 @@ def test_fiber_twelve():
     assert len(fiber(12)) == 24 == psi(12)
 
 
-def test_fiber_parallel_matches_serial():
-    assert fiber(24, jobs=2) == fiber(24)
-
-
 def test_psi_values():
     assert psi(1) == 1
     assert psi(6) == 12

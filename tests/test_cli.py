@@ -59,6 +59,9 @@ def test_sn_verbs(run):
     assert run("sn", "divides", "12", "2^inf*3")[1].strip() == "true"
     assert run("sn", "lcm", "2^inf", "3^2")[1].strip() == "2^inf*3^2*[default=0]"
     assert run("sn", "open", "2^inf", "6", "4")[1].strip() == "true"
+    # 2^127 - 1 is prime and far above the trial-division bound
+    code, out, err = run("sn", "chain", "170141183460469231731687303715884105727")
+    assert code == 1 and out == "" and "error: refusing" in err
 
 
 def test_ds_verbs(run):
@@ -75,6 +78,10 @@ def test_ds_verbs(run):
     inv = run("ds", "involution", edk.strip())[1]
     assert json.loads(inv)["alpha"] == [2, 1, 0]
     assert "--" in run("ds", "dot", edk.strip())[1]
+    bad_n = json.dumps({"n": 10**12, "alpha": [0], "beta": [0], "frame_black": 0, "frame_white": 0})
+    for bad in ('[1,2]', '"x"', edk.replace("[1, 0, 2]", "5"), bad_n):
+        code, out, err = run("ds", "passport", bad)
+        assert code == 1 and out == "" and err.startswith("error: "), bad
 
 
 def test_by_verbs(run):
@@ -111,6 +118,10 @@ def test_ar_verbs(run):
     assert code == 1 and out == "" and "need n >= 0" in err
     code, out, err = run("ar", "squarefree", "-2*x^3+3*x^2", "--alpha", "1/2", "--depth", "0")
     assert code == 1 and out == "" and "need n >= 1" in err
+    code, out, err = run("ar", "tree", "x", "--alpha", "1/2", "--depth", "3000")
+    assert code == 1 and out == "" and "error: refusing depth 3000" in err
+    code, out, err = run("ar", "squarefree", "-2*x^3+3*x^2", "--alpha", "1/2", "--depth", "7")
+    assert code == 1 and out == "" and "error: refusing d^n = 2187 > 512 exact degree" in err
 
 
 def test_pt_verbs(run):
@@ -120,6 +131,9 @@ def test_pt_verbs(run):
     assert run("pt", "tail", c1, json.dumps({"site": "A", "entries": [12, 24]}))[1].strip() == "true"
     cc = json.dumps({"site": "C", "entries": [[[2, 0]], [[2, 1], [2, 0]]]})
     assert json.loads(run("pt", "project", cc)[1]) == {"site": "A", "entries": [2, 4]}
+    for bad in ('[1]', '{"site":"A","entries":5}', '{"site":"Z","entries":[[0]],"gen_degrees":[2]}'):
+        code, out, err = run("pt", "project", bad)
+        assert code == 1 and out == "" and err.startswith("error: "), bad
 
 
 def test_domain_error_exit_code(run):

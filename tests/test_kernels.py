@@ -29,16 +29,6 @@ def test_dk_batch_higher_degree():
     assert np.max(np.abs(vals)) < 1e-8
 
 
-def test_both_paths_agree():
-    rng = np.random.default_rng(3)
-    coeffs = _random_coeffs(rng, 20, 3)
-    start = kernels.initial_roots(coeffs)
-    a = kernels._dk_batch_numpy(coeffs, start.copy(), 400, 1e-14)
-    if kernels.HAS_NUMBA:
-        b = kernels._dk_batch_numba(coeffs, start.copy(), 400, 1e-14)
-        assert np.max(np.abs(np.sort_complex(a) - np.sort_complex(b))) < 1e-10
-
-
 def test_newton_chain_polishes():
     # chain for (3x^2-2x^3) applied twice; perturb true roots of the composite
     chain = np.array([[0, 0, 3, -2], [0, 0, 3, -2]], dtype=np.complex128)
