@@ -23,16 +23,13 @@ import numpy as np
 
 from . import kernels
 from .belyi import BelyiPoly
-from .ratpoly import PolyQ, poly_gcd
+from .ratpoly import MAX_EXACT_DEGREE, PolyQ, poly_gcd
 
 # Size caps, each on a count that grows as d^n with the depth n.
 # MAX_LEAVES bounds the numeric tree: the leaves of build_tree.
-# MAX_EXACT_DEGREE bounds the exact composite of composite and
-# squarefree_level; on a 2-core Xeon host squarefree_level took 0.4 s at
-# degree 512 (d = 8) and 2.1 s at degree 729 (d = 3), and cost climbs
-# steeply beyond.
+# MAX_EXACT_DEGREE (from ratpoly) bounds the exact composite of composite
+# and squarefree_level.
 MAX_LEAVES = 2000
-MAX_EXACT_DEGREE = 512
 
 
 def _check_gens(gens: list[BelyiPoly]) -> int:

@@ -81,6 +81,12 @@ def proj_line_count(n: int) -> int:
     return len(reps)
 
 
+# MAX_FIBER caps the size psi(n) of a fiber that fiber(n) will enumerate; on
+# a 2-core Xeon host psi = 864 (n = 360) took 3.0 s and psi = 1152 (n = 420)
+# took 6.2 s.
+MAX_FIBER = 1000
+
+
 def fiber(n: int) -> set[PicClass]:
     """All classes at hyper-distance exactly n from the identity class.
 
@@ -89,6 +95,8 @@ def fiber(n: int) -> set[PicClass]:
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if psi(n) > MAX_FIBER:
+        raise ValueError(f"refusing psi({n}) = {psi(n)} > {MAX_FIBER} classes")
     if n == 1:
         return {PIC_ONE}
     ps = sorted(factorize(n))

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from . import arboreal, belyi, bigpicture as bp, bostconnes as bc, conway as cw
 from . import dessins as ds, points as pt, supernatural as sn
+from .ratpoly import format_poly, parse_poly
 
 
 def _print_bool(v: bool) -> None:
@@ -24,6 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="group", required=True)
 
     g = sub.add_parser("bp", aliases=["bigpicture"], help="big picture classes")
+    g.set_defaults(run=_run_bp)
     s = g.add_subparsers(dest="verb", required=True)
     p = s.add_parser("distance")
     p.add_argument("x")
@@ -43,6 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, default=1)
 
     g = sub.add_parser("cw", aliases=["conway"], help="Conway monoid words")
+    g.set_defaults(run=_run_cw)
     s = g.add_subparsers(dest="verb", required=True)
     p = s.add_parser("normalize")
     p.add_argument("word")
@@ -60,6 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x")
 
     g = sub.add_parser("sn", aliases=["supernatural"], help="supernatural numbers")
+    g.set_defaults(run=_run_sn)
     s = g.add_subparsers(dest="verb", required=True)
     p = s.add_parser("chain")
     p.add_argument("entries", type=int, nargs="+")
@@ -78,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("generators", type=int, nargs="+")
 
     g = sub.add_parser("ds", aliases=["dessins"], help="framed tree dessins")
+    g.set_defaults(run=_run_ds)
     s = g.add_subparsers(dest="verb", required=True)
     for verb, args in (
         ("passport", ["d"]),
@@ -99,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
 
     g = sub.add_parser("by", aliases=["belyi"], help="dynamical Belyi polynomials")
+    g.set_defaults(run=_run_by)
     s = g.add_subparsers(dest="verb", required=True)
     p = s.add_parser("bdk")
     p.add_argument("d", type=int)
@@ -118,6 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maxlen", type=int, default=2)
 
     g = sub.add_parser("bc", aliases=["bostconnes"], help="Bost-Connes checks")
+    g.set_defaults(run=_run_bc)
     s = g.add_subparsers(dest="verb", required=True)
     p = s.add_parser("cond3")
     p.add_argument("n", type=int)
@@ -139,6 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("level", type=int)
 
     g = sub.add_parser("ar", aliases=["arboreal"], help="preimage trees")
+    g.set_defaults(run=_run_ar)
     s = g.add_subparsers(dest="verb", required=True)
     for verb in ("generic", "squarefree", "tree", "dot"):
         p = s.add_parser(verb)
@@ -150,6 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=float, default=1e-9)
 
     g = sub.add_parser("pt", aliases=["points"], help="points of the localic covers")
+    g.set_defaults(run=_run_pt)
     s = g.add_subparsers(dest="verb", required=True)
     p = s.add_parser("equiv")
     p.add_argument("c1")
@@ -236,8 +245,6 @@ def _run_ds(args) -> None:
 
 
 def _run_by(args) -> None:
-    from .ratpoly import format_poly, parse_poly
-
     if args.verb == "bdk":
         print(format_poly(belyi.b_dk(args.d, args.k).poly))
     elif args.verb == "check":
@@ -282,8 +289,6 @@ def _run_bc(args) -> None:
 
 
 def _run_ar(args) -> None:
-    from .ratpoly import parse_poly
-
     gens = [belyi.BelyiPoly(parse_poly(t)) for t in args.polys]
     alpha = Fraction(args.alpha)
     if args.verb == "generic":
@@ -306,26 +311,6 @@ def _run_pt(args) -> None:
         print(pt.to_json(pt.project(pt.from_json(args.c))))
 
 
-_RUNNERS = {
-    "bp": _run_bp,
-    "bigpicture": _run_bp,
-    "cw": _run_cw,
-    "conway": _run_cw,
-    "sn": _run_sn,
-    "supernatural": _run_sn,
-    "ds": _run_ds,
-    "dessins": _run_ds,
-    "by": _run_by,
-    "belyi": _run_by,
-    "bc": _run_bc,
-    "bostconnes": _run_bc,
-    "ar": _run_ar,
-    "arboreal": _run_ar,
-    "pt": _run_pt,
-    "points": _run_pt,
-}
-
-
 def _looks_like_poly(tok: str) -> bool:
     return len(tok) > 1 and tok[0] == "-" and tok[1] in "x0123456789" and "x" in tok
 
@@ -338,8 +323,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        _RUNNERS[args.group](args)
-    except (ValueError, ZeroDivisionError, KeyError, json.JSONDecodeError) as e:
+        args.run(args)
+    except (ValueError, ZeroDivisionError, KeyError, RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

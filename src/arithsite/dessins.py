@@ -5,6 +5,9 @@ counterclockwise order of edges around black vertices, beta around white
 vertices.  Tree + polynomial type means #cycles(alpha) + #cycles(beta) = n+1
 and alpha followed by beta is a single n-cycle.  The framing marks one black
 vertex 0 and one white vertex 1 by naming an edge of each cycle.
+
+A FramedDessin is valid by construction: its constructor runs validate, so
+the functions below take validity as given and never re-check it.
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ class FramedDessin:
     beta: Perm
     frame_black: int
     frame_white: int
+
+    def __post_init__(self):
+        validate(self)
 
 
 def validate(d: FramedDessin) -> None:
@@ -133,7 +139,6 @@ def _vertex_maps(d: FramedDessin):
 
 
 def anatomy(d: FramedDessin) -> Anatomy:
-    validate(d)
     bc, wc, bv, wv = _vertex_maps(d)
     v0 = ("b", bv[d.frame_black])
     v1 = ("w", wv[d.frame_white])
@@ -231,9 +236,7 @@ def compose(t: FramedDessin, t2: FramedDessin) -> FramedDessin:
             alpha[e * m + f] = t.alpha[e] * m + fa
             fb = t2.beta[f] if e == e1 else f
             beta[e * m + f] = t.beta[e] * m + fb
-    out = FramedDessin(n, tuple(alpha), tuple(beta), e0 * m + f0, e1 * m + f1)
-    validate(out)
-    return out
+    return FramedDessin(n, tuple(alpha), tuple(beta), e0 * m + f0, e1 * m + f1)
 
 
 def passport_compose_predict(anat: Anatomy, p2: Passport, d2: int) -> Passport:
@@ -252,7 +255,6 @@ def passport_compose_predict(anat: Anatomy, p2: Passport, d2: int) -> Passport:
 
 def automorphisms(d: FramedDessin) -> list[Perm]:
     """All edge permutations commuting with alpha and beta (identity included)."""
-    validate(d)
     out = []
     for target in range(d.n):
         g = [-1] * d.n
@@ -275,7 +277,6 @@ def automorphisms(d: FramedDessin) -> list[Perm]:
 
 def monodromy_order(d: FramedDessin, cap: int = 100000) -> int | None:
     """|<alpha, beta>| by closure enumeration; None when the cap is exceeded."""
-    validate(d)
     gens = [d.alpha, d.beta]
     ident = tuple(range(d.n))
     seen = {ident}
@@ -342,21 +343,16 @@ def _unframed_key(d: FramedDessin):
 
 def canonical_form(d: FramedDessin) -> FramedDessin:
     """Frame-anchored canonical relabeling; equal outputs mean framed isomorphism."""
-    validate(d)
     a2, b2, wf = _framed_key(d)
     return FramedDessin(d.n, a2, b2, 0, wf)
 
 
 def framed_iso(d1: FramedDessin, d2: FramedDessin) -> bool:
-    validate(d1)
-    validate(d2)
     return d1.n == d2.n and _framed_key(d1) == _framed_key(d2)
 
 
 def combinatorial_equiv(d1: FramedDessin, d2: FramedDessin) -> bool:
     """Colour- and orientation-preserving equivalence, frames ignored."""
-    validate(d1)
-    validate(d2)
     return d1.n == d2.n and _unframed_key(d1) == _unframed_key(d2)
 
 
@@ -386,15 +382,13 @@ def random_tree_dessin(n_edges: int, rng) -> FramedDessin:
         for c in cycles:
             for t, e in enumerate(c):
                 perm[e] = c[(t + 1) % len(c)]
-    d = FramedDessin(
+    return FramedDessin(
         n_edges,
         tuple(alpha),
         tuple(beta),
         black[rng.randrange(len(black))][0],
         white[rng.randrange(len(white))][0],
     )
-    validate(d)
-    return d
 
 
 def to_json(d: FramedDessin) -> str:
@@ -409,26 +403,30 @@ def to_json(d: FramedDessin) -> str:
     )
 
 
+def _json_int(v) -> int:
+    """A JSON integer field; floats, strings and booleans are refused."""
+    if type(v) is not int:
+        raise ValueError(f"JSON field {v!r} is not an integer")
+    return v
+
+
 def from_json(text: str) -> FramedDessin:
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("a dessin is a JSON object")
     try:
-        d = FramedDessin(
-            int(obj["n"]),
-            tuple(int(v) for v in obj["alpha"]),
-            tuple(int(v) for v in obj["beta"]),
-            int(obj["frame_black"]),
-            int(obj["frame_white"]),
+        return FramedDessin(
+            _json_int(obj["n"]),
+            tuple(_json_int(v) for v in obj["alpha"]),
+            tuple(_json_int(v) for v in obj["beta"]),
+            _json_int(obj["frame_black"]),
+            _json_int(obj["frame_white"]),
         )
-    except (TypeError, OverflowError) as e:
+    except TypeError as e:
         raise ValueError(f"bad dessin field: {e}") from e
-    validate(d)
-    return d
 
 
 def to_dot(d: FramedDessin) -> str:
-    validate(d)
     bc, wc, bv, wv = _vertex_maps(d)
     v0 = bv[d.frame_black]
     v1 = wv[d.frame_white]

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import conway
+from .dessins import _json_int
 from .supernatural import Supernatural, adele_class_equiv, from_chain
 
 SITES = ("A", "C", "B")
@@ -154,12 +155,7 @@ def chain_to_supernatural(c: TruncatedChain) -> Supernatural:
 
 def chain_in_open(c: TruncatedChain, target) -> bool:
     """Localic open membership: some entry factors through the target."""
-    if c.site == "A":
-        target = int(target)
-    elif c.site == "C":
-        target = tuple(target)
-    else:
-        target = tuple(target)
+    target = int(target) if c.site == "A" else tuple(target)
     return any(_geq(c.site, target, e) for e in c.entries)
 
 
@@ -190,15 +186,15 @@ def from_json(text: str) -> TruncatedChain:
     extend = bool(obj.get("extend", False))
     try:
         if site == "A":
-            return TruncatedChain("A", tuple(int(e) for e in obj["entries"]), extend)
+            return TruncatedChain("A", tuple(_json_int(e) for e in obj["entries"]), extend)
         if site == "C":
             entries = tuple(
-                tuple(conway.letter(int(p), int(i)) for p, i in w) for w in obj["entries"]
+                tuple(conway.letter(_json_int(p), _json_int(i)) for p, i in w) for w in obj["entries"]
             )
             return TruncatedChain("C", entries, extend)
         if site != "B":
             raise ValueError(f"unknown site {site!r}")
-        entries = tuple(tuple(int(i) for i in e) for e in obj["entries"])
-        return TruncatedChain("B", entries, extend, tuple(int(d) for d in obj.get("gen_degrees", ())))
-    except (TypeError, OverflowError) as e:
+        entries = tuple(tuple(_json_int(i) for i in e) for e in obj["entries"])
+        return TruncatedChain("B", entries, extend, tuple(_json_int(d) for d in obj.get("gen_degrees", ())))
+    except TypeError as e:
         raise ValueError(f"bad chain field: {e}") from e

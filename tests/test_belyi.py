@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arithsite import belyi, conway as cw, dessins as ds
 from arithsite.belyi import BelyiPoly, b_dk
@@ -149,3 +150,69 @@ def test_cancellation_on_family():
 def test_rejects_non_belyi():
     with pytest.raises(ValueError):
         BelyiPoly(parse_poly("x^3-x"))
+
+
+def _old_predicate(p: PolyQ) -> bool:
+    """The predicate before the root count: squarefree_part(P') | P(P-1)."""
+    if p(Fraction(0)) != 0 or p(Fraction(1)) != 1:
+        return False
+    return squarefree_part(p.derivative()).divides(p * (p - PolyQ.const(1)))
+
+
+_BDK = st.integers(2, 7).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d - 1)))
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _closed_under_ops(draw):
+    """A B_dk followed by up to three compositions or involutions, degree <= 64."""
+    p = b_dk(*draw(_BDK))
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            p = belyi.involution_poly(p)
+            continue
+        q = b_dk(*draw(_BDK))
+        if p.degree * q.degree <= 64:
+            p = belyi.compose(p, q) if draw(st.booleans()) else belyi.compose(q, p)
+    return p
+
+
+@settings(max_examples=80, deadline=None)
+@given(_closed_under_ops(), _SMALL, st.integers(1, 3), st.integers(1, 3))
+def test_root_count_predicate_matches_old_oracle(p, c, i, j):
+    # every composite and involution passes both predicates
+    assert belyi.is_dynamical_belyi(p.poly) and _old_predicate(p.poly)
+    # a perturbation c x^i (x-1)^j keeps P(0) = 0 and P(1) = 1
+    q = p.poly + PolyQ.monomial(c, i) * PolyQ((-1, 1)) ** j
+    assert belyi.is_dynamical_belyi(q) == _old_predicate(q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_SMALL, max_size=5))
+def test_root_count_predicate_on_random_polys(cs):
+    # x + x(x-1)Q(x) is the general polynomial with P(0) = 0 and P(1) = 1
+    q = PolyQ.x() + PolyQ.x() * PolyQ((-1, 1)) * PolyQ(cs)
+    assert belyi.is_dynamical_belyi(q) == _old_predicate(q)
+
+
+def test_closed_operations_skip_the_predicate(monkeypatch):
+    gens = [b_dk(3, 0), b_dk(3, 1), b_dk(3, 2)]
+
+    def refuse(poly):
+        raise AssertionError("a closed operation re-ran the Belyi predicate")
+
+    monkeypatch.setattr(belyi, "is_dynamical_belyi", refuse)
+    comp = belyi.compose(gens[1], gens[2])
+    inv = belyi.involution_poly(gens[1])
+    assert belyi.free_check(gens, 3)
+    monkeypatch.undo()
+    assert comp == BelyiPoly(gens[1].poly.compose(gens[2].poly))
+    assert inv == gens[1]
+
+
+def test_free_check_refuses_past_the_degree_cap():
+    # 6 + 36 + ... + 6^6 passes MAX_FREE_DEGREE at length 6
+    with pytest.raises(ValueError, match="refusing composites of total degree"):
+        belyi.free_check([b_dk(3, 1), b_dk(3, 0)], 7)
+    with pytest.raises(ValueError, match="refusing"):
+        belyi.free_check([BelyiPoly(PolyQ.x())], 10**9)

@@ -117,6 +117,8 @@ def test_fiber_two():
 
 def test_fiber_twelve():
     assert len(fiber(12)) == 24 == psi(12)
+    with pytest.raises(ValueError, match="refusing psi"):
+        fiber(5040)
 
 
 def test_psi_values():

@@ -4,6 +4,8 @@ import pytest
 
 from arithsite.cli import main
 
+DEEP = "[" * 10**5 + "]" * 10**5
+
 
 @pytest.fixture
 def run(capsys):
@@ -23,6 +25,8 @@ def test_distance(run):
 def test_fiber_count(run):
     code, out, _ = run("bp", "fiber", "12", "--count")
     assert code == 0 and out.strip() == "24"
+    code, out, err = run("bp", "fiber", "5040", "--count")
+    assert code == 1 and out == "" and "error: refusing psi(5040) = 13824 > 1000" in err
 
 
 def test_bdk(run):
@@ -50,6 +54,8 @@ def test_cw_verbs(run):
     assert run("cw", "mul", "P[2,1]", "P[3,1]")[1].strip() == "P[2,1]*P[3,1]"
     assert run("cw", "divide", "P[2,1]*P[2,0]", "P[2,0]")[1].strip() == "P[2,1]"
     assert run("cw", "divide", "P[2,1]", "P[3,0]")[1].strip() == "none"
+    code, out, err = run("cw", "normalize", DEEP)
+    assert code == 1 and out == "" and err.startswith("error: ")
 
 
 def test_sn_verbs(run):
@@ -79,7 +85,10 @@ def test_ds_verbs(run):
     assert json.loads(inv)["alpha"] == [2, 1, 0]
     assert "--" in run("ds", "dot", edk.strip())[1]
     bad_n = json.dumps({"n": 10**12, "alpha": [0], "beta": [0], "frame_black": 0, "frame_white": 0})
-    for bad in ('[1,2]', '"x"', edk.replace("[1, 0, 2]", "5"), bad_n):
+    float_n = '{"n":3.9,"alpha":[1,0,2.7],"beta":[2,1,0],"frame_black":0,"frame_white":0}'
+    str_n = edk.replace('"n": 3', '"n": "3"')
+    bool_n = edk.replace('"n": 3', '"n": true')
+    for bad in ('[1,2]', '"x"', edk.replace("[1, 0, 2]", "5"), bad_n, float_n, str_n, bool_n, DEEP):
         code, out, err = run("ds", "passport", bad)
         assert code == 1 and out == "" and err.startswith("error: "), bad
 
@@ -92,6 +101,10 @@ def test_by_verbs(run):
     assert run("by", "triangle", "-2*x^3+3*x^2")[1].strip() == "true"
     assert run("by", "compose-count", "-2*x^3+3*x^2", "-2*x^3+3*x^2")[1].strip() == "true"
     assert run("by", "free", "x^3", "-2*x^3+3*x^2", "--maxlen", "2")[1].strip() == "true"
+    code, out, err = run("by", "check", "x^1000000")
+    assert code == 1 and out == "" and "error: refusing exponent 1000000 > 512" in err
+    code, out, err = run("by", "free", "-2*x^3+3*x^2", "x^3", "--maxlen", "7")
+    assert code == 1 and out == "" and "error: refusing composites of total degree" in err
 
 
 def test_bc_verbs(run):
@@ -131,7 +144,16 @@ def test_pt_verbs(run):
     assert run("pt", "tail", c1, json.dumps({"site": "A", "entries": [12, 24]}))[1].strip() == "true"
     cc = json.dumps({"site": "C", "entries": [[[2, 0]], [[2, 1], [2, 0]]]})
     assert json.loads(run("pt", "project", cc)[1]) == {"site": "A", "entries": [2, 4]}
-    for bad in ('[1]', '{"site":"A","entries":5}', '{"site":"Z","entries":[[0]],"gen_degrees":[2]}'):
+    for bad in (
+        '[1]',
+        '{"site":"A","entries":5}',
+        '{"site":"Z","entries":[[0]],"gen_degrees":[2]}',
+        '{"site":"A","entries":[2.5,4]}',
+        '{"site":"A","entries":["2"]}',
+        '{"site":"C","entries":[[[2,true]]]}',
+        '{"site":"B","entries":[[0]],"gen_degrees":[2.0]}',
+        DEEP,
+    ):
         code, out, err = run("pt", "project", bad)
         assert code == 1 and out == "" and err.startswith("error: "), bad
 
@@ -151,3 +173,22 @@ def test_determinism(run):
 def test_ball_dot(run):
     code, out, _ = run("bp", "ball-dot", "1:0", "2", "--radius", "1")
     assert code == 0 and out.count("--") == 3
+
+
+@pytest.mark.parametrize(
+    "short, long, argv",
+    [
+        ("bp", "bigpicture", ["distance", "1:0", "1:1/2"]),
+        ("cw", "conway", ["normalize", "P[3,1]*P[2,0]"]),
+        ("sn", "supernatural", ["chain", "2", "4", "12"]),
+        ("ds", "dessins", ["edk", "3", "1"]),
+        ("by", "belyi", ["beta", "-2*x^3+3*x^2", "--word"]),
+        ("bc", "bostconnes", ["cond5", "2", "3"]),
+        ("ar", "arboreal", ["generic", "-2*x^3+3*x^2", "--alpha", "1/2"]),
+        ("pt", "points", ["project", '{"site":"A","entries":[2,4]}']),
+    ],
+)
+def test_long_aliases(run, short, long, argv):
+    code, out, err = run(long, *argv)
+    assert code == 0 and out and err == ""
+    assert run(short, *argv) == (code, out, err)

@@ -139,3 +139,7 @@ def test_parse_rejects_garbage():
         parse_poly("x^^2")
     with pytest.raises(ValueError):
         parse_poly("")
+    # exponents past MAX_EXACT_DEGREE are refused before any allocation
+    assert parse_poly("x^512").degree == 512
+    with pytest.raises(ValueError, match="refusing exponent 1000000 > 512"):
+        parse_poly("x^1000000")
