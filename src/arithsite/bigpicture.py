@@ -65,10 +65,18 @@ def psi(n: int) -> int:
     return out
 
 
+# MAX_PROJ caps the n of proj_line_count, whose enumeration costs about
+# n^2 phi(n) steps; on a 2-core Xeon host n = 199 (a prime, the slowest n up
+# to the cap) took 2.1 s and n = 251 took 4.2 s.
+MAX_PROJ = 200
+
+
 def proj_line_count(n: int) -> int:
     """|P^1(Z/n)| by direct orbit enumeration of the unit action on pairs."""
     if n < 1:
         raise ValueError("need n >= 1")
+    if n > MAX_PROJ:
+        raise ValueError(f"refusing to enumerate P^1(Z/{n}): n > {MAX_PROJ}")
     if n == 1:
         return 1
     units = [u for u in range(1, n) if gcd(u, n) == 1]

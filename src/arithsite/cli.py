@@ -11,10 +11,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import arboreal, belyi, bigpicture as bp, bostconnes as bc, conway as cw
-from . import dessins as ds, points as pt, supernatural as sn
-from .ratpoly import format_poly, parse_poly
-
 
 def _print_bool(v: bool) -> None:
     print("true" if v else "false")
@@ -172,6 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_bp(args) -> None:
+    # each runner imports only the modules of its group: a CLI call is mostly
+    # start-up time, and only `ar` needs numpy
+    from . import bigpicture as bp
+
     if args.verb == "distance":
         print(bp.hyperdistance(bp.parse_class(args.x), bp.parse_class(args.y)))
     elif args.verb == "neighbours":
@@ -191,6 +191,8 @@ def _run_bp(args) -> None:
 
 
 def _run_cw(args) -> None:
+    from . import bigpicture as bp, conway as cw
+
     if args.verb == "normalize":
         print(cw.format_word(cw.normalize(cw.parse_word(args.word))))
     elif args.verb == "mul":
@@ -207,6 +209,8 @@ def _run_cw(args) -> None:
 
 
 def _run_sn(args) -> None:
+    from . import supernatural as sn
+
     if args.verb == "chain":
         print(sn.format_supernatural(sn.from_chain(args.entries, limit=args.limit)))
     elif args.verb == "equiv":
@@ -220,6 +224,8 @@ def _run_sn(args) -> None:
 
 
 def _run_ds(args) -> None:
+    from . import dessins as ds
+
     if args.verb == "edk":
         print(ds.to_json(ds.e_dessin(args.d, args.k)))
         return
@@ -245,6 +251,9 @@ def _run_ds(args) -> None:
 
 
 def _run_by(args) -> None:
+    from . import belyi, bigpicture as bp, conway as cw
+    from .ratpoly import format_poly, parse_poly
+
     if args.verb == "bdk":
         print(format_poly(belyi.b_dk(args.d, args.k).poly))
     elif args.verb == "check":
@@ -267,6 +276,8 @@ def _run_by(args) -> None:
 
 
 def _run_bc(args) -> None:
+    from . import bostconnes as bc, conway as cw
+
     if args.verb == "cond3":
         ok = bc.check_condition3(args.n)
         print(json.dumps({"condition": 3, "n": args.n, "ok": ok}))
@@ -289,6 +300,9 @@ def _run_bc(args) -> None:
 
 
 def _run_ar(args) -> None:
+    from . import arboreal, belyi
+    from .ratpoly import parse_poly
+
     gens = [belyi.BelyiPoly(parse_poly(t)) for t in args.polys]
     alpha = Fraction(args.alpha)
     if args.verb == "generic":
@@ -303,6 +317,8 @@ def _run_ar(args) -> None:
 
 
 def _run_pt(args) -> None:
+    from . import points as pt
+
     if args.verb == "equiv":
         _print_bool(pt.chain_equiv(pt.from_json(args.c1), pt.from_json(args.c2)))
     elif args.verb == "tail":

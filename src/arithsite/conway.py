@@ -17,6 +17,7 @@ rewrite step, in any order.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import floor
 from typing import NamedTuple
@@ -258,15 +259,19 @@ def format_word(w: Word) -> str:
     return "*".join(f"P[{l.p},{l.i}]" for l in w)
 
 
+def _json_letter(v) -> Letter:
+    """One [p, i] entry of the JSON form; p and i must be JSON integers."""
+    if not (type(v) is list and len(v) == 2 and all(type(x) is int for x in v)):
+        raise ValueError(f"bad letter {v!r}: need [p, i] with integer p and i")
+    return letter(*v)
+
+
 def parse_word(text: str) -> Word:
     s = text.replace(" ", "")
     if s in ("", "e", "1"):
         return EMPTY
     if s.startswith("["):
-        import json
-
-        pairs = json.loads(s)
-        return tuple(letter(int(p), int(i)) for p, i in pairs)
+        return tuple(_json_letter(v) for v in json.loads(s))
     out = []
     for tok in s.split("*"):
         if not (tok.startswith("P[") and tok.endswith("]")):

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import arithsite
 from arithsite.cli import main
 
 DEEP = "[" * 10**5 + "]" * 10**5
+SRC = str(Path(arithsite.__file__).resolve().parents[1])
 
 
 @pytest.fixture
@@ -39,6 +45,9 @@ def test_bdk(run):
 def test_psi_and_proj(run):
     assert run("bp", "psi", "6")[1].strip() == "12"
     assert run("bp", "psi", "4", "--proj")[1].strip() == "6"
+    for n in ("201", "2000"):
+        code, out, err = run("bp", "psi", n, "--proj")
+        assert code == 1 and out == "" and "error: refusing" in err and "Traceback" not in err, n
 
 
 def test_neighbours(run):
@@ -56,6 +65,9 @@ def test_cw_verbs(run):
     assert run("cw", "divide", "P[2,1]", "P[3,0]")[1].strip() == "none"
     code, out, err = run("cw", "normalize", DEEP)
     assert code == 1 and out == "" and err.startswith("error: ")
+    for bad in ("[[3.9, 1.2], [2, 0]]", '[["2",1]]', "[5]", "[[null,1]]", '["21"]', "[[2,1,0]]", "[[true,1]]"):
+        code, out, err = run("cw", "normalize", bad)
+        assert code == 1 and out == "" and err.startswith("error: ") and "Traceback" not in err, bad
 
 
 def test_sn_verbs(run):
@@ -117,6 +129,8 @@ def test_bc_verbs(run):
     assert run("bc", "op", "2", "1", "1/3")[1].strip() == "2/3"
     assert json.loads(run("bc", "rho", "2", "1/3")[1]) == ["1/6", "2/3"]
     assert json.loads(run("bc", "presheaf", "P[2,1]", "3")[1]) == ["1/2", "2/3", "5/6"]
+    code, out, err = run("bc", "presheaf", "[5]", "2")
+    assert code == 1 and out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
 def test_ar_verbs(run):
@@ -192,3 +206,45 @@ def test_long_aliases(run, short, long, argv):
     code, out, err = run(long, *argv)
     assert code == 0 and out and err == ""
     assert run(short, *argv) == (code, out, err)
+
+
+IMPORT_PROBE = """\
+import json, sys
+import arithsite.cli as cli
+code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps(sorted(m for m in sys.modules if m == "numpy" or m.startswith("arithsite"))))
+sys.exit(code)
+"""
+
+
+def _loaded_modules(argv) -> set[str]:
+    """numpy and the arithsite modules in sys.modules after one fresh CLI call."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bp", "psi", "6"],
+        ["cw", "normalize", "P[3,1]*P[2,0]"],
+        ["sn", "chain", "2", "4"],
+        ["ds", "edk", "3", "1"],
+        ["by", "beta", "-2*x^3+3*x^2", "--word"],
+        ["bc", "presheaf", "P[2,1]", "3"],
+        ["pt", "project", '{"site":"A","entries":[2,4]}'],
+        ["ar", "generic", "-2*x^3+3*x^2", "--alpha", "1/2"],
+    ],
+)
+def test_only_ar_imports_numpy(argv):
+    assert ("numpy" in _loaded_modules(argv)) == (argv[0] == "ar")
+
+
+def test_sn_imports_its_modules_only():
+    want = {"arithsite", "arithsite.cli", "arithsite.supernatural", "arithsite.primes"}
+    assert _loaded_modules(["sn", "chain", "2", "4"]) == want
