@@ -16,7 +16,7 @@ from math import comb
 from . import conway
 from .bigpicture import PIC_ONE, PicClass, hyperdistance
 from .dessins import Passport, _parts
-from .ratpoly import PolyQ, format_poly, multiplicity_counts, poly_gcd, root_multiplicity
+from .ratpoly import MAX_EXACT_DEGREE, PolyQ, format_poly, multiplicity_counts, poly_gcd, root_multiplicity
 
 
 def _roots(f: PolyQ) -> int:
@@ -63,6 +63,8 @@ def b_dk(d: int, k: int) -> BelyiPoly:
     """The degree-d family member with 0 of valency d-k and 1 of valency k+1."""
     if d < 2 or not 0 <= k < d:
         raise ValueError(f"need d >= 2 and 0 <= k < d, got d={d}, k={k}")
+    if d > MAX_EXACT_DEGREE:
+        raise ValueError(f"refusing degree {d} > {MAX_EXACT_DEGREE}")
     c = Fraction(1)
     for j in range(k + 1):
         c *= d - j

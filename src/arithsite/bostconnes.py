@@ -3,7 +3,7 @@
 Elements of Q/Z are reduced Fractions in [0, 1).  The concrete datum is
 sigma_n(x) = nx mod 1 with section s_n(x) = x/n and kernel {i/n}; other data
 can be plugged in through the same small interface, as long as they expose
-enumeration of the n-torsion.
+enumeration of the n-torsion and single kernel elements.
 """
 
 from __future__ import annotations
@@ -13,6 +13,18 @@ from math import floor
 
 from .conway import Letter, Word, is_normal, split_normal
 from .primes import is_prime
+
+# MAX_TORSION caps the torsion a check enumerates: n for condition 3, n*m
+# for condition 4, p*q for condition 5, p for rho and the level of
+# presheaf_value.  On a 2-core Xeon host condition 3 took 0.23 s at
+# n = 10^4 and 2.5 s at n = 10^5, condition 5 took 0.43 s at p q = 9797,
+# and each free letter of a presheaf word 0.2 s at level 10^4.
+MAX_TORSION = 10**4
+
+
+def _check_torsion(size: int) -> None:
+    if size > MAX_TORSION:
+        raise ValueError(f"refusing torsion of order {size} > {MAX_TORSION}")
 
 
 def qz(x) -> Fraction:
@@ -31,7 +43,11 @@ class QZDatum:
         return qz(x / n)
 
     def kernel(self, n: int) -> list[Fraction]:
-        return [Fraction(i, n) for i in range(n)]
+        return [self.kernel_element(n, i) for i in range(n)]
+
+    def kernel_element(self, n: int, i: int) -> Fraction:
+        """x_{i,n}, entry i of kernel(n), without enumerating the kernel."""
+        return Fraction(i, n)
 
     def torsion(self, n: int) -> list[Fraction]:
         """All x with n.x = 0, i.e. (1/n)Z/Z."""
@@ -45,6 +61,7 @@ def check_condition3(n: int, datum=QZ) -> bool:
     """Kernel of sigma_n is cyclic of order n."""
     if n < 1:
         raise ValueError("need n >= 1")
+    _check_torsion(n)
     ker = [x for x in datum.torsion(n) if datum.sigma(n, x) == 0]
     if len(ker) != n:
         return False
@@ -65,6 +82,7 @@ def check_condition4(n: int, m: int, datum=QZ) -> bool:
     """
     if n < 1 or m < 1:
         raise ValueError("need n, m >= 1")
+    _check_torsion(n * m)
     ker = datum.kernel(n)
     pieces = [datum.section(n, y) for y in datum.torsion(m)]
     sums = [qz(k + s) for k in ker for s in pieces]
@@ -73,6 +91,7 @@ def check_condition4(n: int, m: int, datum=QZ) -> bool:
 
 def check_condition5(p: int, q: int, datum=QZ) -> bool:
     """Section/kernel compatibility mirroring the meta-commutation indices."""
+    _check_torsion(p * q)
     if p == q or not (is_prime(p) and is_prime(q)):
         raise ValueError("need distinct primes")
     kp = datum.kernel(p)
@@ -94,11 +113,12 @@ def operator(l: Letter, x: Fraction, datum=QZ) -> Fraction:
     """The free-letter map s_p(x) + x_{i,p}; the power letter acts as sigma_p."""
     if l.is_power:
         return datum.sigma(l.p, x)
-    return qz(datum.section(l.p, x) + datum.kernel(l.p)[l.i])
+    return qz(datum.section(l.p, x) + datum.kernel_element(l.p, l.i))
 
 
 def rho(p: int, x: Fraction, datum=QZ) -> set[Fraction]:
     """The sigma_p-preimage set of x, as the orbit of the free-letter operators."""
+    _check_torsion(p)
     return {operator(Letter(p, i), x, datum) for i in range(p)}
 
 
@@ -118,6 +138,7 @@ def presheaf_value(w: Word, level: int, datum=QZ) -> set[Fraction]:
     """
     if level < 1:
         raise ValueError("need level >= 1")
+    _check_torsion(level)
     if not is_normal(w):
         raise ValueError("word is not in normal form")
     free, _power = split_normal(w)

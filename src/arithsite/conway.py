@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import floor
+from math import lcm
 from typing import NamedTuple
 
-from .bigpicture import PIC_ONE, PicClass, hyperdistance, neighbours
-from .primes import is_prime, smallest_prime_factor
+from .bigpicture import PicClass
+from .primes import factorize, is_prime
 from .ratpoly import Mat2Q
 
 
@@ -184,30 +184,28 @@ def word_to_class(w: Word) -> PicClass:
     return PicClass(m, rho)
 
 
-def _apply_letter(l: Letter, x: PicClass) -> PicClass:
-    if l.is_power:
-        return PicClass(l.p * x.m, l.p * x.rho)
-    return PicClass(x.m / l.p, (x.rho + l.i) / l.p)
+def _primes(n: int) -> list[int]:
+    """The primes of n, ascending, with multiplicity."""
+    return [p for p, e in sorted(factorize(n).items()) for _ in range(e)]
 
 
 def class_to_word(x: PicClass) -> Word:
-    """The unique normal word identifying x, by greedy descent towards (1, 0).
+    """The unique normal word of x whose delta is hyperdistance(1, x).
 
-    Built bottom-up: the identifier of the closer neighbour is normalized
-    before the connecting letter is prepended, so the exact matrix of every
-    suffix stays in canonical form and the final product lands on x itself.
+    word_to_class sends a normal word with free letters (p_1, i_1) ...
+    (p_k, i_k), p_1 <= ... <= p_k, and power primes of product Q to
+    M = Q/P and rho P = i_1 p_2...p_k + ... + i_{k-1} p_k + i_k, where
+    P = p_1...p_k; its delta P Q is M N^2, for N = lcm(den M, den rho), exactly
+    when P = N.  So the free indices are the mixed-radix digits of rho N over
+    the primes of N, and the power suffix holds one letter per prime of M N.
     """
-    n = hyperdistance(PIC_ONE, x)
-    if n == 1:
-        return EMPTY
-    p = smallest_prime_factor(n)
-    for z in neighbours(x, p):
-        if hyperdistance(PIC_ONE, z) * p == n:
-            for i in range(p + 1):
-                l = Letter(p, i)
-                if _apply_letter(l, z) == x:
-                    return normalize((l,) + class_to_word(z))
-    raise AssertionError(f"no descent step from {x}")
+    n = lcm(x.m.denominator, x.rho.denominator)
+    r = int(x.rho * n)
+    free = []
+    for p in reversed(_primes(n)):
+        r, i = divmod(r, p)
+        free.append(Letter(p, i))
+    return tuple(reversed(free)) + tuple(Letter(p, p) for p in _primes(int(x.m * n)))
 
 
 def delta(w: Word) -> int:
@@ -229,10 +227,10 @@ def divide_left(y: Word, x: Word) -> Word | None:
     dy, dx = delta(y), delta(x)
     if dy % dx != 0:
         return None
-    ay = word_to_class(y).alpha()
-    ax = word_to_class(x).alpha()
-    a = ay * ax.inv()
-    z = class_to_word(PicClass(a.a, a.b - floor(a.b)))
+    cy, cx = word_to_class(y), word_to_class(x)
+    a = cy.m / cx.m
+    # the class of alpha_y . alpha_x^-1
+    z = class_to_word(PicClass(a, cy.rho - a * cx.rho))
     if not is_free(z) or delta(z) * dx != dy:
         return None
     if mul(z, tuple(x)) != tuple(y):

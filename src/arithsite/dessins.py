@@ -16,6 +16,8 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .ratpoly import MAX_EXACT_DEGREE
+
 Perm = tuple[int, ...]
 
 
@@ -99,6 +101,8 @@ def e_dessin(d: int, k: int) -> FramedDessin:
     """
     if d < 1 or not 0 <= k < d:
         raise ValueError(f"need 0 <= k < d, got d={d}, k={k}")
+    if d > MAX_EXACT_DEGREE:
+        raise ValueError(f"refusing degree {d} > {MAX_EXACT_DEGREE}")
     alpha = list(range(d))
     beta = list(range(d))
     black_cycle = list(range(d - k))

@@ -53,8 +53,3 @@ def factorize(n: int) -> dict[int, int]:
         out[n] = out.get(n, 0) + 1
     return out
 
-
-def smallest_prime_factor(n: int) -> int:
-    if n < 2:
-        raise ValueError("no prime factor")
-    return min(factorize(n))

@@ -14,9 +14,10 @@ from fractions import Fraction
 from math import gcd, lcm
 
 # MAX_EXACT_DEGREE caps the degree of the exact polynomials built from user
-# input: each term of parse_poly and the composites of arboreal.  On a 2-core
-# Xeon host an exact squarefree check took 0.4 s at degree 512 (d = 8) and
-# 2.1 s at degree 729 (d = 3), and cost climbs steeply beyond.
+# input: each term of parse_poly, the composites of arboreal and belyi.b_dk
+# (and the dessin of the same degree, dessins.e_dessin).  On a 2-core Xeon
+# host an exact squarefree check took 0.4 s at degree 512 (d = 8) and 2.1 s
+# at degree 729 (d = 3), and cost climbs steeply beyond.
 MAX_EXACT_DEGREE = 512
 
 

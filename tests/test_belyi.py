@@ -29,6 +29,9 @@ def test_b_dk_range_check():
         b_dk(1, 0)
     with pytest.raises(ValueError):
         b_dk(3, 3)
+    assert b_dk(512, 1).degree == 512
+    with pytest.raises(ValueError, match="refusing degree 513 > 512"):
+        b_dk(513, 1)
 
 
 def test_b_dk_fixed_points_and_derivative_shape():

@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 
 from arithsite.bigpicture import (
+    MAX_BALL,
+    MAX_NEIGHBOUR_PRIME,
     PIC_ONE,
     PicClass,
+    _ball_size,
     ball_dot,
     fiber,
     format_class,
@@ -16,6 +19,7 @@ from arithsite.bigpicture import (
     psi,
 )
 from arithsite.ratpoly import Mat2Q, primitive_form
+from oracles import bfs_fiber, matrix_distance
 
 C = parse_class
 
@@ -60,6 +64,13 @@ def test_symmetry_random_pairs():
         assert hyperdistance(x, y) == hyperdistance(y, x)
 
 
+def test_distance_matches_matrix_form():
+    rng = random.Random(16)
+    for _ in range(2000):
+        x, y = _random_class(rng), _random_class(rng)
+        assert hyperdistance(x, y) == matrix_distance(x, y)
+
+
 def test_number_like_formula():
     rng = random.Random(12)
     for _ in range(200):
@@ -82,6 +93,9 @@ def test_neighbours_walk_back():
 def test_neighbours_reject_composite():
     with pytest.raises(ValueError, match="not prime"):
         neighbours(PIC_ONE, 4)
+    assert len(neighbours(PIC_ONE, 9973)) == 9974 and MAX_NEIGHBOUR_PRIME < 10007
+    with pytest.raises(ValueError, match="refusing p = 10007"):
+        neighbours(PIC_ONE, 10007)
 
 
 def test_neighbour_distance_and_consistency():
@@ -121,6 +135,11 @@ def test_fiber_twelve():
         fiber(5040)
 
 
+def test_fiber_matches_breadth_first_search():
+    for n in range(1, 61):
+        assert fiber(n) == bfs_fiber(n), n
+
+
 def test_psi_values():
     assert psi(1) == 1
     assert psi(6) == 12
@@ -141,6 +160,16 @@ def test_ball_dot_radius_zero():
 def test_ball_dot_two_primes():
     dot = ball_dot(PIC_ONE, [2, 3], 1)
     assert dot.count(";") - dot.count("--") == 1 + 3 + 4
+
+
+def test_ball_dot_cap_counts_the_ball():
+    # the count that ball_dot checks against MAX_BALL is the size it builds
+    for primes, radius in (([2], 11), ([3, 2, 3], 3), ([2, 3, 5, 7], 2), ([13], 3)):
+        dot = ball_dot(C("3/2:1/4"), primes, radius)
+        assert dot.count(";") - dot.count("--") == _ball_size(set(primes), radius) <= MAX_BALL
+    assert _ball_size({2}, 12) == 12286 > MAX_BALL
+    with pytest.raises(ValueError, match="refusing a ball"):
+        ball_dot(PIC_ONE, [2], 12)
 
 
 def test_class_text_roundtrip():

@@ -38,6 +38,33 @@ def test_condition5_examples():
         bc.check_condition5(2, 9)
 
 
+def test_torsion_cap():
+    # each check refuses torsion above MAX_TORSION before enumerating any
+    assert bc.MAX_TORSION == 10**4
+    assert bc.check_condition4(100, 100)
+    assert len(bc.rho(9973, F(1, 3))) == 9973
+    for call in (
+        lambda: bc.check_condition3(10001),
+        lambda: bc.check_condition4(101, 100),
+        lambda: bc.check_condition5(101, 103),
+        lambda: bc.rho(10007, F(1, 3)),
+        lambda: bc.presheaf_value((Letter(2, 1),), 10001),
+    ):
+        with pytest.raises(ValueError, match="refusing torsion of order"):
+            call()
+
+
+def test_operator_does_not_enumerate_the_kernel(monkeypatch):
+    # one operator step costs O(1), not O(p): rho and presheaf_value call it
+    # once per element
+    def forbidden(*args):
+        raise AssertionError("kernel enumerated")
+
+    monkeypatch.setattr(bc.QZDatum, "kernel", forbidden)
+    assert bc.operator(Letter(7, 5), F(1, 3)) == F(1, 21) + F(5, 7)
+    assert bc.rho(2, F(1, 3)) == {F(1, 6), F(2, 3)}
+
+
 def test_condition5_fraction_instance():
     # p=2, q=3, i=1, j=2: l=2, k=1 and 2/6 + 3/6 = 5/6 = 1/6 + 4/6
     p, q, i, j = 2, 3, 1, 2

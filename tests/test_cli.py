@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -187,6 +188,40 @@ def test_determinism(run):
 def test_ball_dot(run):
     code, out, _ = run("bp", "ball-dot", "1:0", "2", "--radius", "1")
     assert code == 0 and out.count("--") == 3
+
+
+# argv that once ran without bound: each now answers within the alarm below,
+# a refusal (stdout None) with exit 1 and an `error:` line
+BOUNDED = [
+    ("ds edk 100000000 1", None),
+    ("by bdk 100000000 1", None),
+    ("bc cond3 100000000", None),
+    ("bc cond4 100000 100000", None),
+    ("bc cond5 999983 1000003", None),
+    ("bc rho 1000003 1/3", None),
+    ("bc presheaf P[2,1] 100000000", None),
+    ("bp neighbours 1:0 1000003", None),
+    ("bp ball-dot 1:0 2 3 5 7 --radius 50", None),
+    ("cw class2word 1/1000000007:0", "P[1000000007,0]\n"),
+]
+
+
+@pytest.mark.parametrize("argv, want", BOUNDED, ids=[a for a, _ in BOUNDED])
+def test_bounded_time(run, argv, want):
+    def expire(signum, frame):
+        raise TimeoutError(f"{argv} ran past its 2 s budget")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(2)
+    try:
+        code, out, err = run(*argv.split())
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    if want is None:
+        assert code == 1 and out == "" and err.startswith("error: ") and "Traceback" not in err
+    else:
+        assert (code, out, err) == (0, want, "")
 
 
 @pytest.mark.parametrize(

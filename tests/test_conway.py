@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from arithsite import conway as cw
-from arithsite.bigpicture import PIC_ONE, hyperdistance, parse_class
+from arithsite import bigpicture as bp, conway as cw, ratpoly
+from arithsite.bigpicture import PIC_ONE, PicClass, hyperdistance, parse_class
 from arithsite.conway import Letter
 from arithsite.ratpoly import Mat2Q, shear
+from oracles import descent_class_to_word
 
 
 def W(text):
@@ -178,6 +180,34 @@ def test_class_to_word_roundtrip_arbitrary_classes():
 
 def test_class_to_word_multi_prime_power_block():
     assert cw.class_to_word(parse_class("6:0")) == W("P[2,2]*P[3,3]")
+    assert cw.class_to_word(parse_class("2/3:1/3")) == W("P[3,1]*P[2,2]")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(0, 60), st.integers(1, 60))
+def test_class_to_word_matches_descent(a, b, c, d):
+    x = PicClass(Fraction(a, b), Fraction(c, d))
+    assert cw.class_to_word(x) == descent_class_to_word(x)
+
+
+def test_closed_forms_search_nothing(monkeypatch):
+    # hyperdistance, fiber, class_to_word and divide_left read their answers
+    # off Hermite coordinates: no neighbour search, no matrix inverse
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a closed form called a search or matrix routine")
+
+    monkeypatch.setattr(bp, "neighbours", forbidden)
+    monkeypatch.setattr(cw, "neighbours", forbidden, raising=False)
+    monkeypatch.setattr(ratpoly, "primitive_form", forbidden)
+    monkeypatch.setattr(bp, "primitive_form", forbidden, raising=False)
+    monkeypatch.setattr(Mat2Q, "inv", forbidden)
+    z, x = W("P[2,1]*P[3,2]"), W("P[2,0]*P[5,3]")
+    y = cw.mul(z, x)
+    # divide_left confirms its quotient with mul, which normalizes
+    assert cw.divide_left(y, x) == z
+    monkeypatch.setattr(cw, "normalize", forbidden)
+    assert hyperdistance(parse_class("2:0"), parse_class("1/2:1/2")) == 4
+    assert len(bp.fiber(60)) == bp.psi(60)
     assert cw.class_to_word(parse_class("2/3:1/3")) == W("P[3,1]*P[2,2]")
 
 

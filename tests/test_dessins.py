@@ -39,6 +39,9 @@ def test_e_dessin_structure():
     star = ds.e_dessin(4, 0)
     assert ds.passport(star) == Passport((4,), (1, 1, 1, 1))
     assert ds.e_dessin(1, 0) == ds.UNIT
+    assert ds.e_dessin(512, 3).n == 512
+    with pytest.raises(ValueError, match="refusing degree 513 > 512"):
+        ds.e_dessin(513, 3)
 
 
 def test_anatomy_of_e_dk():
