@@ -111,7 +111,7 @@ def build_tree(gens: list[BelyiPoly], alpha, n: int, tol: float = 1e-9) -> Arbor
     max_residual = 0.0
     for k in range(1, n + 1):
         fk = _factor(gens, k).poly
-        row = np.array([complex(c) for c in fk.coeffs], dtype=np.complex128)
+        row = np.array([c / fk.den for c in fk.num], dtype=np.complex128)
         chain_rows.append(row)
         parents = values[k - 1]
         batch = np.tile(row, (len(parents), 1))

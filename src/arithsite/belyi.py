@@ -27,7 +27,7 @@ def _roots(f: PolyQ) -> int:
 def is_dynamical_belyi(p: PolyQ) -> bool:
     if p.degree < 1:
         raise ValueError("need a nonconstant polynomial")
-    if p(Fraction(0)) != 0 or p(Fraction(1)) != 1:
+    if p(0) != 0 or p(1) != 1:
         return False
     return _roots(p) + _roots(p - PolyQ.const(1)) == p.degree + 1
 
@@ -65,11 +65,7 @@ def b_dk(d: int, k: int) -> BelyiPoly:
         raise ValueError(f"need d >= 2 and 0 <= k < d, got d={d}, k={k}")
     if d > MAX_EXACT_DEGREE:
         raise ValueError(f"refusing degree {d} > {MAX_EXACT_DEGREE}")
-    c = Fraction(1)
-    for j in range(k + 1):
-        c *= d - j
-    for j in range(2, k + 1):
-        c /= j
+    c = (d - k) * comb(d, k)  # d (d-1) ... (d-k) / k!
     inner = [Fraction((-1) ** (k - i) * comb(k, i), d - i) for i in range(k + 1)]
     inner.reverse()  # a_k + ... + a_0 x^k, lowest degree first
     poly = PolyQ.monomial(c, d - k) * PolyQ(inner)
@@ -157,12 +153,12 @@ def free_check(generators: list[BelyiPoly], maxlen: int) -> bool:
         total += sum(g.degree for g in generators) ** n
         if total > MAX_FREE_DEGREE:
             raise ValueError(f"refusing composites of total degree {total} > {MAX_FREE_DEGREE}")
-    seen: set[tuple] = set()
+    seen: set[PolyQ] = set()
     level = [PolyQ.x()]  # level n extends each level n-1 composite by one factor
     for _ in range(maxlen):
         level = [f.compose(g.poly) for f in level for g in generators]
         for f in level:
-            if f.coeffs in seen:
+            if f in seen:
                 return False
-            seen.add(f.coeffs)
+            seen.add(f)
     return True

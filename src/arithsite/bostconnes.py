@@ -118,6 +118,8 @@ def operator(l: Letter, x: Fraction, datum=QZ) -> Fraction:
 
 def rho(p: int, x: Fraction, datum=QZ) -> set[Fraction]:
     """The sigma_p-preimage set of x, as the orbit of the free-letter operators."""
+    if p < 1:
+        raise ValueError("need p >= 1")
     _check_torsion(p)
     return {operator(Letter(p, i), x, datum) for i in range(p)}
 

@@ -1,9 +1,10 @@
 """Exact rational kernel: 2x2 matrices and dense univariate polynomials over Q.
 
-Rational scalars are fractions.Fraction throughout (always reduced, positive
-denominator), so equality and hashing are structural.  Polynomials are dense
-with coefficients stored lowest degree first; degrees in this package stay
-around 100, where dense wins on simplicity.
+Matrix entries are fractions.Fraction (reduced, positive denominator).  A
+polynomial is dense: integer numerators, lowest degree first, over one
+positive denominator coprime to their content.  Both forms are canonical, so
+equality and hashing are structural, and all polynomial arithmetic runs on
+the integer numerators; Fractions appear only at the edges.
 """
 
 from __future__ import annotations
@@ -11,13 +12,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 
 # MAX_EXACT_DEGREE caps the degree of the exact polynomials built from user
 # input: each term of parse_poly, the composites of arboreal and belyi.b_dk
 # (and the dessin of the same degree, dessins.e_dessin).  On a 2-core Xeon
-# host an exact squarefree check took 0.4 s at degree 512 (d = 8) and 2.1 s
-# at degree 729 (d = 3), and cost climbs steeply beyond.
+# host the exact composite and its squarefree check took 0.08 s together at
+# degree 512 (d = 8), 0.22 s at degree 729 (d = 3) and 4.2 s at degree 2187
+# (d = 3): cost climbs steeply with the degree.
 MAX_EXACT_DEGREE = 512
 
 
@@ -89,22 +92,61 @@ def primitive_form(m: Mat2Q) -> tuple[Fraction, tuple[tuple[int, int], tuple[int
 # ---------------------------------------------------------------------------
 
 
+def _make(num: list[int], den: int) -> "PolyQ":
+    """The PolyQ num/den in canonical form, for any den != 0; pops num's zeros."""
+    while num and not num[-1]:
+        num.pop()
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    out = object.__new__(PolyQ)
+    out.num = tuple(num) if g == 1 else tuple(c // g for c in num)
+    out.den = den // g
+    return out
+
+
+def _int_divmod(a: list[int], b) -> tuple[list[int], list[int], int]:
+    """Integer lists q, r and an integer s > 0 with s*a = q*b + r, deg r < deg b.
+
+    Fraction-free long division: a step scales by |lead b| / gcd(top, lead b),
+    which is 1 whenever the leading term divides exactly.  Consumes a.
+    """
+    lead, dn = b[-1], len(b) - 1
+    q = [0] * max(len(a) - dn, 0)
+    s = 1
+    while True:
+        while a and not a[-1]:
+            a.pop()
+        k = len(a) - 1 - dn
+        if k < 0:
+            return q, a, s
+        top = a[-1]
+        m = abs(lead) // gcd(top, lead)
+        if m != 1:
+            a = [c * m for c in a]
+            q = [c * m for c in q]
+            s *= m
+            top *= m
+        f = q[k] = top // lead
+        a[k:] = [x - f * v for x, v in zip(a[k:-1], b)]  # the top term cancels
+
+
 class PolyQ:
-    """Dense univariate polynomial over Q, coefficients lowest degree first."""
+    """Dense polynomial over Q: the x^k coefficient is num[k] / den, with no
+    trailing zero in num, den > 0 and gcd(content(num), den) = 1."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
-    def __init__(self, coeffs=()):
+    def __new__(cls, coeffs=()):
         cs = [frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        den = lcm(*(c.denominator for c in cs))
+        return _make([c.numerator * (den // c.denominator) for c in cs], den)
 
     # -- construction helpers
 
     @classmethod
     def const(cls, c) -> "PolyQ":
-        return cls((frac(c),))
+        return cls((c,))
 
     @classmethod
     def x(cls) -> "PolyQ":
@@ -112,52 +154,47 @@ class PolyQ:
 
     @classmethod
     def monomial(cls, c, k: int) -> "PolyQ":
-        return cls((0,) * k + (frac(c),))
+        return cls((0,) * k + (c,))
 
     # -- structure
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest degree first (read-only)."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    @property
     def degree(self) -> int:
         """-1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self) -> Fraction:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return not self.num
 
     # -- ring operations
 
     def __add__(self, other) -> "PolyQ":
         other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyQ(self.coeff(k) + other.coeff(k) for k in range(n))
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return _make([x * sa + y * sb for x, y in zip_longest(self.num, other.num, fillvalue=0)], den)
 
     def __sub__(self, other) -> "PolyQ":
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyQ(self.coeff(k) - other.coeff(k) for k in range(n))
+        return self + -self._coerce(other)
 
     def __neg__(self) -> "PolyQ":
-        return PolyQ(-c for c in self.coeffs)
+        return _make([-c for c in self.num], self.den)
 
     def __mul__(self, other) -> "PolyQ":
-        if isinstance(other, (int, Fraction)):
-            return PolyQ(c * other for c in self.coeffs)
-        if self.is_zero() or other.is_zero():
-            return PolyQ()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return PolyQ(out)
+        """Schoolbook convolution of the numerators."""
+        other = self._coerce(other)
+        a, b = self.num, other.num
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _make(out, self.den * other.den)
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -180,54 +217,51 @@ class PolyQ:
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = PolyQ.const(other)
-        return isinstance(other, PolyQ) and self.coeffs == other.coeffs
+        return isinstance(other, PolyQ) and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"PolyQ({format_poly(self)})"
 
     # -- evaluation / calculus
 
-    def __call__(self, x):
-        """Horner evaluation; works for Fraction, float and complex inputs."""
-        acc = x * 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    def __call__(self, x) -> Fraction:
+        """Exact Horner evaluation at a rational x = p/q, in integers."""
+        p, q = frac(x).as_integer_ratio()
+        acc, scale = 0, 1  # acc = sum_k num[k] p^k q^(n-k), n = degree
+        for c in reversed(self.num):
+            acc = acc * p + c * scale
+            scale *= q
+        return Fraction(acc, self.den * q ** max(self.degree, 0))
 
     def derivative(self) -> "PolyQ":
-        return PolyQ(k * c for k, c in enumerate(self.coeffs) if k > 0)
+        return _make([k * c for k, c in enumerate(self.num)][1:], self.den)
 
     def compose(self, g: "PolyQ") -> "PolyQ":
-        """self(g(x))."""
-        acc = PolyQ()
-        for c in reversed(self.coeffs):
-            acc = acc * g + PolyQ.const(c)
-        return acc
+        """self(g(x)) by Horner in integers: with self = sum_k c_k x^k / D of
+        degree n and g = G / E, it is sum_k c_k G^k E^(n-k) / (D E^n)."""
+        if self.degree < 1:
+            return self
+        big_g = _make(list(g.num), 1)  # E g; a denominator of 1 leaves num as is
+        acc, e = _make([self.num[-1]], 1), 1
+        for c in reversed(self.num[:-1]):
+            e *= g.den
+            num = list((acc * big_g).num) or [0]
+            num[0] += c * e
+            acc = _make(num, 1)
+        return _make(list(acc.num), self.den * e)
 
     # -- division
 
     def divmod(self, other: "PolyQ") -> tuple["PolyQ", "PolyQ"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        lead = other.leading()
-        dn = other.degree
-        while len(rem) - 1 >= dn and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dn:
-                break
-            k = len(rem) - 1 - dn
-            f = rem[-1] / lead
-            q[k] = f
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= f * b
-            rem.pop()
-        return PolyQ(q), PolyQ(rem)
+        # s * num = q * other.num + r, and other.num = other.den * other
+        q, r, s = _int_divmod(list(self.num), other.num)
+        den = self.den * s
+        return _make([c * other.den for c in q], den), _make(r, den)
 
     def divides(self, other: "PolyQ") -> bool:
         """True when self | other exactly in Q[x]."""
@@ -238,67 +272,37 @@ class PolyQ:
     def monic(self) -> "PolyQ":
         if self.is_zero():
             return self
-        return self * (1 / self.leading())
+        return _make(list(self.num), self.num[-1])
 
 
 POLY_ONE = PolyQ((1,))
 
 
-# gcd runs on integer coefficient lists (primitive pseudo-remainder sequence)
-# to dodge the Fraction gcd overhead at degree ~80.
-
-
-def _int_clear(f: PolyQ) -> list[int]:
-    den = lcm(*(c.denominator for c in f.coeffs))
-    return [int(c * den) for c in f.coeffs]
-
-
-def _int_primitive(cs: list[int]) -> list[int]:
-    while cs and cs[-1] == 0:
-        cs.pop()
+def _int_primitive(cs) -> list[int]:
+    """The primitive part with a positive leading term; cs has no trailing 0."""
     if not cs:
         return cs
-    g = gcd(*(abs(c) for c in cs))
+    g = gcd(*cs)
     if cs[-1] < 0:
         g = -g
     return [c // g for c in cs]
 
 
-def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    rem = list(a)
-    lead = b[-1]
-    dn = len(b) - 1
-    while len(rem) - 1 >= dn:
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dn:
-            break
-        k = len(rem) - 1 - dn
-        top = rem[-1]
-        rem = [c * lead for c in rem]
-        for j, v in enumerate(b):
-            rem[k + j] -= top * v
-        rem.pop()
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return rem
-
-
 def poly_gcd(f: PolyQ, g: PolyQ) -> PolyQ:
-    """Monic gcd in Q[x]."""
+    """Monic gcd in Q[x], by the primitive pseudo-remainder sequence."""
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     if f.is_zero():
         return g.monic()
     if g.is_zero():
         return f.monic()
-    a = _int_primitive(_int_clear(f))
-    b = _int_primitive(_int_clear(g))
+    a = _int_primitive(f.num)
+    b = _int_primitive(g.num)
     if len(a) < len(b):
         a, b = b, a
     while b:
-        a, b = b, _int_primitive(_int_pseudo_rem(a, b))
-    return PolyQ(a).monic()
+        a, b = b, _int_primitive(_int_divmod(a, b)[1])
+    return _make(a, a[-1])
 
 
 def squarefree_part(f: PolyQ) -> PolyQ:
@@ -386,8 +390,7 @@ def format_poly(f: PolyQ) -> str:
     if f.is_zero():
         return "0"
     parts = []
-    for k in range(f.degree, -1, -1):
-        c = f.coeff(k)
+    for k, c in reversed(list(enumerate(f.coeffs))):
         if c == 0:
             continue
         sign = "-" if c < 0 else ("+" if parts else "")

@@ -1,10 +1,15 @@
-"""Search-based references for the closed forms of bigpicture and conway.
+"""Former library routines, kept as references for the ones that replaced them.
 
-These are the former library routines: a matrix hyper-distance through
-Mat2Q.inv and primitive_form, a breadth-first fiber over neighbours, and a
-greedy descent towards (1, 0) that normalizes after each step.  They share
-no code with the Hermite-coordinate versions the library now uses.
+- Search-based references for the closed forms of bigpicture and conway: a
+  matrix hyper-distance through Mat2Q.inv and primitive_form, a breadth-first
+  fiber over neighbours, and a greedy descent towards (1, 0) that normalizes
+  after each step.  They share no code with the Hermite-coordinate versions.
+- The Fraction polynomial kernel that ratpoly.PolyQ ran before it stored
+  integer numerators over one denominator: product, composition and division
+  on coefficient tuples of Fractions, lowest degree first.
 """
+
+from fractions import Fraction
 
 from arithsite import conway as cw
 from arithsite.bigpicture import PIC_ONE, PicClass, neighbours
@@ -59,3 +64,51 @@ def descent_class_to_word(x: PicClass) -> cw.Word:
                 if _apply_letter(l, z) == x:
                     return cw.normalize((l,) + descent_class_to_word(z))
     raise AssertionError(f"no descent step from {x}")
+
+
+def _trim(cs) -> tuple[Fraction, ...]:
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def fraction_mul(a, b) -> tuple[Fraction, ...]:
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _trim(out)
+
+
+def fraction_compose(f, g) -> tuple[Fraction, ...]:
+    """f(g(x)) by Horner on Fraction coefficients."""
+    acc = ()
+    for c in reversed(f):
+        acc = list(fraction_mul(acc, g)) or [Fraction(0)]
+        acc[0] += c
+        acc = _trim(acc)
+    return acc
+
+
+def fraction_divmod(a, b) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Long division over Q; b must not be zero."""
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    rem = list(a)
+    lead = b[-1]
+    dn = len(b) - 1
+    while len(rem) - 1 >= dn and any(rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < dn:
+            break
+        k = len(rem) - 1 - dn
+        f = rem[-1] / lead
+        q[k] = f
+        for j, v in enumerate(b):
+            rem[k + j] -= f * v
+        rem.pop()
+    return _trim(q), _trim(rem)

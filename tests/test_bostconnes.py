@@ -87,6 +87,14 @@ def test_rho_examples():
     assert bc.rho(3, F(0)) == bc.sigma_fiber(3, F(0)) == {F(0), F(1, 3), F(2, 3)}
 
 
+def test_rho_refuses_nonpositive_p():
+    # -2y = 1/3 has the solutions 1/3 and 5/6, and every y solves 0y = 0:
+    # an empty orbit would be a wrong answer, not a refusal
+    for p, x in ((-2, F(1, 3)), (0, F(0))):
+        with pytest.raises(ValueError, match="need p >= 1"):
+            bc.rho(p, x)
+
+
 def test_presheaf_identity_word():
     assert bc.presheaf_value((), 4) == set(bc.QZ.torsion(4))
 

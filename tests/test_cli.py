@@ -129,6 +129,9 @@ def test_bc_verbs(run):
     assert json.loads(run("bc", "cond4", "2", "3")[1])["ok"] is True
     assert run("bc", "op", "2", "1", "1/3")[1].strip() == "2/3"
     assert json.loads(run("bc", "rho", "2", "1/3")[1]) == ["1/6", "2/3"]
+    for argv in (("bc", "rho", "-2", "1/3"), ("bc", "rho", "0", "0")):
+        code, out, err = run(*argv)
+        assert code == 1 and out == "" and "need p >= 1" in err
     assert json.loads(run("bc", "presheaf", "P[2,1]", "3")[1]) == ["1/2", "2/3", "5/6"]
     code, out, err = run("bc", "presheaf", "[5]", "2")
     assert code == 1 and out == "" and err.startswith("error: ") and "Traceback" not in err

@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from arithsite.ratpoly import (
     Mat2Q,
     PolyQ,
@@ -143,3 +147,69 @@ def test_parse_rejects_garbage():
     assert parse_poly("x^512").degree == 512
     with pytest.raises(ValueError, match="refusing exponent 1000000 > 512"):
         parse_poly("x^1000000")
+
+
+# -- the integer kernel against the Fraction kernel it replaced
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+polys = st.lists(rationals, max_size=7).map(PolyQ)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(polys, polys, rationals)
+def test_integer_kernel_matches_fraction_kernel(f, g, x):
+    assert f.den > 0 and gcd(f.den, *f.num) == 1
+    assert PolyQ(f.coeffs) == f and hash(PolyQ(f.coeffs)) == hash(f)
+    assert (f * g).coeffs == oracles.fraction_mul(f.coeffs, g.coeffs)
+    assert f.compose(g).coeffs == oracles.fraction_compose(f.coeffs, g.coeffs)
+    if not g.is_zero():
+        q, r = f.divmod(g)
+        assert (q.coeffs, r.coeffs) == oracles.fraction_divmod(f.coeffs, g.coeffs)
+    assert f + g == PolyQ(a + b for a, b in zip_longest(f.coeffs, g.coeffs, fillvalue=0))
+    assert (f - g) + g == f
+    assert f.derivative().coeffs == tuple(k * c for k, c in enumerate(f.coeffs))[1:]
+    assert f(x) == sum((c * x**k for k, c in enumerate(f.coeffs)), Fraction(0))
+
+
+def test_evaluation_is_exact():
+    f = parse_poly("1/4*x^3-3/2*x^2+9/4*x")
+    assert f(2) == Fraction(1, 2) and f(0) == 0 and PolyQ()(Fraction(1, 3)) == 0
+    assert f(0.5) == f(Fraction(1, 2)) == Fraction(25, 32)  # a float is read exactly
+
+
+# -- sympy as a test-only oracle
+
+
+def _to_sympy(sympy, f: PolyQ):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)],
+                      sympy.Symbol("x"), domain="QQ")
+
+
+def _from_sympy(p) -> PolyQ:
+    return PolyQ(Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs()))
+
+
+def _random_poly(rng, deg):
+    return PolyQ([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(deg)]
+                 + [Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))])
+
+
+def test_sympy_oracle_mul_compose():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(71)
+    for _ in range(40):
+        f, g = _random_poly(rng, rng.randint(0, 6)), _random_poly(rng, rng.randint(0, 4))
+        sf, sg = _to_sympy(sympy, f), _to_sympy(sympy, g)
+        assert f * g == _from_sympy(sf * sg)
+        assert f.compose(g) == _from_sympy(sf.compose(sg))
+
+
+def test_sympy_oracle_gcd_squarefree():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(72)
+    for _ in range(40):
+        h, a, b = (_random_poly(rng, rng.randint(0, 3)) for _ in range(3))
+        f, g = h * a * b * b, h * h * b
+        sf, sg = _to_sympy(sympy, f), _to_sympy(sympy, g)
+        assert poly_gcd(f, g) == _from_sympy(sympy.gcd(sf, sg).monic())
+        assert squarefree_part(f) == _from_sympy(sympy.sqf_part(sf).monic())
