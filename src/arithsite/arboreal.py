@@ -7,8 +7,9 @@ by the chain rule each critical value of F_k is B_1 o ... o B_{j-1}(c) for
 a critical value c of some B_j, so it too lies in {0, 1}; and
 genericity_check demands 0 < alpha < 1.  (``squarefree_level`` decides the
 same fact exactly, for ``ar squarefree`` and the tests.)  Each level solves
-the degree-d preimage polynomial under every parent and is Newton-polished
-against the full composition chain.  Parenthood is assigned by nearest-image
+the degree-d preimage polynomial under every parent as companion-matrix
+eigenvalues, Newton-polishes the roots against the full composition chain and
+refuses any that are not finite.  Parenthood is assigned by nearest-image
 matching with an explicit ambiguity guard, so the reported tree shape is a
 checked output, not an artifact of the solver.
 """
@@ -119,6 +120,9 @@ def build_tree(gens: list[BelyiPoly], alpha, n: int, tol: float = 1e-9) -> Arbor
         roots = kernels.dk_batch(batch).reshape(-1)
         chain = np.vstack(chain_rows)
         roots = kernels.newton_chain(chain, roots, complex(alpha), iters=8)
+        # NaN trips none of the comparisons below
+        if not np.all(np.isfinite(roots)):
+            raise ValueError(f"polish failed at level {k}: non-finite root")
 
         gap = kernels.min_pairwise_gap(roots)
         if gap <= 2 * tol:

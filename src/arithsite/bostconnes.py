@@ -1,9 +1,7 @@
 """Bost-Connes data: the Q/Z instance, axiom checks, and the lattice presheaf.
 
-Elements of Q/Z are reduced Fractions in [0, 1).  The concrete datum is
-sigma_n(x) = nx mod 1 with section s_n(x) = x/n and kernel {i/n}; other data
-can be plugged in through the same small interface, as long as they expose
-enumeration of the n-torsion and single kernel elements.
+Elements of Q/Z are reduced Fractions in [0, 1).  The datum is
+sigma_n(x) = nx mod 1 with section s_n(x) = x/n and kernel {i/n}.
 """
 
 from __future__ import annotations
@@ -57,15 +55,15 @@ class QZDatum:
 QZ = QZDatum()
 
 
-def check_condition3(n: int, datum=QZ) -> bool:
+def check_condition3(n: int) -> bool:
     """Kernel of sigma_n is cyclic of order n."""
     if n < 1:
         raise ValueError("need n >= 1")
     _check_torsion(n)
-    ker = [x for x in datum.torsion(n) if datum.sigma(n, x) == 0]
+    ker = [x for x in QZ.torsion(n) if QZ.sigma(n, x) == 0]
     if len(ker) != n:
         return False
-    gen = datum.kernel(n)[1] if n > 1 else ker[0]
+    gen = QZ.kernel(n)[1] if n > 1 else ker[0]
     cyc = set()
     x = gen * 0
     for _ in range(n):
@@ -74,7 +72,7 @@ def check_condition3(n: int, datum=QZ) -> bool:
     return cyc == set(ker)
 
 
-def check_condition4(n: int, m: int, datum=QZ) -> bool:
+def check_condition4(n: int, m: int) -> bool:
     """Unique decomposition x = x_{k,n} + s_n(y) over the (1/(n*m))-torsion.
 
     Existence and uniqueness for every element amount to the n*m candidate
@@ -83,45 +81,45 @@ def check_condition4(n: int, m: int, datum=QZ) -> bool:
     if n < 1 or m < 1:
         raise ValueError("need n, m >= 1")
     _check_torsion(n * m)
-    ker = datum.kernel(n)
-    pieces = [datum.section(n, y) for y in datum.torsion(m)]
+    ker = QZ.kernel(n)
+    pieces = [QZ.section(n, y) for y in QZ.torsion(m)]
     sums = [qz(k + s) for k in ker for s in pieces]
-    return len(set(sums)) == n * m and set(sums) == set(datum.torsion(n * m))
+    return len(set(sums)) == n * m and set(sums) == set(QZ.torsion(n * m))
 
 
-def check_condition5(p: int, q: int, datum=QZ) -> bool:
+def check_condition5(p: int, q: int) -> bool:
     """Section/kernel compatibility mirroring the meta-commutation indices."""
     _check_torsion(p * q)
     if p == q or not (is_prime(p) and is_prime(q)):
         raise ValueError("need distinct primes")
-    kp = datum.kernel(p)
-    kq = datum.kernel(q)
+    kp = QZ.kernel(p)
+    kq = QZ.kernel(q)
     for i in range(p):
         for j in range(q):
             v = i * q + j
             l, k = divmod(v, p)
-            lhs = qz(datum.section(p, kq[j]) + kp[i])
-            rhs = qz(datum.section(q, kp[k]) + kq[l])
+            lhs = qz(QZ.section(p, kq[j]) + kp[i])
+            rhs = qz(QZ.section(q, kp[k]) + kq[l])
             if lhs != rhs:
                 return False
-            if datum.sigma(p, kq[j]) != kq[p * j % q]:
+            if QZ.sigma(p, kq[j]) != kq[p * j % q]:
                 return False
     return True
 
 
-def operator(l: Letter, x: Fraction, datum=QZ) -> Fraction:
+def operator(l: Letter, x: Fraction) -> Fraction:
     """The free-letter map s_p(x) + x_{i,p}; the power letter acts as sigma_p."""
     if l.is_power:
-        return datum.sigma(l.p, x)
-    return qz(datum.section(l.p, x) + datum.kernel_element(l.p, l.i))
+        return QZ.sigma(l.p, x)
+    return qz(QZ.section(l.p, x) + QZ.kernel_element(l.p, l.i))
 
 
-def rho(p: int, x: Fraction, datum=QZ) -> set[Fraction]:
+def rho(p: int, x: Fraction) -> set[Fraction]:
     """The sigma_p-preimage set of x, as the orbit of the free-letter operators."""
     if p < 1:
         raise ValueError("need p >= 1")
     _check_torsion(p)
-    return {operator(Letter(p, i), x, datum) for i in range(p)}
+    return {operator(Letter(p, i), x) for i in range(p)}
 
 
 def sigma_fiber(p: int, x: Fraction) -> set[Fraction]:
@@ -130,7 +128,7 @@ def sigma_fiber(p: int, x: Fraction) -> set[Fraction]:
     return {Fraction(a, p * b) for a in range(p * b) if qz(Fraction(a, p * b) * p) == x}
 
 
-def presheaf_value(w: Word, level: int, datum=QZ) -> set[Fraction]:
+def presheaf_value(w: Word, level: int) -> set[Fraction]:
     """Value of the lattice presheaf on a normal word, truncated at (1/level)Z/Z.
 
     The power part only fixes the source torsion group, which for Q/Z is all
@@ -144,7 +142,7 @@ def presheaf_value(w: Word, level: int, datum=QZ) -> set[Fraction]:
     if not is_normal(w):
         raise ValueError("word is not in normal form")
     free, _power = split_normal(w)
-    vals = set(datum.torsion(level))
+    vals = set(QZ.torsion(level))
     for l in reversed(free):
-        vals = {operator(l, x, datum) for x in vals}
+        vals = {operator(l, x) for x in vals}
     return vals

@@ -1,8 +1,9 @@
 """Floating-point kernels for the preimage-tree builder.
 
-The only hot loops in this package are numeric: batched Durand-Kerner sweeps
-over same-degree polynomials, Newton polishing against a composition chain,
-and pairwise root-distance scans.  Each is one vectorised numpy routine.
+The only hot loops in this package are numeric: batched root solves over
+same-degree polynomials (companion-matrix eigenvalues), Newton polishing
+against a composition chain, and pairwise root-distance scans.  Each is one
+vectorised numpy routine.
 """
 
 from __future__ import annotations
@@ -13,71 +14,44 @@ import numpy as np
 HAS_NUMBA = False
 
 
-# ---------------------------------------------------------------------------
-# Durand-Kerner: batched simultaneous iteration
-# ---------------------------------------------------------------------------
+def _horner(row: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The polynomial with ascending coefficients row, evaluated at each of v."""
+    acc = np.full_like(v, row[-1])
+    for c in row[-2::-1]:
+        acc = acc * v + c
+    return acc
 
 
-def initial_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Start points on per-polynomial circles; coeffs rows ascending, (m, d+1)."""
-    m, n1 = coeffs.shape
-    d = n1 - 1
-    lead = coeffs[:, -1]
-    radius = 1.0 + np.max(np.abs(coeffs[:, :-1] / lead[:, None]), axis=1) ** (1.0 / d)
-    angles = 2.0 * np.pi * (np.arange(d) + 0.25) / d + 0.4
-    return radius[:, None] * np.exp(1j * angles)[None, :]
+def dk_batch(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of each row polynomial (ascending coefficients), shape (m, d).
+
+    They are the eigenvalues of the stacked companion matrices (Edelman and
+    Murakami, Math. Comp. 64, 1995).  LAPACK converges or raises LinAlgError,
+    a ValueError, as it does on an inf or nan coefficient.  The name is the
+    Durand-Kerner solver's that this replaced; perfbench traces it by name.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    m, d = coeffs.shape[0], coeffs.shape[1] - 1
+    companion = np.zeros((m, d, d), dtype=np.complex128)
+    companion[:, 0, :] = -coeffs[:, -2::-1] / coeffs[:, -1:]
+    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    return np.linalg.eigvals(companion)
 
 
-def dk_batch(coeffs: np.ndarray, max_iter: int = 400, tol: float = 1e-14) -> np.ndarray:
-    """Roots of each row polynomial (ascending coefficients), shape (m, d)."""
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    roots = initial_roots(coeffs)
-    d = roots.shape[1]
-    lead = coeffs[:, -1]
-    eye = np.eye(d, dtype=bool)[None, :, :]
-    for _ in range(max_iter):
-        vals = np.zeros_like(roots)
-        for k in range(coeffs.shape[1] - 1, -1, -1):
-            vals = vals * roots + coeffs[:, k][:, None]
-        diffs = roots[:, :, None] - roots[:, None, :]
-        diffs = np.where(eye, 1.0, diffs)
-        den = lead[:, None] * diffs.prod(axis=2)
-        den = np.where(den == 0.0, 1e-300, den)
-        w = vals / den
-        roots = roots - w
-        if np.max(np.abs(w)) < tol:
-            break
-    return roots
-
-
-# ---------------------------------------------------------------------------
-# Newton polish against a composition chain
-# ---------------------------------------------------------------------------
-
-
-def newton_chain(chain: np.ndarray, xs: np.ndarray, alpha: complex, iters: int = 6) -> np.ndarray:
+def newton_chain(chain: np.ndarray, xs: np.ndarray, alpha: complex, iters: int) -> np.ndarray:
     """Polish xs as roots of chain[0] o ... o chain[-1] - alpha."""
-    chain = np.ascontiguousarray(chain, dtype=np.complex128)
-    k, n1 = chain.shape
-    dchain = np.zeros_like(chain)
-    for c in range(1, n1):
-        dchain[:, c - 1] = c * chain[:, c]
-    xs = xs.astype(np.complex128).copy()
+    chain = np.asarray(chain, dtype=np.complex128)
+    dchain = chain[:, 1:] * np.arange(1, chain.shape[1])
+    xs = xs.astype(np.complex128)
     alpha = complex(alpha)
     # diverging points saturate to inf and stop moving
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(iters):
-            v = xs.copy()
+            v = xs
             dv = np.ones_like(xs)
-            for t in range(k - 1, -1, -1):
-                dvt = np.full_like(v, dchain[t, n1 - 2])
-                for c in range(n1 - 3, -1, -1):
-                    dvt = dvt * v + dchain[t, c]
-                dv = dvt * dv
-                vt = np.full_like(v, chain[t, n1 - 1])
-                for c in range(n1 - 2, -1, -1):
-                    vt = vt * v + chain[t, c]
-                v = vt
+            for row, drow in zip(chain[::-1], dchain[::-1]):
+                dv = _horner(drow, v) * dv
+                v = _horner(row, v)
             dv = np.where(dv == 0.0, 1.0, dv)
             xs = xs - (v - alpha) / dv
     return xs
@@ -85,18 +59,10 @@ def newton_chain(chain: np.ndarray, xs: np.ndarray, alpha: complex, iters: int =
 
 def chain_values(chain: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Evaluate the composition chain[0] o ... o chain[-1] at xs (innermost last)."""
-    v = xs.astype(np.complex128).copy()
-    for t in range(chain.shape[0] - 1, -1, -1):
-        acc = np.full_like(v, chain[t, -1])
-        for c in range(chain.shape[1] - 2, -1, -1):
-            acc = acc * v + chain[t, c]
-        v = acc
+    v = xs.astype(np.complex128)
+    for row in chain[::-1]:
+        v = _horner(row, v)
     return v
-
-
-# ---------------------------------------------------------------------------
-# Pairwise distances
-# ---------------------------------------------------------------------------
 
 
 def min_pairwise_gap(xs: np.ndarray) -> float:

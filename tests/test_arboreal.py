@@ -182,3 +182,13 @@ def test_diagnostic_errors_on_oversized_tolerance():
 def test_rejects_mixed_degrees():
     with pytest.raises(ValueError, match="one degree"):
         arboreal.build_tree([b_dk(3, 1), b_dk(2, 1)], HALF, 2)
+
+
+def test_non_finite_root_is_refused(monkeypatch):
+    # NaN trips none of build_tree's comparisons, so it is refused outright
+    def nan_roots(coeffs):
+        return np.full((coeffs.shape[0], coeffs.shape[1] - 1), np.nan, dtype=np.complex128)
+
+    monkeypatch.setattr(kernels, "dk_batch", nan_roots)
+    with pytest.raises(ValueError, match="polish failed at level 1: non-finite root"):
+        arboreal.build_tree([B31], HALF, 1)

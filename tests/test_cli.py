@@ -153,6 +153,20 @@ def test_ar_verbs(run):
     assert code == 1 and out == "" and "error: refusing depth 3000" in err
     code, out, err = run("ar", "squarefree", "-2*x^3+3*x^2", "--alpha", "1/2", "--depth", "7")
     assert code == 1 and out == "" and "error: refusing d^n = 2187 > 512 exact degree" in err
+    # degree-1 rows: one 1x1 companion matrix per level
+    code, out, err = run("ar", "tree", "x", "--alpha", "1/2", "--depth", "3")
+    levels = json.loads(out)["levels"]
+    assert code == 0 and err == "" and len(levels) == 4
+    assert all(len(lv) == 1 and lv[0]["value"] == [0.5, 0.0] for lv in levels)
+
+
+def test_ar_tree_refuses_non_finite_roots(run):
+    # B_{100,50} - 1/3 is too ill-conditioned for float roots: its Newton
+    # polish diverges to NaN, which must exit 1 rather than print a tree
+    code, poly, _ = run("by", "bdk", "100", "50")
+    assert code == 0
+    code, out, err = run("ar", "tree", poly.strip(), "--alpha", "1/3", "--depth", "1")
+    assert code == 1 and out == "" and err.startswith("error: ") and "nan" not in err.lower()
 
 
 def test_pt_verbs(run):

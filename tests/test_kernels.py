@@ -1,6 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
+import pytest
 
 from arithsite import kernels
+from arithsite.belyi import b_dk
 
 
 def _random_coeffs(rng, m, d):
@@ -27,6 +31,41 @@ def test_dk_batch_higher_degree():
     for k in range(coeffs.shape[1] - 1, -1, -1):
         vals = vals * roots + coeffs[:, k][:, None]
     assert np.max(np.abs(vals)) < 1e-8
+
+
+def test_dk_batch_against_sympy_nroots():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    ws = [Fraction(1, 3), Fraction(1, 2), Fraction(5, 7)]
+    for d in range(2, 11):
+        for k in range(1, d):
+            poly = b_dk(d, k).poly
+            rows = np.tile(np.array([complex(c) for c in poly.coeffs]), (len(ws), 1))
+            rows[:, 0] -= [float(w) for w in ws]
+            expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(poly.coeffs))
+            for w, got in zip(ws, kernels.dk_batch(rows)):
+                oracle = sympy.Poly(expr - sympy.Rational(w.numerator, w.denominator), x)
+                want = np.array([complex(r) for r in oracle.nroots(n=30)])
+                # the roots are distinct, so nearness both ways is a bijection
+                dist = np.abs(want[:, None] - got[None, :])
+                assert len(got) == len(want) == d
+                assert max(dist.min(axis=1).max(), dist.min(axis=0).max()) < 1e-8, (d, k, w)
+
+
+def test_dk_batch_degree_one_rows():
+    # the (m, 2) edge: a 1x1 companion matrix per row, the root -c0/c1
+    coeffs = np.array([[-0.5, 1.0], [3.0, -2.0], [1j, 4.0]], dtype=np.complex128)
+    roots = kernels.dk_batch(coeffs)
+    assert roots.shape == (3, 1)
+    assert np.allclose(roots[:, 0], -coeffs[:, 0] / coeffs[:, 1], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, complex(np.inf, 1.0)])
+def test_dk_batch_refuses_non_finite_rows(bad):
+    coeffs = np.array([[-1.0, 0.0, 1.0], [2.0, 3.0, 1.0]], dtype=np.complex128)
+    coeffs[1, 1] = bad
+    with pytest.raises(ValueError):
+        kernels.dk_batch(coeffs)
 
 
 def test_newton_chain_polishes():
