@@ -123,6 +123,9 @@ def build_tree(gens: list[BelyiPoly], alpha, n: int, tol: float = 1e-9) -> Arbor
         # NaN trips none of the comparisons below
         if not np.all(np.isfinite(roots)):
             raise ValueError(f"polish failed at level {k}: non-finite root")
+        # one error scale for matching and residuals: the float error of
+        # evaluating a degree-d row grows with |root|^d
+        scale = tol * (1.0 + float(np.max(np.abs(roots))) ** d)
 
         gap = kernels.min_pairwise_gap(roots)
         if gap <= 2 * tol:
@@ -133,9 +136,9 @@ def build_tree(gens: list[BelyiPoly], alpha, n: int, tol: float = 1e-9) -> Arbor
         best = dist[np.arange(len(roots)), nearest]
         dist[np.arange(len(roots)), nearest] = np.inf
         second = dist.min(axis=1) if len(parents) > 1 else np.full(len(roots), np.inf)
-        if np.any(best >= tol):
+        if np.any(best >= scale):
             raise ValueError(f"matching ambiguity at level {k}: image off by {best.max():.3e}")
-        if np.any(second <= 10 * tol):
+        if np.any(second <= 10 * scale):
             raise ValueError(f"matching ambiguity at level {k}: parents too close")
 
         if np.any(np.bincount(nearest, minlength=len(parents)) != d):
@@ -145,7 +148,6 @@ def build_tree(gens: list[BelyiPoly], alpha, n: int, tol: float = 1e-9) -> Arbor
         parent_of = np.repeat(np.arange(len(parents)), d)
 
         residuals = np.abs(kernels.chain_values(chain, roots) - complex(alpha))
-        scale = tol * (1.0 + float(np.max(np.abs(roots))) ** d)
         if np.any(residuals > scale):
             raise ValueError(f"polish failed at level {k}: residual {residuals.max():.3e}")
         max_residual = max(max_residual, float(residuals.max()))

@@ -1,25 +1,39 @@
-"""The Conway monoid as a string rewriting system.
+"""The Conway monoid: words of letters P[p, i], their classes and normal forms.
 
 Letters are pairs (p, i) over a prime p: indices 0 <= i < p are the free
 letters with matrix [[1/p, i/p], [0, 1]], and i = p is the power letter
 [[p, 0], [0, 1]].  Words are read left to right as matrix products acting on
 classes by left multiplication, so the leftmost letter is applied last.
 
-Rewriting sorts free letters in front of power letters and both segments by
-ascending prime, cancelling a power letter immediately left of a free letter
-over the same prime.  Each rewrite preserves the word's left coset exactly:
-the cross-prime exchange of a power letter and the cancellation both shed an
-integral shear T^s, which is propagated letter by letter to the far left
-(changing free-letter indices on the way, exactly) and dropped there as a
-modular-group move.  A word's class is therefore invariant under every
-rewrite step, in any order.
+The monoid is presented by rewriting: free letters move in front of power
+letters and both segments sort by ascending prime, through exact cross-prime
+exchanges (meta_commute), and a power letter directly left of a free letter
+over the same prime cancels.  Each rewrite sheds an integral shear T^s that
+is propagated to the far left, changing only free indices, and dropped
+there, so the class of a word never changes.  That presentation is kept as a
+test oracle (tests/oracles.py); normalize computes its result in closed form.
+
+Bicyclic reduction.  An exchange keeps each letter's prime and its type (free
+or power), and so the order of the letters over one prime; the only rewrite
+within a prime deletes a power letter directly left of a free one.  Over
+each prime p the surviving letters are therefore the reduction of the
+word's p-subsequence in the bicyclic monoid (Clifford and Preston, The
+Algebraic Theory of Semigroups, 1961): every power-p letter cancels against
+the first unmatched free-p letter to its right.  That reduction is unique, so
+every rewriting schedule ends on the same free primes (product P) and power
+primes (product Q), and a normal word is fixed by those primes and its class:
+its free indices are the mixed-radix digits of rho P over the ascending
+primes of P.  Hence normal forms are unique and the rewriting is confluent.
+The same integers give class_to_word (Conway, Understanding groups like
+Gamma_0(N), 1996).
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import NamedTuple
 
 from .bigpicture import PicClass
@@ -77,7 +91,7 @@ def is_normal(w: Word) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Rewriting
+# Meta-commutation: the monoid's defining relations
 # ---------------------------------------------------------------------------
 
 
@@ -101,68 +115,6 @@ def meta_commute(a: Letter, b: Letter) -> tuple[Letter, Letter]:
     """Cross-prime exchange: returns (x, y) with a.b = x.y as class operations."""
     x, y, _ = _meta_commute_shear(a, b)
     return x, y
-
-
-def _sort_key(l: Letter):
-    return (l.is_power, l.p)
-
-
-def _redex(a: Letter, b: Letter) -> str | None:
-    if a.p == b.p:
-        if a.is_power and not b.is_power:
-            return "cancel"
-        return None
-    return "swap" if _sort_key(a) > _sort_key(b) else None
-
-
-def _propagate_shear(ls: list[Letter], j: int, s: int) -> None:
-    # bubble T^s from gap position j+1 to the far left, then drop it
-    while j >= 0 and s != 0:
-        l = ls[j]
-        if l.is_power:
-            s *= l.p
-        else:
-            tot = l.i + s
-            ls[j] = Letter(l.p, tot % l.p)
-            s = tot // l.p
-        j -= 1
-
-
-def _apply_at(ls: list[Letter], i: int) -> bool:
-    kind = _redex(ls[i], ls[i + 1])
-    if kind is None:
-        return False
-    if kind == "cancel":
-        s = ls[i + 1].i
-        del ls[i : i + 2]
-    else:
-        x, y, s = _meta_commute_shear(ls[i], ls[i + 1])
-        ls[i], ls[i + 1] = x, y
-    _propagate_shear(ls, i - 1, s)
-    return True
-
-
-def normalize(w: Word, rng=None) -> Word:
-    """Rewrite to normal shape; the class of the word never changes.
-
-    With rng given, applicable rewrites are chosen at random instead of
-    leftmost-first; all schedules terminate on the same normal form.
-    """
-    ls = list(w)
-    if rng is None:
-        i = 0
-        while i < len(ls) - 1:
-            if _apply_at(ls, i):
-                i = max(i - 1, 0)
-            else:
-                i += 1
-    else:
-        while True:
-            redexes = [i for i in range(len(ls) - 1) if _redex(ls[i], ls[i + 1])]
-            if not redexes:
-                break
-            _apply_at(ls, redexes[rng.randrange(len(redexes))])
-    return tuple(ls)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +141,45 @@ def _primes(n: int) -> list[int]:
     return [p for p, e in sorted(factorize(n).items()) for _ in range(e)]
 
 
+def _normal_word(r: int, free: list[int], power: list[int]) -> Word:
+    """Free letters over the ascending primes `free` whose indices are the
+    mixed-radix digits of r modulo their product, then one power letter per
+    prime of `power`."""
+    out = []
+    for p in reversed(free):
+        r, i = divmod(r, p)
+        out.append(Letter(p, i))
+    out.reverse()
+    return tuple(out) + tuple(Letter(p, p) for p in power)
+
+
+def normalize(w: Word) -> Word:
+    """The normal word of w, on which every rewriting schedule ends.
+
+    One pass from the right, in integers: rho = b/d is the class of w as in
+    word_to_class, and each power letter cancels the nearest unmatched free
+    letter of its prime to its right, the bicyclic reduction of the module
+    docstring.  The surviving free primes, of product P, carry the digits of
+    rho P, an integer since the normal word has the same class.
+    """
+    free: Counter[int] = Counter()  # per prime, unmatched free letters so far
+    power = []
+    b, d = 0, 1
+    for l in reversed(w):
+        if l.is_power:
+            b *= l.p
+            if free[l.p]:
+                free[l.p] -= 1
+            else:
+                power.append(l.p)
+        else:
+            b += l.i * d
+            d *= l.p
+            free[l.p] += 1
+    big_p = prod(free.elements())
+    return _normal_word(b // (d // big_p), sorted(free.elements()), sorted(power))
+
+
 def class_to_word(x: PicClass) -> Word:
     """The unique normal word of x whose delta is hyperdistance(1, x).
 
@@ -200,12 +191,7 @@ def class_to_word(x: PicClass) -> Word:
     the primes of N, and the power suffix holds one letter per prime of M N.
     """
     n = lcm(x.m.denominator, x.rho.denominator)
-    r = int(x.rho * n)
-    free = []
-    for p in reversed(_primes(n)):
-        r, i = divmod(r, p)
-        free.append(Letter(p, i))
-    return tuple(reversed(free)) + tuple(Letter(p, p) for p in _primes(int(x.m * n)))
+    return _normal_word(int(x.rho * n), _primes(n), _primes(int(x.m * n)))
 
 
 def delta(w: Word) -> int:

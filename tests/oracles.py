@@ -4,6 +4,9 @@
   matrix hyper-distance through Mat2Q.inv and primitive_form, a breadth-first
   fiber over neighbours, and a greedy descent towards (1, 0) that normalizes
   after each step.  They share no code with the Hermite-coordinate versions.
+- The Conway monoid's rewriting presentation, which conway.normalize ran
+  before its closed form: shear-exact meta-commutation and power-free
+  cancellation, leftmost-first or on a random schedule.
 - The Fraction polynomial kernel that ratpoly.PolyQ ran before it stored
   integer numerators over one denominator: product, composition and division
   on coefficient tuples of Fractions, lowest degree first.
@@ -62,8 +65,70 @@ def descent_class_to_word(x: PicClass) -> cw.Word:
             for i in range(p + 1):
                 l = cw.Letter(p, i)
                 if _apply_letter(l, z) == x:
-                    return cw.normalize((l,) + descent_class_to_word(z))
+                    return rewrite_normalize((l,) + descent_class_to_word(z))
     raise AssertionError(f"no descent step from {x}")
+
+
+def _sort_key(l: cw.Letter):
+    return (l.is_power, l.p)
+
+
+def _redex(a: cw.Letter, b: cw.Letter) -> str | None:
+    if a.p == b.p:
+        if a.is_power and not b.is_power:
+            return "cancel"
+        return None
+    return "swap" if _sort_key(a) > _sort_key(b) else None
+
+
+def _propagate_shear(ls: list[cw.Letter], j: int, s: int) -> None:
+    # bubble T^s from gap position j+1 to the far left, then drop it
+    while j >= 0 and s != 0:
+        l = ls[j]
+        if l.is_power:
+            s *= l.p
+        else:
+            tot = l.i + s
+            ls[j] = cw.Letter(l.p, tot % l.p)
+            s = tot // l.p
+        j -= 1
+
+
+def _apply_at(ls: list[cw.Letter], i: int) -> bool:
+    kind = _redex(ls[i], ls[i + 1])
+    if kind is None:
+        return False
+    if kind == "cancel":
+        s = ls[i + 1].i
+        del ls[i : i + 2]
+    else:
+        x, y, s = cw._meta_commute_shear(ls[i], ls[i + 1])
+        ls[i], ls[i + 1] = x, y
+    _propagate_shear(ls, i - 1, s)
+    return True
+
+
+def rewrite_normalize(w: cw.Word, rng=None) -> cw.Word:
+    """Rewrite to normal shape; the class of the word never changes.
+
+    With rng given, applicable rewrites are chosen at random instead of
+    leftmost-first.
+    """
+    ls = list(w)
+    if rng is None:
+        i = 0
+        while i < len(ls) - 1:
+            if _apply_at(ls, i):
+                i = max(i - 1, 0)
+            else:
+                i += 1
+    else:
+        while True:
+            redexes = [i for i in range(len(ls) - 1) if _redex(ls[i], ls[i + 1])]
+            if not redexes:
+                break
+            _apply_at(ls, redexes[rng.randrange(len(redexes))])
+    return tuple(ls)
 
 
 def _trim(cs) -> tuple[Fraction, ...]:

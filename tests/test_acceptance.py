@@ -18,6 +18,8 @@ from arithsite.supernatural import INF, Supernatural, adele_class_equiv
 
 import numpy as np
 
+from oracles import rewrite_normalize
+
 
 def _report(num: int, label: str, ok: bool):
     print(f"criterion {num:2d} ({label}): {'PASS' if ok else 'FAIL'}")
@@ -64,8 +66,10 @@ def test_criterion_03_confluence_and_uniqueness():
         nf = cw.normalize(w)
         ok &= cw.is_normal(nf)
         ok &= cw.word_to_class(nf) == cw.word_to_class(w)
+        # the rewriting presentation, leftmost-first and on 5 random schedules
+        ok &= rewrite_normalize(w) == nf
         for s in range(5):
-            ok &= cw.normalize(w, rng=random.Random(trial * 101 + s)) == nf
+            ok &= rewrite_normalize(w, rng=random.Random(trial * 101 + s)) == nf
         if cw.is_free(w):
             free_seen += 1
             ok &= cw.class_to_word(cw.word_to_class(w)) == nf

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -169,6 +171,33 @@ def test_ar_tree_refuses_non_finite_roots(run):
     assert code == 1 and out == "" and err.startswith("error: ") and "nan" not in err.lower()
 
 
+def _tree_b15_10(run):
+    code, poly, _ = run("by", "bdk", "15", "10")
+    assert code == 0
+    return poly.strip(), run("ar", "tree", poly.strip(), "--alpha", "1/3", "--depth", "1")
+
+
+def test_ar_tree_matches_within_the_residual_scale(run):
+    # B_{15,10} has coefficients up to about 4e5: its roots' images miss 1/3
+    # by about 1.4e-9, inside tol * (1 + max|root|^d) but not inside tol
+    _, (code, out, err) = _tree_b15_10(run)
+    assert code == 0 and err == "" and len(json.loads(out)["levels"][1]) == 15
+
+
+def test_ar_tree_level_one_matches_sympy(run):
+    sympy = pytest.importorskip("sympy")
+    poly, (code, out, _) = _tree_b15_10(run)
+    assert code == 0
+    x = sympy.Symbol("x")
+    expr = sympy.sympify(poly.replace("^", "**"), locals={"x": x}) - sympy.Rational(1, 3)
+    want = [complex(r) for r in sympy.Poly(expr, x).nroots(n=30)]
+    got = [complex(*node["value"]) for node in json.loads(out)["levels"][1]]
+    # the roots are distinct, so nearness both ways is a bijection
+    assert len(got) == len(want) == 15
+    assert max(min(abs(g - w) for w in want) for g in got) < 1e-8
+    assert max(min(abs(g - w) for g in got) for w in want) < 1e-8
+
+
 def test_pt_verbs(run):
     c1 = json.dumps({"site": "A", "entries": [2, 4, 8]})
     c2 = json.dumps({"site": "A", "entries": [4, 8]})
@@ -207,8 +236,19 @@ def test_ball_dot(run):
     assert code == 0 and out.count("--") == 3
 
 
+def _long_word() -> str:
+    """15 000 letters over {2, 3, 5, 7} from a fixed seed: a 105 KB argument."""
+    rng = random.Random(15000)
+    letters = []
+    for _ in range(15000):
+        p = rng.choice((2, 3, 5, 7))
+        letters.append(f"P[{p},{rng.randrange(p + 1)}]")
+    return "*".join(letters)
+
+
 # argv that once ran without bound: each now answers within the alarm below,
-# a refusal (stdout None) with exit 1 and an `error:` line
+# a refusal (stdout None) with exit 1 and an `error:` line, or exit 0 with
+# the given stdout or, prefixed "sha256:", its digest
 BOUNDED = [
     ("ds edk 100000000 1", None),
     ("by bdk 100000000 1", None),
@@ -220,10 +260,15 @@ BOUNDED = [
     ("bp neighbours 1:0 1000003", None),
     ("bp ball-dot 1:0 2 3 5 7 --radius 50", None),
     ("cw class2word 1/1000000007:0", "P[1000000007,0]\n"),
+    # the quadratic rewriting engine took 58 s on this word; its stdout, which
+    # the closed form reproduces, is pinned by its SHA-256
+    (f"cw normalize {_long_word()}",
+     "sha256:6bec529a189e3725359feb7dfdd472e6a8652e632192df23e25dc28ca75be60a"),
 ]
 
 
-@pytest.mark.parametrize("argv, want", BOUNDED, ids=[a for a, _ in BOUNDED])
+@pytest.mark.parametrize("argv, want", BOUNDED,
+                         ids=[a if len(a) < 100 else "cw normalize <15000 letters>" for a, _ in BOUNDED])
 def test_bounded_time(run, argv, want):
     def expire(signum, frame):
         raise TimeoutError(f"{argv} ran past its 2 s budget")
@@ -237,6 +282,8 @@ def test_bounded_time(run, argv, want):
         signal.signal(signal.SIGALRM, old)
     if want is None:
         assert code == 1 and out == "" and err.startswith("error: ") and "Traceback" not in err
+    elif want.startswith("sha256:"):
+        assert (code, "sha256:" + hashlib.sha256(out.encode()).hexdigest(), err) == (0, want, "")
     else:
         assert (code, out, err) == (0, want, "")
 

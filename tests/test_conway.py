@@ -8,7 +8,7 @@ from arithsite import bigpicture as bp, conway as cw, ratpoly
 from arithsite.bigpicture import PIC_ONE, PicClass, hyperdistance, parse_class
 from arithsite.conway import Letter
 from arithsite.ratpoly import Mat2Q, shear
-from oracles import descent_class_to_word
+from oracles import descent_class_to_word, rewrite_normalize
 
 
 def W(text):
@@ -124,8 +124,39 @@ def test_confluence_and_class_invariance():
         nf = cw.normalize(w)
         assert cw.is_normal(nf)
         assert cw.word_to_class(nf) == cls
+        assert rewrite_normalize(w) == nf
         for s in range(3):
-            assert cw.normalize(w, rng=random.Random(trial * 31 + s)) == nf
+            assert rewrite_normalize(w, rng=random.Random(trial * 31 + s)) == nf
+
+
+@st.composite
+def _run_words(draw):
+    """Words of at most 40 letters over primes <= 13, drawn as runs over one
+    prime with power and free letters equally likely: the bicyclic case."""
+    w = []
+    for p in draw(st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), max_size=10)):
+        for _ in range(draw(st.integers(1, 8))):
+            w.append(Letter(p, p if draw(st.booleans()) else draw(st.integers(0, p - 1))))
+    return tuple(w[:40])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_run_words(), st.integers(0, 2**32))
+def test_normalize_matches_rewriting(w, seed):
+    nf = cw.normalize(w)
+    assert nf == rewrite_normalize(w)
+    assert nf == rewrite_normalize(w, rng=random.Random(seed))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_run_words())
+def test_word_to_class_matches_matrix_product(w):
+    # the class of the exact product of the letter matrices applied to (1, 0)
+    m = Mat2Q(1, 0, 0, 1)
+    for l in w:
+        m = m * cw.letter_matrix(l)
+    assert (m.c, m.d) == (0, 1)
+    assert cw.word_to_class(w) == PicClass(m.a, m.b)
 
 
 def test_roundtrip_on_free_words():
@@ -191,8 +222,9 @@ def test_class_to_word_matches_descent(a, b, c, d):
 
 
 def test_closed_forms_search_nothing(monkeypatch):
-    # hyperdistance, fiber, class_to_word and divide_left read their answers
-    # off Hermite coordinates: no neighbour search, no matrix inverse
+    # hyperdistance, fiber, class_to_word, normalize, mul and divide_left read
+    # their answers off Hermite coordinates: no neighbour search, no matrix
+    # inverse, no rewriting
     def forbidden(*args, **kwargs):
         raise AssertionError("a closed form called a search or matrix routine")
 
@@ -201,8 +233,14 @@ def test_closed_forms_search_nothing(monkeypatch):
     monkeypatch.setattr(ratpoly, "primitive_form", forbidden)
     monkeypatch.setattr(bp, "primitive_form", forbidden, raising=False)
     monkeypatch.setattr(Mat2Q, "inv", forbidden)
+    # normalize reduces per prime and reads the indices off the class: no
+    # meta-commutation
+    monkeypatch.setattr(cw, "_meta_commute_shear", forbidden)
+    w = W("P[3,3]*P[2,2]*P[3,1]*P[5,2]*P[2,0]*P[3,1]*P[2,2]")
+    assert cw.normalize(w) == W("P[3,2]*P[5,3]*P[2,2]")
     z, x = W("P[2,1]*P[3,2]"), W("P[2,0]*P[5,3]")
     y = cw.mul(z, x)
+    assert y == W("P[2,1]*P[2,1]*P[3,1]*P[5,3]")
     # divide_left confirms its quotient with mul, which normalizes
     assert cw.divide_left(y, x) == z
     monkeypatch.setattr(cw, "normalize", forbidden)
