@@ -8,10 +8,15 @@ a critical value c of some B_j, so it too lies in {0, 1}; and
 genericity_check demands 0 < alpha < 1.  (``squarefree_level`` decides the
 same fact exactly, for ``ar squarefree`` and the tests.)  Each level solves
 the degree-d preimage polynomial under every parent as companion-matrix
-eigenvalues, Newton-polishes the roots against the full composition chain and
-refuses any that are not finite.  Parenthood is assigned by nearest-image
-matching with an explicit ambiguity guard, so the reported tree shape is a
-checked output, not an artifact of the solver.
+eigenvalues and polishes the roots with one Newton step against the full
+composition chain: the eigenvalues are backward stable (Edelman and Murakami,
+Math. Comp. 64, 1995), so Newton starts in its quadratic regime and further
+steps only move rounding noise.  A level is refused if a root is not finite,
+and if its error scale tol * (1 + max|root|^d) is not below
+min(alpha, 1 - alpha): a bound that large cannot tell alpha from the critical
+values 0 and 1.  Parenthood is assigned by nearest-image matching with an
+explicit ambiguity guard, so the reported tree shape is a checked output, not
+an artifact of the solver.
 """
 
 from __future__ import annotations
@@ -119,13 +124,15 @@ def build_tree(gens: list[BelyiPoly], alpha, n: int, tol: float = 1e-9) -> Arbor
         batch[:, 0] -= parents
         roots = kernels.dk_batch(batch).reshape(-1)
         chain = np.vstack(chain_rows)
-        roots = kernels.newton_chain(chain, roots, complex(alpha), iters=8)
+        roots = kernels.newton_chain(chain, roots, complex(alpha), iters=1)
         # NaN trips none of the comparisons below
         if not np.all(np.isfinite(roots)):
             raise ValueError(f"polish failed at level {k}: non-finite root")
         # one error scale for matching and residuals: the float error of
-        # evaluating a degree-d row grows with |root|^d
-        scale = tol * (1.0 + float(np.max(np.abs(roots))) ** d)
+        # evaluating a degree-d row grows with |root|^d; a float64 power
+        # overflows to inf, which the vacuous-scale guard below refuses
+        with np.errstate(over="ignore"):
+            scale = tol * (1.0 + np.max(np.abs(roots)) ** d)
 
         gap = kernels.min_pairwise_gap(roots)
         if gap <= 2 * tol:
@@ -134,11 +141,10 @@ def build_tree(gens: list[BelyiPoly], alpha, n: int, tol: float = 1e-9) -> Arbor
         dist = np.abs(images[:, None] - parents[None, :])
         nearest = np.argmin(dist, axis=1)
         best = dist[np.arange(len(roots)), nearest]
-        dist[np.arange(len(roots)), nearest] = np.inf
-        second = dist.min(axis=1) if len(parents) > 1 else np.full(len(roots), np.inf)
         if np.any(best >= scale):
             raise ValueError(f"matching ambiguity at level {k}: image off by {best.max():.3e}")
-        if np.any(second <= 10 * scale):
+        dist[np.arange(len(roots)), nearest] = np.inf
+        if len(parents) > 1 and np.any(dist.min(axis=1) <= 10 * scale):
             raise ValueError(f"matching ambiguity at level {k}: parents too close")
 
         if np.any(np.bincount(nearest, minlength=len(parents)) != d):
@@ -150,6 +156,9 @@ def build_tree(gens: list[BelyiPoly], alpha, n: int, tol: float = 1e-9) -> Arbor
         residuals = np.abs(kernels.chain_values(chain, roots) - complex(alpha))
         if np.any(residuals > scale):
             raise ValueError(f"polish failed at level {k}: residual {residuals.max():.3e}")
+        # a scale this large cannot tell alpha from the critical values 0, 1
+        if scale >= float(min(alpha, 1 - alpha)):
+            raise ValueError(f"vacuous error scale at level {k}: {scale:.3e} >= min(alpha, 1 - alpha)")
         max_residual = max(max_residual, float(residuals.max()))
         values.append(roots)
         levels.append(tuple(zip(roots.real.tolist(), roots.imag.tolist(), parent_of.tolist())))

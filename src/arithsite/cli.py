@@ -11,6 +11,11 @@ import json
 import sys
 from fractions import Fraction
 
+# Python refuses int <-> str conversions of more than 4300 digits by default.
+# This cap admits every integer that one argument can spell (Linux limits an
+# argv string to 128 KiB); printing an integer this long takes about 0.3 s.
+MAX_INT_DIGITS = 131072
+
 
 def _print_bool(v: bool) -> None:
     print("true" if v else "false")
@@ -334,14 +339,19 @@ def _looks_like_poly(tok: str) -> bool:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    if hasattr(sys, "set_int_max_str_digits"):  # absent before Python 3.10.7
+        sys.set_int_max_str_digits(MAX_INT_DIGITS)
     # keep argparse from reading leading-minus polynomials as options
     argv = [(" " + a) if _looks_like_poly(a) else a for a in argv]
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
         args.run(args)
-    except (ValueError, ZeroDivisionError, KeyError, RecursionError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, ZeroDivisionError, KeyError, RecursionError, OverflowError) as e:
+        msg = str(e)
+        if "integer string conversion" in msg:
+            msg = f"refusing an integer of more than {MAX_INT_DIGITS} decimal digits"
+        print(f"error: {msg}", file=sys.stderr)
         return 1
     return 0
 

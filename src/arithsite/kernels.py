@@ -3,7 +3,8 @@
 The only hot loops in this package are numeric: batched root solves over
 same-degree polynomials (companion-matrix eigenvalues), Newton polishing
 against a composition chain, and pairwise root-distance scans.  Each is one
-vectorised numpy routine.
+vectorised numpy routine.  The eigenvalues are backward stable, so the tree
+builder polishes them with a single Newton step.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ HAS_NUMBA = False
 
 def _horner(row: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The polynomial with ascending coefficients row, evaluated at each of v."""
-    acc = np.full_like(v, row[-1])
-    for c in row[-2::-1]:
+    if len(row) == 1:
+        return np.full_like(v, row[0])
+    acc = v * row[-1] + row[-2]
+    for c in row[-3::-1]:
         acc = acc * v + c
     return acc
 
@@ -60,8 +63,10 @@ def newton_chain(chain: np.ndarray, xs: np.ndarray, alpha: complex, iters: int) 
 def chain_values(chain: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Evaluate the composition chain[0] o ... o chain[-1] at xs (innermost last)."""
     v = xs.astype(np.complex128)
-    for row in chain[::-1]:
-        v = _horner(row, v)
+    # huge points saturate to inf or nan; build_tree's scale guard refuses them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in chain[::-1]:
+            v = _horner(row, v)
     return v
 
 

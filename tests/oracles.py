@@ -10,10 +10,13 @@
 - The Fraction polynomial kernel that ratpoly.PolyQ ran before it stored
   integer numerators over one denominator: product, composition and division
   on coefficient tuples of Fractions, lowest degree first.
+- The preimage tree with the eight-step Newton polish that arboreal.build_tree
+  ran before one step replaced it.
 """
 
 from fractions import Fraction
 
+from arithsite import arboreal, kernels
 from arithsite import conway as cw
 from arithsite.bigpicture import PIC_ONE, PicClass, neighbours
 from arithsite.primes import factorize
@@ -177,3 +180,17 @@ def fraction_divmod(a, b) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
             rem[k + j] -= f * v
         rem.pop()
     return _trim(q), _trim(rem)
+
+
+def eight_step_tree(gens, alpha, n: int, tol: float = 1e-9) -> arboreal.ArborealTree:
+    """build_tree with each level polished by eight Newton steps, not one."""
+    one_step = kernels.newton_chain
+
+    def eight_steps(chain, xs, alpha, iters):
+        return one_step(chain, xs, alpha, iters=8)
+
+    kernels.newton_chain = eight_steps
+    try:
+        return arboreal.build_tree(gens, alpha, n, tol)
+    finally:
+        kernels.newton_chain = one_step

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from arithsite import arboreal, kernels
 from arithsite.belyi import b_dk
 from arithsite.ratpoly import PolyQ, squarefree_part
+from oracles import eight_step_tree
 
 B31 = b_dk(3, 1)
 HALF = Fraction(1, 2)
@@ -88,6 +89,53 @@ def test_chain_rule_theorem_against_exact_oracle(case):
         if d**n > 81:
             break
         assert arboreal.squarefree_level(gens, alpha, n)
+
+
+def _matched_error(got, want):
+    """Largest |z - w| / (1 + |z|) over a matching of the nodes of got to
+    distinct nodes of want on the same level, under the matched parent; None
+    when the nearest siblings do not pair off.  Sibling order is not compared:
+    it may flip where real parts tie to rounding."""
+    match = [0]
+    worst = 0.0
+    for k in range(1, len(got)):
+        z = np.array([complex(re, im) for re, im, _ in got[k]])
+        w = np.array([complex(re, im) for re, im, _ in want[k]])
+        zp = np.array([p for _, _, p in got[k]])
+        wp = np.array([p for _, _, p in want[k]])
+        nxt = np.empty(len(z), dtype=np.int64)
+        for p in range(len(got[k - 1])):
+            mine, theirs = np.flatnonzero(zp == p), np.flatnonzero(wp == match[p])
+            if len(mine) != len(theirs):
+                return None
+            rel = np.abs(z[mine, None] - w[None, theirs]) / (1 + np.abs(z[mine, None]))
+            j = rel.argmin(axis=1)
+            if len(set(j.tolist())) != len(j):
+                return None
+            worst = max(worst, float(rel[np.arange(len(mine)), j].max()))
+            nxt[mine] = theirs[j]
+        match = nxt
+    return worst
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_gens_alpha())
+def test_one_newton_step_matches_eight(case):
+    # the eigenvalues are backward stable, so further steps move only rounding
+    gens, alpha = case
+    d = gens[0].degree
+    n = max(k for k in range(1, 7) if d**k <= 81)
+    err = _matched_error(arboreal.build_tree(gens, alpha, n).levels, eight_step_tree(gens, alpha, n).levels)
+    assert err is not None and err <= 1e-12
+
+
+def test_one_newton_step_is_needed():
+    # B_{15,8} has coefficients near 1e5: the bare eigenvalues of level 2
+    # miss the residual bound (residual 7.3e-8), and one step lands within the
+    # rounding noise of the eight-step tree
+    gens, alpha = [b_dk(15, 8)], Fraction(1, 3)
+    t = arboreal.build_tree(gens, alpha, 2)
+    assert _matched_error(t.levels, eight_step_tree(gens, alpha, 2).levels) < 1e-9
 
 
 def test_sibling_order_on_1024_leaves():
@@ -177,6 +225,19 @@ def test_diagnostic_errors_on_oversized_tolerance():
         arboreal.build_tree([B31], HALF, 2, tol=0.5)
     with pytest.raises(ValueError, match="matching ambiguity"):
         arboreal.build_tree([B31], HALF, 2, tol=0.1)
+
+
+def test_huge_error_scales_are_refused():
+    # roots near 1.4 make tol * (1 + |r|^3) = 0.37, above min(alpha, 1 - alpha)
+    with pytest.raises(ValueError, match="vacuous error scale at level 1"):
+        arboreal.build_tree([B31], Fraction(1, 3), 1, tol=0.1)
+    # max|root|^100 overflows a float: the scale is inf, not an OverflowError
+    with pytest.raises(ValueError, match="vacuous error scale at level 1: inf"):
+        arboreal.build_tree([b_dk(100, 50)], Fraction(1, 3), 1)
+    # scales near 6e33 and 1e97 would pass residuals of that size
+    for d, k, alpha in ((72, 71, Fraction(2, 7)), (128, 127, Fraction(1, 3))):
+        with pytest.raises(ValueError, match="vacuous error scale|matching ambiguity"):
+            arboreal.build_tree([b_dk(d, k)], alpha, 1)
 
 
 def test_rejects_mixed_degrees():

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import arithsite
-from arithsite.cli import main
+from arithsite import bigpicture as bp, conway as cw
+from arithsite.cli import MAX_INT_DIGITS, main
 
 DEEP = "[" * 10**5 + "]" * 10**5
 SRC = str(Path(arithsite.__file__).resolve().parents[1])
@@ -171,6 +172,38 @@ def test_ar_tree_refuses_non_finite_roots(run):
     assert code == 1 and out == "" and err.startswith("error: ") and "nan" not in err.lower()
 
 
+def _bdk_tree(run, d, k, alpha):
+    code, poly, _ = run("by", "bdk", str(d), str(k))
+    assert code == 0
+    return run("ar", "tree", poly.strip(), "--alpha", alpha, "--depth", "1")
+
+
+def test_ar_tree_refuses_an_overflowing_scale(run):
+    # one root of B_{72,36} - 2/7 lands near 5600, so max|root|^72 is 7e269,
+    # close to the float range: the call must exit 1 without a traceback
+    code, out, err = _bdk_tree(run, 72, 36, "2/7")
+    assert code == 1 and out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("d, k, alpha", [(128, 127, "1/3"), (72, 71, "2/7")])
+def test_ar_tree_refuses_a_vacuous_scale(run, d, k, alpha):
+    # an error scale above min(alpha, 1 - alpha) cannot separate alpha from
+    # 0 and 1, so it would pass any tree
+    code, out, err = _bdk_tree(run, d, k, alpha)
+    assert code == 1 and out == "" and err.startswith("error: ")
+    assert "nan" not in err.lower() and "Traceback" not in err
+
+
+def test_int_digit_cap(run):
+    # both directions of int <-> str stop at the cap, named in plain words
+    sevens = "7" * 70000
+    for argv in (("bp", "distance", f"{sevens}:0", f"1/{sevens}:0"),
+                 ("ar", "generic", "x", "--alpha", "1" * (MAX_INT_DIGITS + 1))):
+        code, out, err = run(*argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: refusing an integer of more than {MAX_INT_DIGITS} decimal digits\n"
+
+
 def _tree_b15_10(run):
     code, poly, _ = run("by", "bdk", "15", "10")
     assert code == 0
@@ -246,9 +279,14 @@ def _long_word() -> str:
     return "*".join(letters)
 
 
-# argv that once ran without bound: each now answers within the alarm below,
-# a refusal (stdout None) with exit 1 and an `error:` line, or exit 0 with
-# the given stdout or, prefixed "sha256:", its digest
+# 6000 letters P[7,0], a 42 KB argument: its delta and the denominator of its
+# class have 5072 digits, past Python's default limit of 4300
+SEVENS = "*".join(["P[7,0]"] * 6000)
+
+# argv that once ran without bound or failed: each now answers within the
+# alarm below, a refusal (stdout None) with exit 1 and an `error:` line, or
+# exit 0 with the given stdout or, prefixed "sha256:", its digest.  A callable
+# computes the library's stdout after the call, under the digit cap of main()
 BOUNDED = [
     ("ds edk 100000000 1", None),
     ("by bdk 100000000 1", None),
@@ -264,11 +302,17 @@ BOUNDED = [
     # the closed form reproduces, is pinned by its SHA-256
     (f"cw normalize {_long_word()}",
      "sha256:6bec529a189e3725359feb7dfdd472e6a8652e632192df23e25dc28ca75be60a"),
+    (f"cw delta {SEVENS}", lambda: f"{cw.delta(cw.parse_word(SEVENS))}\n"),
+    (f"cw word2class {SEVENS}", lambda: bp.format_class(cw.word_to_class(cw.parse_word(SEVENS))) + "\n"),
 ]
 
 
-@pytest.mark.parametrize("argv, want", BOUNDED,
-                         ids=[a if len(a) < 100 else "cw normalize <15000 letters>" for a, _ in BOUNDED])
+def _bounded_id(argv: str) -> str:
+    group, verb, rest = argv.split(" ", 2)
+    return argv if len(argv) < 100 else f"{group} {verb} <{rest.count('*') + 1} letters>"
+
+
+@pytest.mark.parametrize("argv, want", BOUNDED, ids=[_bounded_id(a) for a, _ in BOUNDED])
 def test_bounded_time(run, argv, want):
     def expire(signum, frame):
         raise TimeoutError(f"{argv} ran past its 2 s budget")
@@ -280,6 +324,8 @@ def test_bounded_time(run, argv, want):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
+    if callable(want):
+        want = want()
     if want is None:
         assert code == 1 and out == "" and err.startswith("error: ") and "Traceback" not in err
     elif want.startswith("sha256:"):
