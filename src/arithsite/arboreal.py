@@ -1,22 +1,41 @@
 """Truncated preimage trees for sequences of degree-d dynamical Belyi maps.
 
-Level k of the tree holds the d^k complex roots of F_k - alpha, where
-F_k = B_1 o ... o B_k.  They are distinct by a theorem: BelyiPoly proves
-exactly that each B_j fixes 0 and 1 with finite critical values in {0, 1};
-by the chain rule each critical value of F_k is B_1 o ... o B_{j-1}(c) for
-a critical value c of some B_j, so it too lies in {0, 1}; and
-genericity_check demands 0 < alpha < 1.  (``squarefree_level`` decides the
-same fact exactly, for ``ar squarefree`` and the tests.)  Each level solves
-the degree-d preimage polynomial under every parent as companion-matrix
-eigenvalues and polishes the roots with one Newton step against the full
-composition chain: the eigenvalues are backward stable (Edelman and Murakami,
-Math. Comp. 64, 1995), so Newton starts in its quadratic regime and further
-steps only move rounding noise.  A level is refused if a root is not finite,
-and if its error scale tol * (1 + max|root|^d) is not below
-min(alpha, 1 - alpha): a bound that large cannot tell alpha from the critical
-values 0 and 1.  Parenthood is assigned by nearest-image matching with an
-explicit ambiguity guard, so the reported tree shape is a checked output, not
-an artifact of the solver.
+Level k holds the d^k complex roots of F_k - alpha, F_k = B_1 o ... o B_k.
+They are distinct by a theorem: BelyiPoly proves exactly that each B_j fixes
+0 and 1 with finite critical values in {0, 1}; by the chain rule so do the
+critical values of F_k; and genericity_check demands 0 < alpha < 1.
+(``squarefree_level`` decides the same fact exactly, for ``ar squarefree``.)
+
+Each level is certified.  Under a float parent w within rho of the true
+parent w*, the siblings z_1..z_d are the companion-matrix eigenvalues of the
+float row of B_k - w, after one Newton step on that row.  With f = B_k - w*,
+c its leading coefficient and the Weierstrass corrections
+W_i = f(z_i) / (c prod_{m != i} (z_i - z_m)), f/c is the characteristic
+polynomial of diag(z) - W 1^T, so by Gerschgorin the disks D(z_i, d|W_i|)
+cover the roots, and m of them that miss the others hold exactly m
+(Carstensen, Numer. Math. 59, 1991; Neumaier, J. Comput. Appl. Math. 156,
+2003).  build_tree bounds d|W_i| from above by
+
+  R_i = d (|r_i| + 8(d+2)u H_i + rho) / (|c| prod_{m != i} |z_i - z_m| (1 - 4(d+3)u))
+
+with u = 2^-53, r_i the computed row residual at z_i minus w, and
+H_i = sum_j |c_j||z_i|^j + |w|.  In Higham's model (Accuracy and Stability
+of Numerical Algorithms, 2nd ed., 2002) a complex product errs by at most
+sqrt(2) gamma_2 (Lemma 3.5) and a sum by u, so d Horner steps and the
+subtraction of w err by at most ((2 sqrt(2) + 1) d + 1) u H_i (section 5.1);
+rounding the exact coefficients adds u H_i, and H_i in floats is low by at
+most gamma_{4d+3}: in all below 8(d+2)u H_i while du < 0.01.  Each gap
+|z_i - z_m| errs by 3u and each of the d products by u, so 4du covers the
+denominator and 12u the ten roundings that form R_i and compare the disks
+(the model excludes underflow).
+
+A level is refused with "sibling disks overlap at level k" unless every two
+siblings have |z_i - z_m| > R_i + R_m and every radius is finite, and with
+"polish failed at level k" for a non-finite root.  Otherwise each disk holds
+exactly one true preimage of the true parent, so parenthood is exact by
+construction.  R_i is the rho of z_i's children; rho = |alpha - float(alpha)|
+at level 0, exact through Fraction and rounded up.  Siblings are ordered by
+(re, im), and ArborealTree.tol = max(1e-9, largest radius).
 """
 
 from __future__ import annotations
@@ -91,78 +110,79 @@ def squarefree_level(gens: list[BelyiPoly], alpha: Fraction, n: int) -> bool:
 class ArborealTree:
     degree: int
     alpha: Fraction
+    # every node lies within tol of its true preimage
     tol: float
     # per level: list of (re, im, parent index at previous level)
     levels: tuple[tuple[tuple[float, float, int], ...], ...]
     max_residual: float
+    # per level: the inclusion radius of each node, in the order of levels
+    radii: tuple[tuple[float, ...], ...]
 
     def leaves(self) -> int:
         return len(self.levels[-1])
 
 
-def build_tree(gens: list[BelyiPoly], alpha, n: int, tol: float = 1e-9) -> ArborealTree:
+U = np.finfo(np.float64).eps / 2  # unit roundoff
+
+
+def _disk_radii(row: np.ndarray, z: np.ndarray, w: np.ndarray, rho: np.ndarray) -> np.ndarray | None:
+    """Radii of the sibling groups z (shape (P, d)) of roots of row - w, each w within rho
+    of its true parent; None unless all are finite and each group's disks disjoint."""
+    d = z.shape[1]
+    eye = np.eye(d, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        resid = np.abs(kernels.horner(row, z) - w[:, None])
+        size = kernels.horner(np.abs(row), np.abs(z)) + np.abs(w)[:, None]
+        gaps = np.where(eye, 1.0, np.abs(z[:, :, None] - z[:, None, :]))
+        den = np.abs(row[-1]) * np.prod(gaps, axis=2) * (1 - 4 * (d + 3) * U)
+        radii = d * (resid + 8 * (d + 2) * U * size + rho[:, None]) / den
+        apart = (gaps > radii[:, :, None] + radii[:, None, :]) | eye
+    if not (np.all(np.isfinite(den)) and np.all(np.isfinite(radii)) and np.all(apart)):
+        return None
+    return radii
+
+
+def build_tree(gens: list[BelyiPoly], alpha, n: int) -> ArborealTree:
     d = _check_gens(gens)
     alpha = Fraction(alpha)
     if n < 0:
         raise ValueError("need n >= 0")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     _check_size(d, n, MAX_LEAVES, "leaves")
     if not genericity_check(gens, alpha):
         raise ValueError("alpha is not generic for the generators")
 
-    levels = [((float(alpha), 0.0, -1),)]
-    values = [np.array([complex(alpha)], dtype=np.complex128)]
+    w = float(alpha)
+    values = np.array([complex(w)])
+    err = abs(alpha - Fraction(w))
+    rho = np.array([float(err) if float(err) >= err else np.nextafter(float(err), 1.0)])
+    levels = [((w, 0.0, -1),)]
+    radii_out = [tuple(rho.tolist())]
     chain_rows: list[np.ndarray] = []
     max_residual = 0.0
     for k in range(1, n + 1):
         fk = _factor(gens, k).poly
         row = np.array([c / fk.den for c in fk.num], dtype=np.complex128)
         chain_rows.append(row)
-        parents = values[k - 1]
-        batch = np.tile(row, (len(parents), 1))
-        batch[:, 0] -= parents
+        batch = np.tile(row, (len(values), 1))
+        batch[:, 0] -= values
+        # each child is solved under its own parent, so parenthood is exact
+        parent_of = np.repeat(np.arange(len(values)), d)
         roots = kernels.dk_batch(batch).reshape(-1)
-        chain = np.vstack(chain_rows)
-        roots = kernels.newton_chain(chain, roots, complex(alpha), iters=1)
-        # NaN trips none of the comparisons below
+        roots = kernels.newton_chain(row[None, :], roots, values[parent_of], iters=1)
         if not np.all(np.isfinite(roots)):
             raise ValueError(f"polish failed at level {k}: non-finite root")
-        # one error scale for matching and residuals: the float error of
-        # evaluating a degree-d row grows with |root|^d; a float64 power
-        # overflows to inf, which the vacuous-scale guard below refuses
-        with np.errstate(over="ignore"):
-            scale = tol * (1.0 + np.max(np.abs(roots)) ** d)
-
-        gap = kernels.min_pairwise_gap(roots)
-        if gap <= 2 * tol:
-            raise ValueError(f"tolerance collision at level {k}: min root gap {gap:.3e}")
-        images = kernels.chain_values(row[None, :], roots)
-        dist = np.abs(images[:, None] - parents[None, :])
-        nearest = np.argmin(dist, axis=1)
-        best = dist[np.arange(len(roots)), nearest]
-        if np.any(best >= scale):
-            raise ValueError(f"matching ambiguity at level {k}: image off by {best.max():.3e}")
-        dist[np.arange(len(roots)), nearest] = np.inf
-        if len(parents) > 1 and np.any(dist.min(axis=1) <= 10 * scale):
-            raise ValueError(f"matching ambiguity at level {k}: parents too close")
-
-        if np.any(np.bincount(nearest, minlength=len(parents)) != d):
-            raise ValueError(f"matching ambiguity at level {k}: sibling group != {d}")
-        # group by parent, sort siblings by (re, im)
-        roots = roots[np.lexsort((roots.imag, roots.real, nearest))]
-        parent_of = np.repeat(np.arange(len(parents)), d)
-
-        residuals = np.abs(kernels.chain_values(chain, roots) - complex(alpha))
-        if np.any(residuals > scale):
-            raise ValueError(f"polish failed at level {k}: residual {residuals.max():.3e}")
-        # a scale this large cannot tell alpha from the critical values 0, 1
-        if scale >= float(min(alpha, 1 - alpha)):
-            raise ValueError(f"vacuous error scale at level {k}: {scale:.3e} >= min(alpha, 1 - alpha)")
+        roots = roots[np.lexsort((roots.imag, roots.real, parent_of))]
+        radii = _disk_radii(row, roots.reshape(-1, d), values, rho)
+        if radii is None:
+            raise ValueError(f"sibling disks overlap at level {k}")
+        rho = radii.reshape(-1)
+        radii_out.append(tuple(rho.tolist()))
+        residuals = np.abs(kernels.chain_values(np.vstack(chain_rows), roots) - complex(alpha))
         max_residual = max(max_residual, float(residuals.max()))
-        values.append(roots)
+        values = roots
         levels.append(tuple(zip(roots.real.tolist(), roots.imag.tolist(), parent_of.tolist())))
-    return ArborealTree(d, alpha, tol, tuple(levels), max_residual)
+    tol = max(1e-9, max(max(r) for r in radii_out))
+    return ArborealTree(d, alpha, tol, tuple(levels), max_residual, tuple(radii_out))
 
 
 def tree_dot(t: ArborealTree) -> str:

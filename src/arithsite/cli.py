@@ -15,6 +15,7 @@ from fractions import Fraction
 # This cap admits every integer that one argument can spell (Linux limits an
 # argv string to 128 KiB); printing an integer this long takes about 0.3 s.
 MAX_INT_DIGITS = 131072
+MAX_ERROR_CHARS = 200  # error messages may echo a whole 128 KiB argument
 
 
 def _print_bool(v: bool) -> None:
@@ -155,8 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", required=True)
         if verb != "generic":
             p.add_argument("--depth", type=int, required=True)
-        if verb in ("tree", "dot"):
-            p.add_argument("--tol", type=float, default=1e-9)
 
     g = sub.add_parser("pt", aliases=["points"], help="points of the localic covers")
     g.set_defaults(run=_run_pt)
@@ -316,9 +315,9 @@ def _run_ar(args) -> None:
         # a double root at level k pulls back to one at every deeper level
         _print_bool(arboreal.squarefree_level(gens, alpha, args.depth))
     elif args.verb == "tree":
-        print(arboreal.tree_json(arboreal.build_tree(gens, alpha, args.depth, tol=args.tol)))
+        print(arboreal.tree_json(arboreal.build_tree(gens, alpha, args.depth)))
     elif args.verb == "dot":
-        print(arboreal.tree_dot(arboreal.build_tree(gens, alpha, args.depth, tol=args.tol)))
+        print(arboreal.tree_dot(arboreal.build_tree(gens, alpha, args.depth)))
 
 
 def _run_pt(args) -> None:
@@ -347,10 +346,19 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         args.run(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # "Note on SIGPIPE" in the Python docs: the exit-time flush goes to devnull
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, ZeroDivisionError, KeyError, RecursionError, OverflowError) as e:
         msg = str(e)
         if "integer string conversion" in msg:
             msg = f"refusing an integer of more than {MAX_INT_DIGITS} decimal digits"
+        if len(msg) > MAX_ERROR_CHARS:
+            msg = f"{msg[:MAX_ERROR_CHARS]}... ({len(msg)} characters)"
         print(f"error: {msg}", file=sys.stderr)
         return 1
     return 0

@@ -12,9 +12,15 @@
   on coefficient tuples of Fractions, lowest degree first.
 - The preimage tree with the eight-step Newton polish that arboreal.build_tree
   ran before one step replaced it.
+- A flood-fill count of the eps-clusters of a point set.
+- Two checks of the inclusion disks that certify arboreal.build_tree: the
+  Weierstrass corrections of level 1 in exact rational arithmetic, and the
+  roots of a level's composite to 80 digits with mpmath.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 from arithsite import arboreal, kernels
 from arithsite import conway as cw
@@ -182,7 +188,7 @@ def fraction_divmod(a, b) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     return _trim(q), _trim(rem)
 
 
-def eight_step_tree(gens, alpha, n: int, tol: float = 1e-9) -> arboreal.ArborealTree:
+def eight_step_tree(gens, alpha, n: int) -> arboreal.ArborealTree:
     """build_tree with each level polished by eight Newton steps, not one."""
     one_step = kernels.newton_chain
 
@@ -191,6 +197,97 @@ def eight_step_tree(gens, alpha, n: int, tol: float = 1e-9) -> arboreal.Arboreal
 
     kernels.newton_chain = eight_steps
     try:
-        return arboreal.build_tree(gens, alpha, n, tol)
+        return arboreal.build_tree(gens, alpha, n)
     finally:
         kernels.newton_chain = one_step
+
+
+def exact_weierstrass_bounds(gens, tree) -> list[tuple[Fraction, Fraction]]:
+    """(d^2 |W_i|^2, R_i^2) for each node of level 1, both exact.
+
+    A float is a dyadic rational, so W_i = f(z_i) / (c prod_{m != i} (z_i - z_m))
+    of f = gens[0] - alpha, leading coefficient c, is a Gaussian rational;
+    |W_i|^2 = |f(z_i)|^2 / (c^2 prod |z_i - z_m|^2).  build_tree promises
+    d |W_i| <= R_i, its level-1 radius.
+    """
+    f = gens[0].poly.coeffs
+    alpha, d = tree.alpha, tree.degree
+    zs = [(Fraction(re), Fraction(im)) for re, im, _ in tree.levels[1]]
+    out = []
+    for i, (x, y) in enumerate(zs):
+        re, im = Fraction(0), Fraction(0)
+        for c in reversed(f):
+            re, im = re * x - im * y + c, re * y + im * x
+        re -= alpha
+        den = f[-1] ** 2
+        for m, (u, v) in enumerate(zs):
+            if m != i:
+                den *= (x - u) ** 2 + (y - v) ** 2
+        out.append((d * d * (re * re + im * im) / den, Fraction(tree.radii[1][i]) ** 2))
+    return out
+
+
+def mpmath_disk_problems(gens, tree, k: int) -> list[str]:
+    """Check level k of tree against the roots of F_k - alpha to 80 digits.
+
+    Each disk D(z_i, R_i) must hold exactly one root, each root must lie in
+    exactly one disk, and B_k of that root must lie in the disk of z_i's
+    parent: the claims that the disk certificate makes.  The comparisons
+    allow 1e-60 for the error of the 80-digit roots themselves.
+    """
+    import mpmath
+
+    with mpmath.workdps(80):
+        f = arboreal.composite(gens, k).coeffs
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(f)]
+        coeffs[-1] -= mpmath.mpf(tree.alpha.numerator) / tree.alpha.denominator
+        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=160)
+        bk = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(arboreal._factor(gens, k).poly.coeffs)]
+        nodes = [mpmath.mpc(re, im) for re, im, _ in tree.levels[k]]
+        parents = [mpmath.mpc(re, im) for re, im, _ in tree.levels[k - 1]]
+        radii, parent_radii = tree.radii[k], tree.radii[k - 1]
+        eps = mpmath.mpf(10) ** -60
+        problems = []
+        held = [0] * len(roots)
+        for i, (z, r) in enumerate(zip(nodes, radii)):
+            inside = [j for j, root in enumerate(roots) if abs(root - z) <= r + eps]
+            for j in inside:
+                held[j] += 1
+            if len(inside) != 1:
+                problems.append(f"level {k} node {i}: its disk holds {len(inside)} roots")
+                continue
+            p = tree.levels[k][i][2]
+            miss = abs(mpmath.polyval(bk, roots[inside[0]]) - parents[p])
+            if miss > parent_radii[p] + eps:
+                problems.append(f"level {k} node {i}: its root maps {mpmath.nstr(miss, 3)} from parent {p}")
+        problems += [f"level {k}: root {j} lies in {h} disks" for j, h in enumerate(held) if h != 1]
+    return problems
+
+
+def count_distinct(xs: np.ndarray, eps: float) -> int:
+    """Number of eps-clusters of the points.
+
+    A plain flood fill over the eps-neighbour graph: an independent check
+    that the nodes of a tree level are distinct.
+    """
+    xs = np.ascontiguousarray(xs, dtype=np.complex128)
+    n = xs.shape[0]
+    label = np.full(n, -1, dtype=np.int64)
+    stack = np.empty(n, dtype=np.int64)
+    count = 0
+    for i in range(n):
+        if label[i] >= 0:
+            continue
+        label[i] = count
+        stack[0] = i
+        top = 1
+        while top > 0:
+            top -= 1
+            a = stack[top]
+            for b in range(n):
+                if label[b] < 0 and abs(xs[a] - xs[b]) <= eps:
+                    label[b] = count
+                    stack[top] = b
+                    top += 1
+        count += 1
+    return count

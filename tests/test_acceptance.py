@@ -18,7 +18,7 @@ from arithsite.supernatural import INF, Supernatural, adele_class_equiv
 
 import numpy as np
 
-from oracles import rewrite_normalize
+from oracles import count_distinct, rewrite_normalize
 
 
 def _report(num: int, label: str, ok: bool):
@@ -208,7 +208,7 @@ def test_criterion_10_arboreal_tree():
         ok &= arboreal.squarefree_level([b_dk(3, 1)], Fraction(1, 2), n)
         roots = np.array([complex(re, im) for re, im, _ in tree.levels[n]])
         f = arboreal.composite([b_dk(3, 1)], n) - PolyQ.const(Fraction(1, 2))
-        ok &= kernels.count_distinct(roots, 2 * tree.tol) == squarefree_part(f).degree
+        ok &= count_distinct(roots, 2 * tree.tol) == squarefree_part(f).degree
     ok &= elapsed < 10
     _report(10, f"depth-4 tree: 81 leaves, residual {tree.max_residual:.1e}, {elapsed:.1f}s", ok)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from arithsite import arboreal, kernels
 from arithsite.belyi import b_dk
 from arithsite.ratpoly import PolyQ, squarefree_part
-from oracles import eight_step_tree
+from oracles import count_distinct, eight_step_tree, exact_weierstrass_bounds, mpmath_disk_problems
 
 B31 = b_dk(3, 1)
 HALF = Fraction(1, 2)
@@ -130,12 +130,12 @@ def test_one_newton_step_matches_eight(case):
 
 
 def test_one_newton_step_is_needed():
-    # B_{15,8} has coefficients near 1e5: the bare eigenvalues of level 2
-    # miss the residual bound (residual 7.3e-8), and one step lands within the
-    # rounding noise of the eight-step tree
+    # B_{15,8} has coefficients near 1e5: the bare eigenvalues of level 2 lie
+    # 1.3e-10 (1 + |z|) from the eight-step tree, and one step lands within
+    # 1.6e-11 of it
     gens, alpha = [b_dk(15, 8)], Fraction(1, 3)
     t = arboreal.build_tree(gens, alpha, 2)
-    assert _matched_error(t.levels, eight_step_tree(gens, alpha, 2).levels) < 1e-9
+    assert _matched_error(t.levels, eight_step_tree(gens, alpha, 2).levels) < 5e-11
 
 
 def test_sibling_order_on_1024_leaves():
@@ -164,15 +164,35 @@ def test_exact_numeric_agreement():
         t = arboreal.build_tree([B31], HALF, n)
         roots = np.array([complex(re, im) for re, im, _ in t.levels[n]])
         f = arboreal.composite([B31], n) - PolyQ.const(HALF)
-        assert kernels.count_distinct(roots, 2 * t.tol) == squarefree_part(f).degree == len(roots)
+        assert count_distinct(roots, 2 * t.tol) == squarefree_part(f).degree == len(roots)
 
 
-def test_tree_shape_stable_under_tighter_tol():
-    t1 = arboreal.build_tree([B31], HALF, 3, tol=1e-9)
-    t2 = arboreal.build_tree([B31], HALF, 3, tol=1e-10)
-    shape1 = [[p for _, _, p in lv] for lv in t1.levels]
-    shape2 = [[p for _, _, p in lv] for lv in t2.levels]
-    assert shape1 == shape2
+@pytest.mark.parametrize(
+    "gens, alpha, n",
+    [
+        ([B31], HALF, 2),
+        ([b_dk(2, 1)], Fraction(1, 3), 2),
+        ([b_dk(4, 1), b_dk(4, 3)], Fraction(1, 3), 2),
+        ([b_dk(5, 2)], Fraction(2, 7), 2),
+        ([b_dk(12, 5)], Fraction(1, 3), 1),
+        ([b_dk(17, 8)], Fraction(2, 7), 1),
+        ([b_dk(20, 11)], Fraction(1, 3), 1),
+    ],
+    ids=["B3,1@1/2", "B2,1@1/3", "B4,1+B4,3@1/3", "B5,2@2/7", "B12,5@1/3", "B17,8@2/7", "B20,11@1/3"],
+)
+def test_disks_hold_one_root_each_to_80_digits(gens, alpha, n):
+    pytest.importorskip("mpmath")
+    t = arboreal.build_tree(gens, alpha, n)
+    for k in range(1, n + 1):
+        assert mpmath_disk_problems(gens, t, k) == []
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_gens_alpha())
+def test_level_one_radii_bound_the_exact_weierstrass_corrections(case):
+    gens, alpha = case
+    t = arboreal.build_tree(gens, alpha, 1)
+    assert all(w <= r for w, r in exact_weierstrass_bounds(gens, t))
 
 
 def test_build_tree_refusals():
@@ -220,23 +240,37 @@ def test_mixed_generator_sequence():
     assert arboreal.squarefree_level(gens, Fraction(1, 3), 3)
 
 
-def test_diagnostic_errors_on_oversized_tolerance():
-    with pytest.raises(ValueError, match="tolerance collision"):
-        arboreal.build_tree([B31], HALF, 2, tol=0.5)
-    with pytest.raises(ValueError, match="matching ambiguity"):
-        arboreal.build_tree([B31], HALF, 2, tol=0.1)
+def test_disk_radii_cover_residual_and_parent_error():
+    # B31 - w* has the roots 1/2 and (1 +- sqrt 3)/2 at w* = 1/2; a disk must
+    # hold its root when the point is off by 1e-6 (the residual term) and
+    # when the true parent is off by 1e-6 (the parent radius)
+    row = np.array([0, 0, 3, -2], dtype=np.complex128)
+    exact = np.sort_complex(np.array([0.5, (1 + 3**0.5) / 2, (1 - 3**0.5) / 2], dtype=np.complex128))
+    w = np.array([0.5 + 0j])
+    for z, rho, w_true in ((exact + 1e-6, 0.0, 0.5), (exact, 1e-6, 0.5 + 1e-6j)):
+        radii = arboreal._disk_radii(row, z[None, :], w, np.array([rho]))
+        roots = np.roots([-2, 3, 0, -w_true])
+        dist = np.abs(z[:, None] - roots[None, :]).min(axis=1)
+        assert radii is not None and np.all(dist > 3e-7) and np.all(dist <= radii[0])
+
+
+def test_coincident_siblings_are_refused(monkeypatch):
+    # two equal siblings make a Weierstrass denominator 0: no disk separates them
+    def coincident_roots(coeffs):
+        # 1/2 is a true root of B31 - 1/2, so the Newton step leaves both copies
+        return np.tile(np.array([0.5, 0.5, 2.0], dtype=np.complex128), (coeffs.shape[0], 1))
+
+    monkeypatch.setattr(kernels, "dk_batch", coincident_roots)
+    with pytest.raises(ValueError, match="sibling disks overlap at level 1"):
+        arboreal.build_tree([B31], HALF, 1)
 
 
 def test_huge_error_scales_are_refused():
-    # roots near 1.4 make tol * (1 + |r|^3) = 0.37, above min(alpha, 1 - alpha)
-    with pytest.raises(ValueError, match="vacuous error scale at level 1"):
-        arboreal.build_tree([B31], Fraction(1, 3), 1, tol=0.1)
-    # max|root|^100 overflows a float: the scale is inf, not an OverflowError
-    with pytest.raises(ValueError, match="vacuous error scale at level 1: inf"):
-        arboreal.build_tree([b_dk(100, 50)], Fraction(1, 3), 1)
-    # scales near 6e33 and 1e97 would pass residuals of that size
-    for d, k, alpha in ((72, 71, Fraction(2, 7)), (128, 127, Fraction(1, 3))):
-        with pytest.raises(ValueError, match="vacuous error scale|matching ambiguity"):
+    # float64 eigenvalues miss these roots: B_{100,50} - 1/3 gets a root near
+    # 1.7e5 whose residual overflows, so its radius is not finite; the residuals
+    # of the other two reach 5e33 and 3e97, so their disks meet
+    for d, k, alpha in ((100, 50, Fraction(1, 3)), (72, 71, Fraction(2, 7)), (128, 127, Fraction(1, 3))):
+        with pytest.raises(ValueError, match="sibling disks overlap at level 1"):
             arboreal.build_tree([b_dk(d, k)], alpha, 1)
 
 

@@ -179,16 +179,16 @@ def _bdk_tree(run, d, k, alpha):
 
 
 def test_ar_tree_refuses_an_overflowing_scale(run):
-    # one root of B_{72,36} - 2/7 lands near 5600, so max|root|^72 is 7e269,
-    # close to the float range: the call must exit 1 without a traceback
+    # one root of B_{72,36} - 2/7 lands near 5600, and its residual of 1.6e290
+    # is near the float range: the call must exit 1 without a traceback
     code, out, err = _bdk_tree(run, 72, 36, "2/7")
     assert code == 1 and out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("d, k, alpha", [(128, 127, "1/3"), (72, 71, "2/7")])
 def test_ar_tree_refuses_a_vacuous_scale(run, d, k, alpha):
-    # an error scale above min(alpha, 1 - alpha) cannot separate alpha from
-    # 0 and 1, so it would pass any tree
+    # these roots once printed with residuals of 1e95 and 2e31; their
+    # inclusion disks meet, so no tree is printed
     code, out, err = _bdk_tree(run, d, k, alpha)
     assert code == 1 and out == "" and err.startswith("error: ")
     assert "nan" not in err.lower() and "Traceback" not in err
@@ -212,9 +212,44 @@ def _tree_b15_10(run):
 
 def test_ar_tree_matches_within_the_residual_scale(run):
     # B_{15,10} has coefficients up to about 4e5: its roots' images miss 1/3
-    # by about 1.4e-9, inside tol * (1 + max|root|^d) but not inside tol
+    # by about 1.4e-9, and the certificate allows for that
     _, (code, out, err) = _tree_b15_10(run)
     assert code == 0 and err == "" and len(json.loads(out)["levels"][1]) == 15
+
+
+@pytest.mark.parametrize("d, k, alpha, depth", [(17, 8, "2/7", 2), (20, 11, "1/3", 1)])
+def test_ar_tree_certifies_large_coefficients(run, d, k, alpha, depth):
+    # an error scale blind to coefficients near 5e7 refused both trees
+    code, poly, _ = run("by", "bdk", str(d), str(k))
+    code, out, err = run("ar", "tree", poly.strip(), "--alpha", alpha, "--depth", str(depth))
+    assert code == 0 and err == "" and len(json.loads(out)["levels"][depth]) == d**depth
+
+
+def test_ar_tree_has_no_tol_option(run):
+    with pytest.raises(SystemExit) as e:
+        run("ar", "tree", "-2*x^3+3*x^2", "--alpha", "1/2", "--depth", "1", "--tol", "1e-9")
+    assert e.value.code == 2
+
+
+def test_error_lines_are_clipped(run):
+    # the parsers echo their argument, which may be 128 KiB long
+    for argv in (("by", "check", "x^" + "1" * 100000 + "x"), ("bp", "distance", "1:0", "1" * 100000 + "x:0")):
+        code, out, err = run(*argv)
+        assert code == 1 and out == "" and err.startswith("error: ") and len(err) < 300
+
+
+def test_closed_pipe_exits_quietly():
+    # 119 KB of DOT overfills the pipe buffer, so the write is still pending
+    # when the reader closes its end after one line
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "arithsite.cli", "ar", "dot", "-x^2+2*x", "--alpha", "1/3", "--depth", "10"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (first, proc.returncode, err) == (b"digraph arboreal {\n", 1, b"")
 
 
 def test_ar_tree_level_one_matches_sympy(run):
