@@ -168,7 +168,7 @@ def build_tree(gens: list[BelyiPoly], alpha, n: int) -> ArborealTree:
         # each child is solved under its own parent, so parenthood is exact
         parent_of = np.repeat(np.arange(len(values)), d)
         roots = kernels.dk_batch(batch).reshape(-1)
-        roots = kernels.newton_chain(row[None, :], roots, values[parent_of], iters=1)
+        roots = kernels.newton_chain(row, roots, values[parent_of])
         if not np.all(np.isfinite(roots)):
             raise ValueError(f"polish failed at level {k}: non-finite root")
         roots = roots[np.lexsort((roots.imag, roots.real, parent_of))]

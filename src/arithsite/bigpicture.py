@@ -1,8 +1,8 @@
 """Conway's big picture: lattice classes (M, g/h), hyper-distance, neighbours.
 
-A class is a pair (M, rho) with M a positive rational and rho in [0, 1),
-standing for the coset of the matrix [[M, rho], [0, 1]].  Class equality is
-structural equality of this canonical transversal.
+A class x is a pair (M, rho) with M a positive rational and rho in [0, 1),
+standing for the coset of the matrix alpha_x = [[M, rho], [0, 1]].  Class
+equality is structural equality of this canonical transversal.
 
 Hermite coordinates.  Let N = lcm(den M, den rho).  The matrix
 [[M N, rho N], [0, N]] is integral with content 1, since a prime dividing all
@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import floor, gcd, lcm
 
 from .primes import factorize, is_prime
-from .ratpoly import Mat2Q, frac
+from .ratpoly import frac
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,6 @@ class PicClass:
         rho -= floor(rho)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "rho", rho)
-
-    def alpha(self) -> Mat2Q:
-        return Mat2Q(self.m, self.rho, Fraction(0), Fraction(1))
 
     def __str__(self):
         return format_class(self)

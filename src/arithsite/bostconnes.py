@@ -1,7 +1,8 @@
 """Bost-Connes data: the Q/Z instance, axiom checks, and the lattice presheaf.
 
 Elements of Q/Z are reduced Fractions in [0, 1).  The datum is
-sigma_n(x) = nx mod 1 with section s_n(x) = x/n and kernel {i/n}.
+sigma_n(x) = nx mod 1 with section s_n(x) = x/n; the kernel of sigma_n is
+the n-torsion (1/n)Z/Z, whose element x_{i,n} is i/n.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import floor
 
-from .conway import Letter, Word, is_normal, split_normal
+from .conway import Letter, Word, split_normal
 from .primes import is_prime
 
 # MAX_TORSION caps the torsion a check enumerates: n for condition 3, n*m
@@ -31,28 +32,17 @@ def qz(x) -> Fraction:
     return x - floor(x)
 
 
-class QZDatum:
-    """The group Q/Z with multiplication endomorphisms and division sections."""
-
-    def sigma(self, n: int, x: Fraction) -> Fraction:
-        return qz(n * x)
-
-    def section(self, n: int, x: Fraction) -> Fraction:
-        return qz(x / n)
-
-    def kernel(self, n: int) -> list[Fraction]:
-        return [self.kernel_element(n, i) for i in range(n)]
-
-    def kernel_element(self, n: int, i: int) -> Fraction:
-        """x_{i,n}, entry i of kernel(n), without enumerating the kernel."""
-        return Fraction(i, n)
-
-    def torsion(self, n: int) -> list[Fraction]:
-        """All x with n.x = 0, i.e. (1/n)Z/Z."""
-        return [Fraction(i, n) for i in range(n)]
+def sigma(n: int, x: Fraction) -> Fraction:
+    return qz(n * x)
 
 
-QZ = QZDatum()
+def section(n: int, x: Fraction) -> Fraction:
+    return qz(x / n)
+
+
+def torsion(n: int) -> list[Fraction]:
+    """All x with n.x = 0, i.e. (1/n)Z/Z: the kernel of sigma_n, x_{i,n} at index i."""
+    return [Fraction(i, n) for i in range(n)]
 
 
 def check_condition3(n: int) -> bool:
@@ -60,10 +50,10 @@ def check_condition3(n: int) -> bool:
     if n < 1:
         raise ValueError("need n >= 1")
     _check_torsion(n)
-    ker = [x for x in QZ.torsion(n) if QZ.sigma(n, x) == 0]
+    ker = [x for x in torsion(n) if sigma(n, x) == 0]
     if len(ker) != n:
         return False
-    gen = QZ.kernel(n)[1] if n > 1 else ker[0]
+    gen = Fraction(1, n)  # x_{1,n}
     cyc = set()
     x = gen * 0
     for _ in range(n):
@@ -81,10 +71,9 @@ def check_condition4(n: int, m: int) -> bool:
     if n < 1 or m < 1:
         raise ValueError("need n, m >= 1")
     _check_torsion(n * m)
-    ker = QZ.kernel(n)
-    pieces = [QZ.section(n, y) for y in QZ.torsion(m)]
-    sums = [qz(k + s) for k in ker for s in pieces]
-    return len(set(sums)) == n * m and set(sums) == set(QZ.torsion(n * m))
+    pieces = [section(n, y) for y in torsion(m)]
+    sums = [qz(k + s) for k in torsion(n) for s in pieces]
+    return len(set(sums)) == n * m and set(sums) == set(torsion(n * m))
 
 
 def check_condition5(p: int, q: int) -> bool:
@@ -92,17 +81,17 @@ def check_condition5(p: int, q: int) -> bool:
     _check_torsion(p * q)
     if p == q or not (is_prime(p) and is_prime(q)):
         raise ValueError("need distinct primes")
-    kp = QZ.kernel(p)
-    kq = QZ.kernel(q)
+    kp = torsion(p)
+    kq = torsion(q)
     for i in range(p):
         for j in range(q):
             v = i * q + j
             l, k = divmod(v, p)
-            lhs = qz(QZ.section(p, kq[j]) + kp[i])
-            rhs = qz(QZ.section(q, kp[k]) + kq[l])
+            lhs = qz(section(p, kq[j]) + kp[i])
+            rhs = qz(section(q, kp[k]) + kq[l])
             if lhs != rhs:
                 return False
-            if QZ.sigma(p, kq[j]) != kq[p * j % q]:
+            if sigma(p, kq[j]) != kq[p * j % q]:
                 return False
     return True
 
@@ -110,8 +99,8 @@ def check_condition5(p: int, q: int) -> bool:
 def operator(l: Letter, x: Fraction) -> Fraction:
     """The free-letter map s_p(x) + x_{i,p}; the power letter acts as sigma_p."""
     if l.is_power:
-        return QZ.sigma(l.p, x)
-    return qz(QZ.section(l.p, x) + QZ.kernel_element(l.p, l.i))
+        return sigma(l.p, x)
+    return qz(section(l.p, x) + Fraction(l.i, l.p))
 
 
 def rho(p: int, x: Fraction) -> set[Fraction]:
@@ -120,12 +109,6 @@ def rho(p: int, x: Fraction) -> set[Fraction]:
         raise ValueError("need p >= 1")
     _check_torsion(p)
     return {operator(Letter(p, i), x) for i in range(p)}
-
-
-def sigma_fiber(p: int, x: Fraction) -> set[Fraction]:
-    """Brute-force preimages of x under multiplication by p inside (1/(p*b))Z/Z."""
-    b = x.denominator
-    return {Fraction(a, p * b) for a in range(p * b) if qz(Fraction(a, p * b) * p) == x}
 
 
 def presheaf_value(w: Word, level: int) -> set[Fraction]:
@@ -139,10 +122,8 @@ def presheaf_value(w: Word, level: int) -> set[Fraction]:
     if level < 1:
         raise ValueError("need level >= 1")
     _check_torsion(level)
-    if not is_normal(w):
-        raise ValueError("word is not in normal form")
     free, _power = split_normal(w)
-    vals = set(QZ.torsion(level))
+    vals = set(torsion(level))
     for l in reversed(free):
         vals = {operator(l, x) for x in vals}
     return vals

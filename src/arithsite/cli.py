@@ -94,13 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("auto", ["d"]),
         ("involution", ["d"]),
         ("dot", ["d"]),
+        ("monodromy", ["d"]),
     ):
         p = s.add_parser(verb)
         for a in args:
             p.add_argument(a)
-    p = s.add_parser("monodromy")
-    p.add_argument("d")
-    p.add_argument("--cap", type=int, default=100000)
     p = s.add_parser("edk")
     p.add_argument("d", type=int)
     p.add_argument("k", type=int)
@@ -246,7 +244,7 @@ def _run_ds(args) -> None:
     elif args.verb == "auto":
         print(json.dumps([list(g) for g in sorted(ds.automorphisms(d))]))
     elif args.verb == "monodromy":
-        order = ds.monodromy_order(d, args.cap)
+        order = ds.monodromy_order(d)
         print("exceeds cap" if order is None else order)
     elif args.verb == "involution":
         print(ds.to_json(ds.involution(d)))

@@ -2,9 +2,10 @@
 
 The only hot loops in this package are numeric: batched root solves over
 same-degree polynomials (companion-matrix eigenvalues) and one Horner rule
-for Newton polishing and chain values, each one vectorised numpy routine.
+for the Newton step and chain values, each one vectorised numpy routine.
 The tree builder polishes the backward-stable eigenvalues with one Newton
-step.  No caller needs ``min_pairwise_gap``: perfbench traces it by name.
+step on each level's row (``newton_chain``, a name perfbench traces).  No
+caller needs ``min_pairwise_gap``: perfbench traces it by name.
 """
 
 from __future__ import annotations
@@ -42,23 +43,14 @@ def dk_batch(coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(companion)
 
 
-def newton_chain(chain: np.ndarray, xs: np.ndarray, alpha, iters: int) -> np.ndarray:
-    """Polish xs as roots of chain[0] o ... o chain[-1] - alpha (one target, or one per point)."""
-    chain = np.asarray(chain, dtype=np.complex128)
-    dchain = chain[:, 1:] * np.arange(1, chain.shape[1])
-    xs = xs.astype(np.complex128)
-    alpha = np.asarray(alpha, dtype=np.complex128)
-    # diverging points saturate to inf and stop moving
+def newton_chain(row: np.ndarray, xs: np.ndarray, targets) -> np.ndarray:
+    """One Newton step from xs towards roots of row - targets (one target, or one per point)."""
+    drow = row[1:] * np.arange(1, len(row))
+    # a huge point overflows to inf or nan without a warning; build_tree refuses it
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(iters):
-            v = xs
-            dv = np.ones_like(xs)
-            for row, drow in zip(chain[::-1], dchain[::-1]):
-                dv = horner(drow, v) * dv
-                v = horner(row, v)
-            dv = np.where(dv == 0.0, 1.0, dv)
-            xs = xs - (v - alpha) / dv
-    return xs
+        dv = horner(drow, xs)
+        dv = np.where(dv == 0.0, 1.0, dv)
+        return xs - (horner(row, xs) - targets) / dv
 
 
 def chain_values(chain: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -84,5 +76,5 @@ def warmup() -> None:
     """Run every kernel once on tiny inputs, paying first-call costs outside timed runs."""
     c = np.array([[-1.0, 0.0, 1.0]], dtype=np.complex128)
     r = dk_batch(c)
-    newton_chain(c, r[0], 0.0, iters=1)
+    newton_chain(c[0], r[0], 0.0)
     min_pairwise_gap(r[0])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import prod
 
 from . import conway
 from .dessins import _json_int
@@ -136,15 +137,8 @@ def project(c: TruncatedChain) -> TruncatedChain:
     if c.site == "C":
         entries = tuple(conway.delta(w) for w in c.entries)
     else:
-        entries = tuple(_prod(c.gen_degrees[idx] for idx in e) for e in c.entries)
+        entries = tuple(prod(c.gen_degrees[idx] for idx in e) for e in c.entries)
     return TruncatedChain("A", entries, c.extend)
-
-
-def _prod(vals) -> int:
-    out = 1
-    for v in vals:
-        out *= v
-    return out
 
 
 def chain_to_supernatural(c: TruncatedChain) -> Supernatural:
@@ -188,10 +182,10 @@ def from_json(text: str) -> TruncatedChain:
         if site == "A":
             return TruncatedChain("A", tuple(_json_int(e) for e in obj["entries"]), extend)
         if site == "C":
-            entries = tuple(
-                tuple(conway.letter(_json_int(p), _json_int(i)) for p, i in w) for w in obj["entries"]
-            )
-            return TruncatedChain("C", entries, extend)
+            # one pass over all letters, so each distinct prime is tested once
+            words = obj["entries"]
+            flat = iter(conway.letters((_json_int(p), _json_int(i)) for w in words for p, i in w))
+            return TruncatedChain("C", tuple(tuple(next(flat) for _ in w) for w in words), extend)
         if site != "B":
             raise ValueError(f"unknown site {site!r}")
         entries = tuple(tuple(_json_int(i) for i in e) for e in obj["entries"])

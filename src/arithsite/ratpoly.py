@@ -70,11 +70,6 @@ class Mat2Q:
         return (self.a, self.b, self.c, self.d)
 
 
-def shear(n: int) -> Mat2Q:
-    """The integral shear [[1, n], [0, 1]]."""
-    return Mat2Q(Fraction(1), Fraction(n), Fraction(0), Fraction(1))
-
-
 def primitive_form(m: Mat2Q) -> tuple[Fraction, tuple[tuple[int, int], tuple[int, int]]]:
     """Unique scale > 0 making scale*m integral with content 1."""
     if m.is_zero():
@@ -197,18 +192,6 @@ class PolyQ:
         return _make(out, self.den * other.den)
 
     __rmul__ = __mul__
-    __radd__ = __add__
-
-    def __pow__(self, n: int) -> "PolyQ":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = POLY_ONE
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __rsub__(self, other) -> "PolyQ":
-        return self._coerce(other) - self
 
     @staticmethod
     def _coerce(v) -> "PolyQ":
@@ -262,12 +245,6 @@ class PolyQ:
         q, r, s = _int_divmod(list(self.num), other.num)
         den = self.den * s
         return _make([c * other.den for c in q], den), _make(r, den)
-
-    def divides(self, other: "PolyQ") -> bool:
-        """True when self | other exactly in Q[x]."""
-        if self.is_zero():
-            return other.is_zero()
-        return other.divmod(self)[1].is_zero()
 
     def monic(self) -> "PolyQ":
         if self.is_zero():

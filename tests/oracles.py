@@ -1,5 +1,7 @@
 """Former library routines, kept as references for the ones that replaced them.
 
+- The matrix presentation of the big picture and the Conway monoid: the
+  class matrix alpha(x), the letter matrices and the integral shears.
 - Search-based references for the closed forms of bigpicture and conway: a
   matrix hyper-distance through Mat2Q.inv and primitive_form, a breadth-first
   fiber over neighbours, and a greedy descent towards (1, 0) that normalizes
@@ -7,9 +9,14 @@
 - The Conway monoid's rewriting presentation, which conway.normalize ran
   before its closed form: shear-exact meta-commutation and power-free
   cancellation, leftmost-first or on a random schedule.
+- conway.divide_left as it was before its theorem replaced the re-check: it
+  confirms each quotient with mul.
 - The Fraction polynomial kernel that ratpoly.PolyQ ran before it stored
   integer numerators over one denominator: product, composition and division
-  on coefficient tuples of Fractions, lowest degree first.
+  on coefficient tuples of Fractions, lowest degree first; and PolyQ powers
+  and exact divisibility.
+- The brute-force sigma_n fiber of Q/Z, random framed trees and a
+  frame-anchored canonical relabeling of dessins.
 - The preimage tree with the eight-step Newton polish that arboreal.build_tree
   ran before one step replaced it.
 - A flood-fill count of the eps-clusters of a point set.
@@ -24,14 +31,32 @@ import numpy as np
 
 from arithsite import arboreal, kernels
 from arithsite import conway as cw
+from arithsite import dessins as ds
 from arithsite.bigpicture import PIC_ONE, PicClass, neighbours
+from arithsite.bostconnes import qz
 from arithsite.primes import factorize
-from arithsite.ratpoly import primitive_form
+from arithsite.ratpoly import POLY_ONE, Mat2Q, PolyQ, primitive_form
+
+
+def alpha(x: PicClass) -> Mat2Q:
+    """The matrix [[M, rho], [0, 1]] of the class x."""
+    return Mat2Q(x.m, x.rho, Fraction(0), Fraction(1))
+
+
+def shear(n: int) -> Mat2Q:
+    """The integral shear [[1, n], [0, 1]]."""
+    return Mat2Q(Fraction(1), Fraction(n), Fraction(0), Fraction(1))
+
+
+def letter_matrix(l: cw.Letter) -> Mat2Q:
+    if l.is_power:
+        return Mat2Q(Fraction(l.p), Fraction(0), Fraction(0), Fraction(1))
+    return Mat2Q(Fraction(1, l.p), Fraction(l.i, l.p), Fraction(0), Fraction(1))
 
 
 def matrix_distance(x: PicClass, y: PicClass) -> int:
     """det of the primitive integral form of alpha_x . alpha_y^-1."""
-    _, ((p, q), (r, s)) = primitive_form(x.alpha() * y.alpha().inv())
+    _, ((p, q), (r, s)) = primitive_form(alpha(x) * alpha(y).inv())
     return p * s - q * r
 
 
@@ -78,6 +103,28 @@ def descent_class_to_word(x: PicClass) -> cw.Word:
     raise AssertionError(f"no descent step from {x}")
 
 
+def meta_commute_shear(a: cw.Letter, b: cw.Letter) -> tuple[cw.Letter, cw.Letter, int]:
+    """Exchange a.b -> T^s . a'.b' with exact matrix equality, distinct primes."""
+    if a.p == b.p:
+        raise ValueError("no meta-commutation within a prime")
+    if not a.is_power and not b.is_power:
+        v = a.i * b.p + b.i
+        return cw.Letter(b.p, v // a.p), cw.Letter(a.p, v % a.p), 0
+    if a.is_power and not b.is_power:
+        s, r = divmod(a.p * b.i, b.p)
+        return cw.Letter(b.p, r), a, s
+    if not a.is_power and b.is_power:
+        k = a.i * pow(b.p, -1, a.p) % a.p
+        return b, cw.Letter(a.p, k), (a.i - b.p * k) // a.p
+    return b, a, 0
+
+
+def meta_commute(a: cw.Letter, b: cw.Letter) -> tuple[cw.Letter, cw.Letter]:
+    """Cross-prime exchange: returns (x, y) with a.b = x.y as class operations."""
+    x, y, _ = meta_commute_shear(a, b)
+    return x, y
+
+
 def _sort_key(l: cw.Letter):
     return (l.is_power, l.p)
 
@@ -111,7 +158,7 @@ def _apply_at(ls: list[cw.Letter], i: int) -> bool:
         s = ls[i + 1].i
         del ls[i : i + 2]
     else:
-        x, y, s = cw._meta_commute_shear(ls[i], ls[i + 1])
+        x, y, s = meta_commute_shear(ls[i], ls[i + 1])
         ls[i], ls[i + 1] = x, y
     _propagate_shear(ls, i - 1, s)
     return True
@@ -138,6 +185,23 @@ def rewrite_normalize(w: cw.Word, rng=None) -> cw.Word:
                 break
             _apply_at(ls, redexes[rng.randrange(len(redexes))])
     return tuple(ls)
+
+
+def checked_divide_left(y: cw.Word, x: cw.Word) -> cw.Word | None:
+    """conway.divide_left with its quotient confirmed by delta and by mul."""
+    if not (cw.is_free(y) and cw.is_free(x)):
+        raise ValueError("outside monoid C")
+    dy, dx = cw.delta(y), cw.delta(x)
+    if dy % dx != 0:
+        return None
+    cy, cx = cw.word_to_class(y), cw.word_to_class(x)
+    a = cy.m / cx.m
+    z = cw.class_to_word(PicClass(a, cy.rho - a * cx.rho))
+    if not cw.is_free(z) or cw.delta(z) * dx != dy:
+        return None
+    if cw.mul(z, tuple(x)) != tuple(y):
+        return None
+    return z
 
 
 def _trim(cs) -> tuple[Fraction, ...]:
@@ -188,12 +252,68 @@ def fraction_divmod(a, b) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     return _trim(q), _trim(rem)
 
 
+def poly_pow(f: PolyQ, n: int) -> PolyQ:
+    out = POLY_ONE
+    for _ in range(n):
+        out = out * f
+    return out
+
+
+def poly_divides(f: PolyQ, g: PolyQ) -> bool:
+    """True when f | g exactly in Q[x]; f is not zero."""
+    return g.divmod(f)[1].is_zero()
+
+
+def sigma_fiber(p: int, x: Fraction) -> set[Fraction]:
+    """Brute-force preimages of x under multiplication by p inside (1/(p*b))Z/Z."""
+    b = x.denominator
+    return {Fraction(a, p * b) for a in range(p * b) if qz(Fraction(a, p * b) * p) == x}
+
+
+def random_tree_dessin(n_edges: int, rng) -> ds.FramedDessin:
+    """Uniform-ish random framed plane tree grown edge by edge."""
+    if n_edges < 1:
+        raise ValueError("need at least one edge")
+    black = [[0]]
+    white = [[0]]
+    for e in range(1, n_edges):
+        if rng.random() < 0.5:
+            v = black[rng.randrange(len(black))]
+            v.insert(rng.randrange(len(v) + 1), e)
+            white.append([e])
+        else:
+            v = white[rng.randrange(len(white))]
+            v.insert(rng.randrange(len(v) + 1), e)
+            black.append([e])
+    alpha = [0] * n_edges
+    beta = [0] * n_edges
+    for cycles, perm in ((black, alpha), (white, beta)):
+        for c in cycles:
+            for t, e in enumerate(c):
+                perm[e] = c[(t + 1) % len(c)]
+    return ds.FramedDessin(
+        n_edges,
+        tuple(alpha),
+        tuple(beta),
+        black[rng.randrange(len(black))][0],
+        white[rng.randrange(len(white))][0],
+    )
+
+
+def canonical_form(d: ds.FramedDessin) -> ds.FramedDessin:
+    """Frame-anchored canonical relabeling; equal outputs mean framed isomorphism."""
+    a2, b2, wf = ds._framed_key(d)
+    return ds.FramedDessin(d.n, a2, b2, 0, wf)
+
+
 def eight_step_tree(gens, alpha, n: int) -> arboreal.ArborealTree:
     """build_tree with each level polished by eight Newton steps, not one."""
     one_step = kernels.newton_chain
 
-    def eight_steps(chain, xs, alpha, iters):
-        return one_step(chain, xs, alpha, iters=8)
+    def eight_steps(row, xs, targets):
+        for _ in range(8):
+            xs = one_step(row, xs, targets)
+        return xs
 
     kernels.newton_chain = eight_steps
     try:

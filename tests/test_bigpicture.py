@@ -19,7 +19,7 @@ from arithsite.bigpicture import (
     psi,
 )
 from arithsite.ratpoly import Mat2Q, primitive_form
-from oracles import bfs_fiber, matrix_distance
+from oracles import alpha, bfs_fiber, matrix_distance
 
 C = parse_class
 
@@ -35,7 +35,7 @@ def test_distance_number_like_is_mh_squared():
 def test_distance_off_diagonal_pair():
     # independent oracle: alpha_X.alpha_Y^-1 = [[4,-2],[0,1]], content 1, det 4
     x, y = C("2:0"), C("1/2:1/2")
-    prod = x.alpha() * y.alpha().inv()
+    prod = alpha(x) * alpha(y).inv()
     assert prod == Mat2Q(4, -2, 0, 1)
     scale, m = primitive_form(prod)
     assert scale == 1 and m == ((4, -2), (0, 1))

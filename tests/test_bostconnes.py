@@ -4,6 +4,7 @@ import pytest
 
 from arithsite import bostconnes as bc, conway as cw
 from arithsite.conway import Letter
+from oracles import sigma_fiber
 
 
 def F(a, b=1):
@@ -17,7 +18,7 @@ def test_condition3_examples():
 
 
 def test_condition3_kernel_content():
-    ker = [x for x in bc.QZ.torsion(6) if bc.QZ.sigma(6, x) == 0]
+    ker = [x for x in bc.torsion(6) if bc.sigma(6, x) == 0]
     assert set(ker) == {F(0), F(1, 6), F(1, 3), F(1, 2), F(2, 3), F(5, 6)}
 
 
@@ -60,7 +61,7 @@ def test_operator_does_not_enumerate_the_kernel(monkeypatch):
     def forbidden(*args):
         raise AssertionError("kernel enumerated")
 
-    monkeypatch.setattr(bc.QZDatum, "kernel", forbidden)
+    monkeypatch.setattr(bc, "torsion", forbidden)
     assert bc.operator(Letter(7, 5), F(1, 3)) == F(1, 21) + F(5, 7)
     assert bc.rho(2, F(1, 3)) == {F(1, 6), F(2, 3)}
 
@@ -70,8 +71,8 @@ def test_condition5_fraction_instance():
     p, q, i, j = 2, 3, 1, 2
     l, k = divmod(i * q + j, p)
     assert (l, k) == (2, 1)
-    lhs = bc.QZ.section(p, F(j, q)) + F(i, p)
-    rhs = bc.QZ.section(q, F(k, p)) + F(l, q)
+    lhs = bc.section(p, F(j, q)) + F(i, p)
+    rhs = bc.section(q, F(k, p)) + F(l, q)
     assert lhs == rhs == F(5, 6)
 
 
@@ -83,8 +84,8 @@ def test_operator_examples():
 
 def test_rho_examples():
     assert bc.rho(2, F(1, 3)) == {F(1, 6), F(2, 3)}
-    assert bc.rho(2, F(1, 3)) == bc.sigma_fiber(2, F(1, 3))
-    assert bc.rho(3, F(0)) == bc.sigma_fiber(3, F(0)) == {F(0), F(1, 3), F(2, 3)}
+    assert bc.rho(2, F(1, 3)) == sigma_fiber(2, F(1, 3))
+    assert bc.rho(3, F(0)) == sigma_fiber(3, F(0)) == {F(0), F(1, 3), F(2, 3)}
 
 
 def test_rho_refuses_nonpositive_p():
@@ -96,7 +97,7 @@ def test_rho_refuses_nonpositive_p():
 
 
 def test_presheaf_identity_word():
-    assert bc.presheaf_value((), 4) == set(bc.QZ.torsion(4))
+    assert bc.presheaf_value((), 4) == set(bc.torsion(4))
 
 
 def test_presheaf_single_letter():
@@ -129,9 +130,9 @@ def test_endomorphisms_commute():
     for n in range(1, 12):
         for m in range(1, 12):
             for lev in (6, 10):
-                for x in bc.QZ.torsion(lev):
-                    assert bc.QZ.sigma(n, bc.QZ.sigma(m, x)) == bc.QZ.sigma(n * m, x)
-                    assert bc.QZ.section(n, bc.QZ.section(m, x)) == bc.QZ.section(n * m, x)
+                for x in bc.torsion(lev):
+                    assert bc.sigma(n, bc.sigma(m, x)) == bc.sigma(n * m, x)
+                    assert bc.section(n, bc.section(m, x)) == bc.section(n * m, x)
 
 
 def test_operator_meta_commutation_compat():
@@ -140,7 +141,7 @@ def test_operator_meta_commutation_compat():
             for j in range(q):
                 l, k = divmod(i * q + j, p)
                 for n in range(1, 30):
-                    for x in bc.QZ.torsion(n):
+                    for x in bc.torsion(n):
                         lhs = bc.operator(Letter(p, i), bc.operator(Letter(q, j), x))
                         rhs = bc.operator(Letter(q, l), bc.operator(Letter(p, k), x))
                         assert lhs == rhs

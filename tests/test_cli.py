@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import arithsite
-from arithsite import bigpicture as bp, conway as cw
+from arithsite import bigpicture as bp, conway as cw, dessins as ds
 from arithsite.cli import MAX_INT_DIGITS, main
 
 DEEP = "[" * 10**5 + "]" * 10**5
@@ -231,6 +231,12 @@ def test_ar_tree_has_no_tol_option(run):
     assert e.value.code == 2
 
 
+def test_ds_monodromy_has_no_cap_option(run):
+    with pytest.raises(SystemExit) as e:
+        run("ds", "monodromy", _dessin_arg(ds.UNIT), "--cap", "5")
+    assert e.value.code == 2
+
+
 def test_error_lines_are_clipped(run):
     # the parsers echo their argument, which may be 128 KiB long
     for argv in (("by", "check", "x^" + "1" * 100000 + "x"), ("bp", "distance", "1:0", "1" * 100000 + "x:0")):
@@ -318,6 +324,24 @@ def _long_word() -> str:
 # class have 5072 digits, past Python's default limit of 4300
 SEVENS = "*".join(["P[7,0]"] * 6000)
 
+# 7000 letters P[999999999989,0], a 126 KB argument over one 12-digit prime
+BIG_PRIME = "*".join(["P[999999999989,0]"] * 7000)
+
+
+def _dessin_arg(d: ds.FramedDessin) -> str:
+    """A dessin as one JSON argument without spaces."""
+    return json.dumps(json.loads(ds.to_json(d)), separators=(",", ":"))
+
+
+# the largest dessins that ds reads: a star, on which iso, equiv and auto do
+# the most work, and an e_dessin with a large monodromy group; and a star one
+# edge over the cap
+STAR = ds.e_dessin(ds.MAX_EDGES, 0)
+EDK = ds.e_dessin(ds.MAX_EDGES, ds.MAX_EDGES // 2)
+OVER = ds.FramedDessin(ds.MAX_EDGES + 1, (*range(1, ds.MAX_EDGES + 1), 0), tuple(range(ds.MAX_EDGES + 1)), 0, 0)
+S, E, O = _dessin_arg(STAR), _dessin_arg(EDK), _dessin_arg(OVER)
+DESSIN_IDS = {S: f"<star of {STAR.n} edges>", E: f"<e_dessin of {EDK.n} edges>", O: f"<star of {OVER.n} edges>"}
+
 # argv that once ran without bound or failed: each now answers within the
 # alarm below, a refusal (stdout None) with exit 1 and an `error:` line, or
 # exit 0 with the given stdout or, prefixed "sha256:", its digest.  A callable
@@ -339,12 +363,29 @@ BOUNDED = [
      "sha256:6bec529a189e3725359feb7dfdd472e6a8652e632192df23e25dc28ca75be60a"),
     (f"cw delta {SEVENS}", lambda: f"{cw.delta(cw.parse_word(SEVENS))}\n"),
     (f"cw word2class {SEVENS}", lambda: bp.format_class(cw.word_to_class(cw.parse_word(SEVENS))) + "\n"),
+    # trial division of this prime took 70 ms for each of the 7000 letters
+    (f"cw delta {BIG_PRIME}", lambda: f"{999999999989 ** 7000}\n"),
+    # at 2000 edges monodromy took 22 s and equiv 4.6 s; compose builds
+    # MAX_EDGES^2 edges
+    (f"ds passport {O}", None),
+    (f"ds compose {S} {E}", lambda: ds.to_json(ds.compose(STAR, EDK)) + "\n"),
+    (f"ds iso {S} {S}", "true\n"),
+    (f"ds equiv {S} {E}", "false\n"),
+    (f"ds auto {S}", lambda: json.dumps([list(g) for g in sorted(ds.automorphisms(STAR))]) + "\n"),
+    (f"ds monodromy {S}", f"{STAR.n}\n"),
+    (f"ds monodromy {E}", "exceeds cap\n"),
+    (f"ds passport {E}", lambda: json.dumps({"black": list(ds.passport(EDK).black), "white": list(ds.passport(EDK).white)}) + "\n"),
+    (f"ds involution {E}", lambda: ds.to_json(ds.involution(EDK)) + "\n"),
+    (f"ds dot {E}", lambda: ds.to_dot(EDK) + "\n"),
 ]
 
 
 def _bounded_id(argv: str) -> str:
+    if len(argv) < 100:
+        return argv
     group, verb, rest = argv.split(" ", 2)
-    return argv if len(argv) < 100 else f"{group} {verb} <{rest.count('*') + 1} letters>"
+    args = (DESSIN_IDS.get(a, f"<{a.count('*') + 1} letters>") for a in rest.split())
+    return f"{group} {verb} {' '.join(args)}"
 
 
 @pytest.mark.parametrize("argv, want", BOUNDED, ids=[_bounded_id(a) for a, _ in BOUNDED])

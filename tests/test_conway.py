@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -7,8 +8,16 @@ from hypothesis import given, settings, strategies as st
 from arithsite import bigpicture as bp, conway as cw, ratpoly
 from arithsite.bigpicture import PIC_ONE, PicClass, hyperdistance, parse_class
 from arithsite.conway import Letter
-from arithsite.ratpoly import Mat2Q, shear
-from oracles import descent_class_to_word, rewrite_normalize
+from arithsite.ratpoly import Mat2Q
+from oracles import (
+    checked_divide_left,
+    descent_class_to_word,
+    letter_matrix,
+    meta_commute,
+    meta_commute_shear,
+    rewrite_normalize,
+    shear,
+)
 
 
 def W(text):
@@ -16,9 +25,9 @@ def W(text):
 
 
 def test_letter_matrices():
-    assert cw.letter_matrix(Letter(2, 1)) == Mat2Q(Fraction(1, 2), Fraction(1, 2), 0, 1)
-    assert cw.letter_matrix(Letter(2, 2)) == Mat2Q(2, 0, 0, 1)
-    assert cw.letter_matrix(Letter(3, 0)) == Mat2Q(Fraction(1, 3), 0, 0, 1)
+    assert letter_matrix(Letter(2, 1)) == Mat2Q(Fraction(1, 2), Fraction(1, 2), 0, 1)
+    assert letter_matrix(Letter(2, 2)) == Mat2Q(2, 0, 0, 1)
+    assert letter_matrix(Letter(3, 0)) == Mat2Q(Fraction(1, 3), 0, 0, 1)
 
 
 def test_letter_validation():
@@ -28,24 +37,34 @@ def test_letter_validation():
         cw.letter(3, 4)
 
 
+def test_each_prime_is_tested_once(monkeypatch):
+    # trial division of a 12-digit prime takes 70 ms: once per prime, not per letter
+    tested = []
+    monkeypatch.setattr(cw, "is_prime", lambda p: tested.append(p) or True)
+    text = "*".join(["P[999999999989,0]", "P[2,1]"] * 50)
+    assert len(cw.parse_word(text)) == 100
+    assert len(cw.parse_word(json.dumps([[999999999989, 0], [2, 1]] * 50))) == 100
+    assert sorted(tested) == [2, 2, 999999999989, 999999999989]
+
+
 def test_meta_commute_free_free():
     # iq + j = 5 = 2*2 + 1
-    assert cw.meta_commute(Letter(2, 1), Letter(3, 2)) == (Letter(3, 2), Letter(2, 1))
-    prod = cw.letter_matrix(Letter(2, 1)) * cw.letter_matrix(Letter(3, 2))
+    assert meta_commute(Letter(2, 1), Letter(3, 2)) == (Letter(3, 2), Letter(2, 1))
+    prod = letter_matrix(Letter(2, 1)) * letter_matrix(Letter(3, 2))
     assert prod == Mat2Q(Fraction(1, 6), Fraction(5, 6), 0, 1)
 
 
 def test_meta_commute_power_free():
-    assert cw.meta_commute(Letter(2, 2), Letter(3, 1)) == (Letter(3, 2), Letter(2, 2))
+    assert meta_commute(Letter(2, 2), Letter(3, 1)) == (Letter(3, 2), Letter(2, 2))
 
 
 def test_meta_commute_power_power():
-    assert cw.meta_commute(Letter(2, 2), Letter(3, 3)) == (Letter(3, 3), Letter(2, 2))
+    assert meta_commute(Letter(2, 2), Letter(3, 3)) == (Letter(3, 3), Letter(2, 2))
 
 
 def test_meta_commute_same_prime_rejected():
     with pytest.raises(ValueError, match="within a prime"):
-        cw.meta_commute(Letter(2, 0), Letter(2, 1))
+        meta_commute(Letter(2, 0), Letter(2, 1))
 
 
 def test_meta_commute_exact_matrix_identity():
@@ -57,9 +76,9 @@ def test_meta_commute_exact_matrix_identity():
             for i in range(p + 1):
                 for j in range(q + 1):
                     a, b = Letter(p, i), Letter(q, j)
-                    x, y, s = cw._meta_commute_shear(a, b)
-                    lhs = cw.letter_matrix(a) * cw.letter_matrix(b)
-                    rhs = shear(s) * cw.letter_matrix(x) * cw.letter_matrix(y)
+                    x, y, s = meta_commute_shear(a, b)
+                    lhs = letter_matrix(a) * letter_matrix(b)
+                    rhs = shear(s) * letter_matrix(x) * letter_matrix(y)
                     assert lhs == rhs
                     if not a.is_power and not b.is_power:
                         assert s == 0
@@ -154,7 +173,7 @@ def test_word_to_class_matches_matrix_product(w):
     # the class of the exact product of the letter matrices applied to (1, 0)
     m = Mat2Q(1, 0, 0, 1)
     for l in w:
-        m = m * cw.letter_matrix(l)
+        m = m * letter_matrix(l)
     assert (m.c, m.d) == (0, 1)
     assert cw.word_to_class(w) == PicClass(m.a, m.b)
 
@@ -175,6 +194,21 @@ def test_distinct_normal_free_words_have_distinct_classes():
         if cls in seen:
             assert seen[cls] == nf
         seen[cls] = nf
+
+
+@st.composite
+def _free_words(draw, max_size):
+    return tuple(Letter(p, draw(st.integers(0, p - 1)))
+                 for p in draw(st.lists(st.sampled_from((2, 3, 5, 7)), max_size=max_size)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_free_words(6), _free_words(6))
+def test_divide_left_matches_checked_quotient(z, x):
+    # normal and non-normal y, with and without a quotient by x
+    for y in (z, cw.normalize(z), z + x, cw.mul(z, x)):
+        assert cw.divide_left(y, x) == checked_divide_left(y, x)
+    assert cw.divide_left(cw.mul(z, x), x) == cw.normalize(z)
 
 
 def test_left_cancellative():
@@ -233,17 +267,17 @@ def test_closed_forms_search_nothing(monkeypatch):
     monkeypatch.setattr(ratpoly, "primitive_form", forbidden)
     monkeypatch.setattr(bp, "primitive_form", forbidden, raising=False)
     monkeypatch.setattr(Mat2Q, "inv", forbidden)
-    # normalize reduces per prime and reads the indices off the class: no
-    # meta-commutation
-    monkeypatch.setattr(cw, "_meta_commute_shear", forbidden)
+    # normalize reduces per prime and reads the indices off the class: conway
+    # has no meta-commutation
+    assert not hasattr(cw, "_meta_commute_shear")
     w = W("P[3,3]*P[2,2]*P[3,1]*P[5,2]*P[2,0]*P[3,1]*P[2,2]")
     assert cw.normalize(w) == W("P[3,2]*P[5,3]*P[2,2]")
     z, x = W("P[2,1]*P[3,2]"), W("P[2,0]*P[5,3]")
     y = cw.mul(z, x)
     assert y == W("P[2,1]*P[2,1]*P[3,1]*P[5,3]")
-    # divide_left confirms its quotient with mul, which normalizes
-    assert cw.divide_left(y, x) == z
+    # divide_left proves its quotient instead of confirming it with mul
     monkeypatch.setattr(cw, "normalize", forbidden)
+    assert cw.divide_left(y, x) == z
     assert hyperdistance(parse_class("2:0"), parse_class("1/2:1/2")) == 4
     assert len(bp.fiber(60)) == bp.psi(60)
     assert cw.class_to_word(parse_class("2/3:1/3")) == W("P[3,1]*P[2,2]")

@@ -70,16 +70,20 @@ def test_dk_batch_refuses_non_finite_rows(bad):
 
 
 def test_newton_chain_polishes():
-    # chain for (3x^2-2x^3) applied twice; perturb true roots of the composite
-    chain = np.array([[0, 0, 3, -2], [0, 0, 3, -2]], dtype=np.complex128)
+    # (3x^2-2x^3) applied twice: perturb the roots of each level, then polish
+    # each by repeated one-row steps, level 1 towards alpha and level 2
+    # towards its parents; the composite then maps level 2 onto alpha
+    row = np.array([0, 0, 3, -2], dtype=np.complex128)
+    chain = np.vstack([row, row])
     alpha = 0.5
-    xs = kernels.dk_batch(np.array([[0, 0, 3, -2]], dtype=np.complex128) - np.array([alpha, 0, 0, 0]))
-    lvl1 = xs.reshape(-1)
-    batch = np.tile(np.array([0, 0, 3, -2], dtype=np.complex128), (3, 1))
+    lvl1 = kernels.dk_batch((row - np.array([alpha, 0, 0, 0]))[None, :]).reshape(-1) + 1e-6
+    for _ in range(10):
+        lvl1 = kernels.newton_chain(row, lvl1, alpha)
+    batch = np.tile(row, (3, 1))
     batch[:, 0] -= lvl1
-    lvl2 = kernels.dk_batch(batch).reshape(-1)
-    noisy = lvl2 + 1e-6
-    polished = kernels.newton_chain(chain, noisy, alpha, iters=10)
+    polished = kernels.dk_batch(batch).reshape(-1) + 1e-6
+    for _ in range(10):
+        polished = kernels.newton_chain(row, polished, np.repeat(lvl1, 3))
     resid = np.abs(kernels.chain_values(chain, polished) - alpha)
     assert np.max(resid) < 1e-12
 

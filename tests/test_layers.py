@@ -1,4 +1,5 @@
-"""The functions perfbench traces must exist under the names it looks up.
+"""The functions perfbench traces must exist under the names it looks up,
+and every other public name of src/ must have a caller.
 
 perfbench/tracing.py wraps each (module, qualified name) in its LAYERS, and
 BENCHMARK.json defines a per-layer metric on each.  A renamed or deleted
@@ -6,6 +7,7 @@ function would not fail the benchmark: its metric would read 0.  These
 tests read both files without changing them.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -56,3 +58,88 @@ def test_compose_is_traced_through_the_product(tracing):
     assert tracer.calls["ratpoly.PolyQ.compose"] == 1
     assert tracer.calls["ratpoly.PolyQ.__mul__"] > 0
     assert not hasattr(ratpoly.PolyQ.__mul__, "__wrapped__")  # bindings restored
+
+
+# Public names of src/arithsite that nothing in src/ or perfbench/ refers to,
+# each with the reason it stays
+UNCALLED = {
+    # perfbench/tracing.py names these in LAYERS strings, not in code
+    "ratpoly.primitive_form": "traced layer",
+    "ratpoly.squarefree_part": "traced layer",
+    # constructs of the paper that the tests and acceptance criteria check
+    "belyi.degree_morphism": "the degree morphism to the multiplicative integers",
+    "belyi.involution_poly": "the involution 1 - P(1 - x)",
+    "belyi.valency_at": "the valencies of the marked points 0 and 1",
+    "belyi.white_count": "the white vertex count",
+    "dessins.UNIT": "the unit of dessin composition, the dessin of x",
+    "dessins.passport_compose_predict": "the passport of a composite from its anatomy",
+    "points.chain_in_open": "localic open membership of a point",
+    "points.chain_to_supernatural": "the supernatural limit of a site-A point",
+    "supernatural.mul": "the semigroup product of supernatural numbers",
+}
+
+
+def _module_of(node: ast.ImportFrom) -> str | None:
+    """The arithsite module a `from ... import` reads, or None."""
+    if node.level == 1:
+        return node.module or ""
+    if node.module and node.module.startswith("arithsite"):
+        return node.module.removeprefix("arithsite").removeprefix(".")
+    return None
+
+
+def _references(path: Path, module: str | None) -> set[tuple[str, str]]:
+    """(module, name) of each arithsite name that the file at path refers to,
+    outside the top-level statement that defines that name."""
+    tree = ast.parse(path.read_text())
+    aliases, imported = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (mod := _module_of(node)) is not None:
+            for a in node.names:
+                if mod == "":
+                    aliases[a.asname or a.name] = a.name
+                else:
+                    imported[a.asname or a.name] = (mod, a.name)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("arithsite.") and a.asname:
+                    aliases[a.asname] = a.name.removeprefix("arithsite.")
+    refs = set()
+    for stmt in tree.body:
+        defined = {t.id for t in ast.walk(stmt) if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)}
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(stmt.name)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                if node.id in imported:
+                    refs.add(imported[node.id])
+                elif module is not None and node.id not in defined:
+                    refs.add((module, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+                refs.add((aliases[node.value.id], node.attr))
+    return refs
+
+
+def _public_names(path: Path) -> set[str]:
+    names = set()
+    for stmt in ast.parse(path.read_text()).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {n for n in names if not n.startswith("_")}
+
+
+def test_every_src_name_has_a_caller():
+    # a public name stays in src/ only if src/ or perfbench/ uses it, or it
+    # is listed above; a name only tests use belongs in tests/oracles.py
+    src = sorted((ROOT / "src" / "arithsite").glob("*.py"))
+    refs = set()
+    for path in src:
+        refs |= _references(path, path.stem)
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        refs |= _references(path, None)
+    uncalled = {f"{p.stem}.{n}" for p in src for n in _public_names(p) if (p.stem, n) not in refs}
+    assert not uncalled - set(UNCALLED), "no caller: move these to tests/oracles.py or delete them"
+    assert not set(UNCALLED) - uncalled, "these have callers now: drop them from UNCALLED"

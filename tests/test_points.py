@@ -175,6 +175,16 @@ def test_chain_in_open():
     assert not pt.chain_in_open(c, (Q1,))
 
 
+def test_site_c_tests_each_prime_once(monkeypatch):
+    # one pass over the letters of all entries, not one per letter or entry
+    tested = []
+    monkeypatch.setattr(cw, "is_prime", lambda p: tested.append(p) or True)
+    words = [[[999999999989, 0]] * k for k in range(1, 31)]
+    c = pt.from_json(json.dumps({"site": "C", "entries": words}))
+    assert [len(w) for w in c.entries] == list(range(1, 31))
+    assert tested == [999999999989]
+
+
 def test_json_roundtrip():
     chains = [
         A(2, 4, 8),
