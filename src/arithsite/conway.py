@@ -59,8 +59,8 @@ EMPTY: Word = ()
 
 
 def letters(pairs) -> Word:
-    """The letters P[p, i] of the (p, i) pairs, testing each distinct prime once: trial
-    division of a 12-digit prime takes 70 ms, and one argument can hold 7000 letters."""
+    """The letters P[p, i] of the (p, i) pairs, testing each distinct prime once: the
+    test of a 12-digit prime takes 0.12 ms, and one argument can hold 7000 letters."""
     primes: set[int] = set()
     out = []
     for p, i in pairs:

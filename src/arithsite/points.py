@@ -40,6 +40,10 @@ class TruncatedChain:
             )
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "gen_degrees", tuple(self.gen_degrees))
+        if self.site == "A" and any(e < 1 for e in entries):
+            raise ValueError("site-A entries must be at least 1")
+        if any(g < 1 for g in self.gen_degrees):
+            raise ValueError("generator degrees must be at least 1")
         if not entries:
             raise ValueError("chain needs at least one entry")
         if self.extend and len(entries) < 2:

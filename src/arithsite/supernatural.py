@@ -65,19 +65,19 @@ class Supernatural:
                 return e
         return self.default
 
-    def _primes(self) -> set[int]:
-        return {p for p, _ in self.exceptions}
-
     def __str__(self) -> str:
         return format_supernatural(self)
 
 
+def _exponent_pairs(s: Supernatural, t: Supernatural) -> dict[int, tuple]:
+    """(s_p, t_p) at every exceptional prime p of s or t, from one dict each."""
+    es, et = dict(s.exceptions), dict(t.exceptions)
+    return {p: (es.get(p, s.default), et.get(p, t.default)) for p in es.keys() | et.keys()}
+
+
 def _merge(s: Supernatural, t: Supernatural, op) -> Supernatural:
-    default = op(s.default, t.default)
-    factors = {}
-    for p in s._primes() | t._primes():
-        factors[p] = op(s.exponent(p), t.exponent(p))
-    return Supernatural.from_factors(factors, default)
+    factors = {p: op(a, b) for p, (a, b) in _exponent_pairs(s, t).items()}
+    return Supernatural.from_factors(factors, op(s.default, t.default))
 
 
 def mul(s: Supernatural, t: Supernatural) -> Supernatural:
@@ -95,7 +95,7 @@ def divides(n, s: Supernatural) -> bool:
         n = Supernatural.from_int(n)
     if n.default > s.default:
         return False
-    return all(n.exponent(p) <= s.exponent(p) for p in n._primes() | s._primes())
+    return all(a <= b for a, b in _exponent_pairs(n, s).values())
 
 
 def in_open(s: Supernatural, generators: list[int]) -> bool:
@@ -109,11 +109,7 @@ def adele_class_equiv(s: Supernatural, t: Supernatural) -> bool:
     """True when finite multiples can match s and t (n.s = m.t solvable)."""
     if s.default != t.default:
         return False
-    for p in s._primes() | t._primes():
-        a, b = s.exponent(p), t.exponent(p)
-        if a != b and (a == INF or b == INF):
-            return False
-    return True
+    return all(a == b or INF not in (a, b) for a, b in _exponent_pairs(s, t).values())
 
 
 def from_chain(chain: list[int], limit: bool = False) -> Supernatural:

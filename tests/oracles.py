@@ -15,8 +15,11 @@
   integer numerators over one denominator: product, composition and division
   on coefficient tuples of Fractions, lowest degree first; and PolyQ powers
   and exact divisibility.
+- Primality by trial division, which primes.is_prime ran before the strong
+  probable-prime test.
 - The brute-force sigma_n fiber of Q/Z, random framed trees and a
   frame-anchored canonical relabeling of dessins.
+- dessins.anatomy as it was before one rooted pass replaced it.
 - The preimage tree with the eight-step Newton polish that arboreal.build_tree
   ran before one step replaced it.
 - A flood-fill count of the eps-clusters of a point set.
@@ -264,6 +267,23 @@ def poly_divides(f: PolyQ, g: PolyQ) -> bool:
     return g.divmod(f)[1].is_zero()
 
 
+def trial_division_is_prime(n: int) -> bool:
+    """primes.is_prime as it was before the strong probable-prime test: trial
+    division by 3, 5, 7, ... up to the square root, without a bound."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
 def sigma_fiber(p: int, x: Fraction) -> set[Fraction]:
     """Brute-force preimages of x under multiplication by p inside (1/(p*b))Z/Z."""
     b = x.denominator
@@ -298,6 +318,81 @@ def random_tree_dessin(n_edges: int, rng) -> ds.FramedDessin:
         black[rng.randrange(len(black))][0],
         white[rng.randrange(len(white))][0],
     )
+
+
+def bfs_anatomy(d: ds.FramedDessin) -> ds.Anatomy:
+    """dessins.anatomy as it was before one rooted pass replaced it: a
+    breadth-first search for the spine over tagged vertices, then a flood fill
+    of the spine-less forest from each spine vertex."""
+    bc, wc, bv, wv = ds._vertex_maps(d)
+    v0 = ("b", bv[d.frame_black])
+    v1 = ("w", wv[d.frame_white])
+
+    def vertex_edges(v):
+        return bc[v[1]] if v[0] == "b" else wc[v[1]]
+
+    def other_end(v, e):
+        return ("w", wv[e]) if v[0] == "b" else ("b", bv[e])
+
+    # spine: unique path v0 -> v1
+    parent = {v0: (None, None)}
+    queue = [v0]
+    while queue:
+        v = queue.pop(0)
+        if v == v1:
+            break
+        for e in vertex_edges(v):
+            w = other_end(v, e)
+            if w not in parent:
+                parent[w] = (v, e)
+                queue.append(w)
+    spine = []
+    v = v1
+    while v != v0:
+        pv, pe = parent[v]
+        spine.append(pe)
+        v = pv
+    spine.reverse()
+    spine_set = set(spine)
+    spine_vertices = [v0]
+    v = v0
+    for e in spine:
+        v = other_end(v, e)
+        spine_vertices.append(v)
+
+    # components of the forest obtained by deleting the spine edges
+    comp: dict[tuple, int] = {}
+
+    def fill(start, label):
+        stack = [start]
+        comp[start] = label
+        while stack:
+            v = stack.pop()
+            for e in vertex_edges(v):
+                if e in spine_set:
+                    continue
+                w = other_end(v, e)
+                if w not in comp:
+                    comp[w] = label
+                    stack.append(w)
+
+    for idx, sv in enumerate(spine_vertices):
+        fill(sv, idx)
+
+    def valencies(pred):
+        blacks = []
+        whites = []
+        for v, label in comp.items():
+            if not pred(v, label):
+                continue
+            (blacks if v[0] == "b" else whites).append(len(vertex_edges(v)))
+        return ds.Passport(ds._parts(blacks), ds._parts(whites))
+
+    last = len(spine_vertices) - 1
+    head = valencies(lambda v, lab: lab == 0 and v != v0)
+    tail = valencies(lambda v, lab: lab == last and v != v1)
+    body = valencies(lambda v, lab: 0 < lab < last)
+    return ds.Anatomy(tuple(spine), head, body, tail, len(vertex_edges(v0)), len(vertex_edges(v1)))
 
 
 def canonical_form(d: ds.FramedDessin) -> ds.FramedDessin:

@@ -2,9 +2,12 @@ import hashlib
 import json
 import os
 import random
+import re
+import shlex
 import signal
 import subprocess
 import sys
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -84,6 +87,8 @@ def test_sn_verbs(run):
     # 2^127 - 1 is prime and far above the trial-division bound
     code, out, err = run("sn", "chain", "170141183460469231731687303715884105727")
     assert code == 1 and out == "" and "error: refusing" in err
+    # the least prime above 10^13, which trial division to 10^6 refused
+    assert run("sn", "chain", "10000000000037")[1].strip() == "10000000000037*[default=0]"
 
 
 def test_ds_verbs(run):
@@ -291,6 +296,14 @@ def test_pt_verbs(run):
     ):
         code, out, err = run("pt", "project", bad)
         assert code == 1 and out == "" and err.startswith("error: "), bad
+    # site-A entries and generator degrees below 1 once answered or divided by zero
+    for argv in (
+        ("equiv", '{"site":"A","entries":[-2]}', '{"site":"A","entries":[2]}'),
+        ("project", '{"site":"A","entries":[-6,12]}'),
+        ("project", '{"site":"B","entries":[[0],[0,0]],"gen_degrees":[0]}'),
+    ):
+        code, out, err = run("pt", *argv)
+        assert code == 1 and out == "" and err.startswith("error: ") and "Traceback" not in err, argv
 
 
 def test_domain_error_exit_code(run):
@@ -328,6 +341,28 @@ SEVENS = "*".join(["P[7,0]"] * 6000)
 BIG_PRIME = "*".join(["P[999999999989,0]"] * 7000)
 
 
+def _largest_primes_below(n: int, count: int, span: int) -> list[int]:
+    """The count largest primes below n, ascending, by a sieve of [n - span, n)."""
+    root = isqrt(n) + 1
+    small = bytearray([1]) * root
+    small[:2] = b"\0\0"
+    for p in range(2, isqrt(root) + 1):
+        if small[p]:
+            small[p * p :: p] = bytes(len(range(p * p, root, p)))
+    lo = n - span
+    window = bytearray([1]) * span
+    for p in range(2, root):
+        if small[p]:
+            window[-lo % p :: p] = bytes(len(range(-lo % p, span, p)))
+    found = [lo + i for i in range(span) if window[i]]
+    assert len(found) >= count
+    return found[-count:]
+
+
+# the 2000 largest primes below 10^12 as one supernatural, a 26 KB argument
+SN_PRIMES = "*".join(map(str, _largest_primes_below(10**12, 2000, 80000)))
+
+
 def _dessin_arg(d: ds.FramedDessin) -> str:
     """A dessin as one JSON argument without spaces."""
     return json.dumps(json.loads(ds.to_json(d)), separators=(",", ":"))
@@ -340,7 +375,12 @@ STAR = ds.e_dessin(ds.MAX_EDGES, 0)
 EDK = ds.e_dessin(ds.MAX_EDGES, ds.MAX_EDGES // 2)
 OVER = ds.FramedDessin(ds.MAX_EDGES + 1, (*range(1, ds.MAX_EDGES + 1), 0), tuple(range(ds.MAX_EDGES + 1)), 0, 0)
 S, E, O = _dessin_arg(STAR), _dessin_arg(EDK), _dessin_arg(OVER)
-DESSIN_IDS = {S: f"<star of {STAR.n} edges>", E: f"<e_dessin of {EDK.n} edges>", O: f"<star of {OVER.n} edges>"}
+ARG_IDS = {
+    S: f"<star of {STAR.n} edges>",
+    E: f"<e_dessin of {EDK.n} edges>",
+    O: f"<star of {OVER.n} edges>",
+    SN_PRIMES: "<2000 primes>",
+}
 
 # argv that once ran without bound or failed: each now answers within the
 # alarm below, a refusal (stdout None) with exit 1 and an `error:` line, or
@@ -377,6 +417,8 @@ BOUNDED = [
     (f"ds passport {E}", lambda: json.dumps({"black": list(ds.passport(EDK).black), "white": list(ds.passport(EDK).white)}) + "\n"),
     (f"ds involution {E}", lambda: ds.to_json(ds.involution(EDK)) + "\n"),
     (f"ds dot {E}", lambda: ds.to_dot(EDK) + "\n"),
+    # trial division tested each 12-digit prime in 79 ms, three times over
+    (f"sn lcm {SN_PRIMES} {SN_PRIMES}", f"{SN_PRIMES}*[default=0]\n"),
 ]
 
 
@@ -384,7 +426,7 @@ def _bounded_id(argv: str) -> str:
     if len(argv) < 100:
         return argv
     group, verb, rest = argv.split(" ", 2)
-    args = (DESSIN_IDS.get(a, f"<{a.count('*') + 1} letters>") for a in rest.split())
+    args = (ARG_IDS.get(a, f"<{a.count('*') + 1} letters>") for a in rest.split())
     return f"{group} {verb} {' '.join(args)}"
 
 
@@ -408,6 +450,37 @@ def test_bounded_time(run, argv, want):
         assert (code, "sha256:" + hashlib.sha256(out.encode()).hexdigest(), err) == (0, want, "")
     else:
         assert (code, out, err) == (0, want, "")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_cli_lines() -> list[str]:
+    """The `arithsite ...` lines of the sh block under `## CLI` in README.md."""
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("arithsite ")]
+
+
+def _expand(run, arg: str) -> str:
+    """arg, or the stdout of the call when arg is `$(arithsite ...)`."""
+    m = re.fullmatch(r"\$\((arithsite .*)\)", arg)
+    if m is None:
+        return arg
+    code, out, _ = run(*shlex.split(m.group(1))[1:])
+    assert code == 0, arg
+    return out.rstrip("\n")
+
+
+def test_readme_examples(run):
+    lines = _readme_cli_lines()
+    assert len(lines) >= 10
+    for line in lines:
+        argv = [_expand(run, a) for a in shlex.split(line, comments=True)[1:]]
+        code, out, err = run(*argv)
+        assert code == 0 and "Traceback" not in err, line
+        comment = re.search(r"\s#\s*(.*)$", line)
+        if comment and " " not in comment.group(1):
+            assert out == comment.group(1) + "\n", line
 
 
 @pytest.mark.parametrize(

@@ -2,10 +2,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arithsite import dessins as ds
 from arithsite.dessins import FramedDessin, Passport
-from oracles import canonical_form, random_tree_dessin
+from oracles import bfs_anatomy, canonical_form, random_tree_dessin
 
 
 def test_validate_single_edge():
@@ -59,6 +60,47 @@ def test_anatomy_single_edge():
     assert a.spine == (0,)
     assert a.head == a.body == a.tail == Passport((), ())
     assert a.valency0 == a.valency1 == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 40), st.randoms(use_true_random=False))
+def test_anatomy_matches_the_search_oracle(n, rng):
+    d = random_tree_dessin(n, rng)
+    assert ds.anatomy(d) == bfs_anatomy(d)
+
+
+def test_anatomy_of_every_e_dk_matches_the_search_oracle():
+    for d in range(1, 31):
+        for k in range(d):
+            e = ds.e_dessin(d, k)
+            assert ds.anatomy(e) == bfs_anatomy(e)
+
+
+def test_results_valid_by_theorem_skip_validate(monkeypatch):
+    # compose, involution and e_dessin build trees by theorem, and a map
+    # consistent with alpha and beta is a bijection: none of them re-checks
+    t, t2 = random_tree_dessin(6, random.Random(11)), ds.e_dessin(5, 2)
+
+    def refuse(d):
+        raise AssertionError("validate was called")
+
+    monkeypatch.setattr(ds, "validate", refuse)
+    ds.compose(t, t2)
+    ds.involution(t)
+    ds.e_dessin(7, 3)
+    ds.automorphisms(t2)
+    with pytest.raises(AssertionError, match="validate was called"):
+        FramedDessin(1, (0,), (0,), 0, 0)
+
+
+def test_involution_and_e_dk_are_valid():
+    # the constructor no longer checks these: validate them here
+    rng = random.Random(12)
+    for _ in range(40):
+        ds.validate(ds.involution(random_tree_dessin(rng.randrange(1, 20), rng)))
+    for d in range(1, 65):
+        for k in range(d):
+            ds.validate(ds.e_dessin(d, k))
 
 
 def test_compose_unit_laws():
