@@ -4,7 +4,10 @@ A dynamical Belyi polynomial fixes 0 and 1 and ramifies only over {0, 1, inf}.
 Over 0 and 1 a degree-d P ramifies by (d - #roots(P)) + (d - #roots(P-1)),
 with #roots(f) = deg f - deg gcd(f, f'), and over C by deg P' = d - 1 in all
 (Riemann-Hurwitz; Lando-Zvonkin ch. 1-2).  So the predicate is exactly
-#roots(P) + #roots(P-1) = d + 1.
+#roots(P) + #roots(P-1) = d + 1.  Then every root of P' is a root of P or of
+P - 1, a root of multiplicity m there having multiplicity m - 1 in P', and
+P' = c B W with B = gcd(P, P') and W = gcd(P - 1, P'): poly_passport takes
+one gcd for B and gets W by exact division.
 """
 
 from __future__ import annotations
@@ -92,14 +95,19 @@ def valency_at(p: BelyiPoly, r: int) -> int:
 
 
 def poly_passport(p: BelyiPoly) -> Passport:
-    """Exact multiplicity passport of (P, P-1); matches passport(D(P))."""
-    black = []
-    for m, cnt in multiplicity_counts(p.poly).items():
-        black += [m] * cnt
-    white = []
-    for m, cnt in multiplicity_counts(p.poly - PolyQ.const(1)).items():
-        white += [m] * cnt
-    return Passport(_parts(black), _parts(white))
+    """Exact multiplicity passport of (P, P-1); matches passport(D(P)).
+
+    One gcd: B = gcd(P, P'), and W = P'/B is gcd(P - 1, P') up to a constant.
+    """
+    dp = p.poly.derivative()
+    b = poly_gcd(p.poly, dp)
+    parts = []
+    for f, first in ((p.poly, b), (p.poly - PolyQ.const(1), dp.divmod(b)[0])):
+        ms = []
+        for m, cnt in multiplicity_counts(f, first).items():
+            ms += [m] * cnt
+        parts.append(_parts(ms))
+    return Passport(*parts)
 
 
 def compose_count_check(p: BelyiPoly, p2: BelyiPoly) -> bool:

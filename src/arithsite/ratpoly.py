@@ -307,18 +307,25 @@ def root_multiplicity(f: PolyQ, r) -> int:
         f = q
 
 
-def multiplicity_counts(f: PolyQ) -> dict[int, int]:
+def multiplicity_counts(f: PolyQ, first: PolyQ | None = None) -> dict[int, int]:
     """Multiset of root multiplicities over C, as {multiplicity: #distinct roots}.
 
     Uses the gcd chain f, gcd(f, f'), gcd of that with its derivative, ...;
-    the degree drops count roots of multiplicity >= k exactly.
+    the degree drops count roots of multiplicity >= k exactly.  A caller that
+    knows gcd(f, f') up to a constant factor passes it as first, saving that
+    gcd.  A step that lowers the degree by exactly 1 leaves one distinct root,
+    whose multiplicity drops by 1 per further step, so the chain stops there.
     """
     if f.is_zero():
         raise ValueError("multiplicity structure of 0 is undefined")
     degs = [f.degree]
     cur = f
     while cur.degree > 0:
-        cur = poly_gcd(cur, cur.derivative())
+        cur = poly_gcd(cur, cur.derivative()) if first is None else first
+        first = None
+        if degs[-1] - cur.degree == 1:
+            degs += range(cur.degree, -1, -1)
+            break
         degs.append(cur.degree)
     ge = [degs[k] - degs[k + 1] for k in range(len(degs) - 1)]  # ge[k] = #roots with mult > k
     out = {}

@@ -15,6 +15,8 @@
   integer numerators over one denominator: product, composition and division
   on coefficient tuples of Fractions, lowest degree first; and PolyQ powers
   and exact divisibility.
+- belyi.poly_passport as it was before Riemann-Hurwitz let it take one gcd:
+  a full multiplicity chain of P and another of P - 1, each to its end.
 - Primality by trial division, which primes.is_prime ran before the strong
   probable-prime test.
 - The brute-force sigma_n fiber of Q/Z, random framed trees and a
@@ -35,10 +37,11 @@ import numpy as np
 from arithsite import arboreal, kernels
 from arithsite import conway as cw
 from arithsite import dessins as ds
+from arithsite.belyi import BelyiPoly
 from arithsite.bigpicture import PIC_ONE, PicClass, neighbours
 from arithsite.bostconnes import qz
 from arithsite.primes import factorize
-from arithsite.ratpoly import POLY_ONE, Mat2Q, PolyQ, primitive_form
+from arithsite.ratpoly import POLY_ONE, Mat2Q, PolyQ, poly_gcd, primitive_form
 
 
 def alpha(x: PicClass) -> Mat2Q:
@@ -265,6 +268,34 @@ def poly_pow(f: PolyQ, n: int) -> PolyQ:
 def poly_divides(f: PolyQ, g: PolyQ) -> bool:
     """True when f | g exactly in Q[x]; f is not zero."""
     return g.divmod(f)[1].is_zero()
+
+
+def chain_multiplicity_counts(f: PolyQ) -> dict[int, int]:
+    """ratpoly.multiplicity_counts without its last-root stop: the gcd chain
+    f, gcd(f, f'), ... runs down to a constant."""
+    degs = [f.degree]
+    cur = f
+    while cur.degree > 0:
+        cur = poly_gcd(cur, cur.derivative())
+        degs.append(cur.degree)
+    ge = [degs[k] - degs[k + 1] for k in range(len(degs) - 1)]  # ge[k] = #roots with mult > k
+    out = {}
+    for m in range(1, len(ge) + 1):
+        cnt = ge[m - 1] - (ge[m] if m < len(ge) else 0)
+        if cnt:
+            out[m] = cnt
+    return out
+
+
+def two_chain_poly_passport(p: BelyiPoly) -> ds.Passport:
+    """The passport of (P, P - 1) from one full multiplicity chain of each."""
+    parts = []
+    for f in (p.poly, p.poly - PolyQ.const(1)):
+        ms = []
+        for m, cnt in chain_multiplicity_counts(f).items():
+            ms += [m] * cnt
+        parts.append(tuple(sorted(ms, reverse=True)))
+    return ds.Passport(*parts)
 
 
 def trial_division_is_prime(n: int) -> bool:

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arithsite import belyi, conway as cw, dessins as ds
+import oracles
+from arithsite import belyi, conway as cw, dessins as ds, ratpoly
 from arithsite.belyi import BelyiPoly, b_dk
 from arithsite.bigpicture import PIC_ONE, hyperdistance, parse_class
-from arithsite.ratpoly import PolyQ, parse_poly, squarefree_part
+from arithsite.ratpoly import PolyQ, parse_poly, poly_gcd, squarefree_part
 from oracles import poly_divides, poly_pow
 
 
@@ -77,6 +78,36 @@ def test_poly_passport_matches_dessin():
     for d in range(2, 9):
         for k in range(d):
             assert belyi.poly_passport(b_dk(d, k)) == ds.passport(ds.e_dessin(d, k))
+
+
+def test_poly_passport_matches_two_chain_oracle():
+    # the 27 x 27 B_dk composites of the belyi-compose benchmark, d <= 7, and
+    # their images under the involution, which swaps black and white
+    members = [b_dk(d, k) for d in range(2, 8) for k in range(d)]
+    for p in members:
+        for q in members:
+            comp = belyi.compose(p, q)
+            for f in (comp, belyi.involution_poly(comp)):
+                assert belyi.poly_passport(f) == oracles.two_chain_poly_passport(f)
+
+
+def test_poly_passport_takes_one_large_gcd(monkeypatch):
+    # each b_dk(7, 0) = x^7 takes two gcds of degree 7 in the predicate.  The
+    # passport of x^49 takes one: B = x^48 drops the degree by 1, so one black
+    # root of multiplicity 49, and W = 49 is constant, so 49 simple white
+    # roots.  The two full chains of the old passport took 50 gcds, two of
+    # them of degree 49.
+    degrees = []
+
+    def counted(f, g):
+        degrees.append(max(f.degree, g.degree))
+        return poly_gcd(f, g)
+
+    monkeypatch.setattr(belyi, "poly_gcd", counted)
+    monkeypatch.setattr(ratpoly, "poly_gcd", counted)
+    passport = belyi.poly_passport(belyi.compose(b_dk(7, 0), b_dk(7, 0)))
+    assert passport == ds.Passport((49,), (1,) * 49)
+    assert degrees == [7, 7, 7, 7, 49]
 
 
 def test_compose_count_check_examples():

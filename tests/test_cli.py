@@ -363,6 +363,21 @@ def _largest_primes_below(n: int, count: int, span: int) -> list[int]:
 SN_PRIMES = "*".join(map(str, _largest_primes_below(10**12, 2000, 80000)))
 
 
+def _digits(n: int) -> str:
+    """The decimal digits of n, past Python's default limit of 4300 on str()."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+# 3^80000 + 2, 38 170 digits: no prime factor up to 10^6 but 59, and a
+# cofactor past the primality test's bit cap
+ROUGH = _digits(3**80000 + 2)
+
+
 def _dessin_arg(d: ds.FramedDessin) -> str:
     """A dessin as one JSON argument without spaces."""
     return json.dumps(json.loads(ds.to_json(d)), separators=(",", ":"))
@@ -380,6 +395,7 @@ ARG_IDS = {
     E: f"<e_dessin of {EDK.n} edges>",
     O: f"<star of {OVER.n} edges>",
     SN_PRIMES: "<2000 primes>",
+    ROUGH: "<3^80000+2>",
 }
 
 # argv that once ran without bound or failed: each now answers within the
@@ -397,6 +413,11 @@ BOUNDED = [
     ("bp neighbours 1:0 1000003", None),
     ("bp ball-dot 1:0 2 3 5 7 --radius 50", None),
     ("cw class2word 1/1000000007:0", "P[1000000007,0]\n"),
+    # a composite past 10^12 with no prime factor up to 10^6 was refused;
+    # Pollard-Brent rho splits it
+    ("cw class2word 1/1000036000099:0", "P[1000003,0]*P[1000033,0]\n"),
+    # trial division to 10^6 took 12 s before refusing the cofactor
+    (f"sn chain {ROUGH}", None),
     # the quadratic rewriting engine took 58 s on this word; its stdout, which
     # the closed form reproduces, is pinned by its SHA-256
     (f"cw normalize {_long_word()}",

@@ -1,3 +1,6 @@
+import random
+from math import prod
+
 import pytest
 
 from arithsite import primes
@@ -45,5 +48,34 @@ def test_primes_past_the_trial_bound_answer():
 
 
 def test_composite_cofactors_past_the_bound_are_refused():
-    with pytest.raises(ValueError, match="no prime factor up to 1000000"):
-        factorize(1000003 * 1000033)
+    # rho needs about sqrt(10^15) steps to split this, far past its cap
+    with pytest.raises(ValueError, match="no prime factor up to 1000000, and rho found none in 65536 steps"):
+        factorize(1000000000000037 * 3000000000000037)
+    big = 1000003 * (2**521 - 1)  # composite of 541 bits with no factor up to 10^6
+    with pytest.raises(ValueError, match="a composite of 541 bits > 512"):
+        factorize(big)
+    with pytest.raises(ValueError, match="refusing to test a number of 126792 bits"):
+        factorize(3**80000 + 2)  # 59 times a cofactor past MAX_TEST_BITS
+
+
+def test_semiprimes_past_the_trial_bound_factor():
+    assert factorize(1000003 * 1000033) == {1000003: 1, 1000033: 1}
+    assert factorize(7 * 1000003**3 * 1000033**2) == {7: 1, 1000003: 3, 1000033: 2}
+    assert factorize(1000003 * (2**31 - 1) * (2**61 - 1)) == {1000003: 1, 2**31 - 1: 1, 2**61 - 1: 1}
+
+
+def test_rho_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(14)
+    for _ in range(30):
+        n = sympy.nextprime(rng.randrange(10**6, 10**8)) * sympy.nextprime(rng.randrange(10**6, 10**8))
+        assert factorize(n) == sympy.factorint(n), n
+
+
+def test_smooth_numbers_factor():
+    assert factorize(999983**700 * 2**10) == {2: 10, 999983: 700}
+    assert factorize(2**4000 * 3**5 * 999979) == {2: 4000, 3: 5, 999979: 1}
+    rng = random.Random(15)
+    for _ in range(20):
+        want = {p: rng.randint(1, 30) for p in rng.sample([2, 3, 5, 7, 101, 65537, 999979, 999983], 4)}
+        assert factorize(prod(p**e for p, e in want.items())) == dict(sorted(want.items()))

@@ -123,6 +123,48 @@ def test_multiplicity_counts():
     assert multiplicity_counts(f) == {1: 1, 2: 1, 3: 1}
 
 
+def _sympy_counts(f: PolyQ) -> dict[int, int]:
+    """{multiplicity: #distinct roots} from sympy's squarefree decomposition."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(f.coeffs))
+    out = {}
+    for g, m in sympy.sqf_list(sympy.Poly(expr, x))[1]:
+        out[m] = out.get(m, 0) + g.degree()
+    return out
+
+
+_ROOTS = st.lists(
+    st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=3), st.integers(1, 6)),
+    max_size=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ROOTS, st.integers(-3, 3).filter(bool))
+def test_multiplicity_counts_against_sympy(roots, lead):
+    # roots may repeat, merging their multiplicities
+    f = PolyQ.const(lead)
+    for a, m in roots:
+        f = f * oracles.poly_pow(PolyQ((-a, 1)), m)
+    want = _sympy_counts(f)
+    assert multiplicity_counts(f) == want
+    if f.degree > 0:
+        # a caller's gcd(f, f') may carry any constant factor
+        assert multiplicity_counts(f, poly_gcd(f, f.derivative()) * lead) == want
+
+
+def test_multiplicity_counts_edge_cases():
+    x = PolyQ.x()
+    assert multiplicity_counts(PolyQ.const(5)) == {}
+    assert multiplicity_counts(x) == {1: 1}
+    assert multiplicity_counts(oracles.poly_pow(PolyQ((-2, 1)), 9)) == {9: 1}  # stops at the first step
+    # equal multiplicities: two roots of multiplicity 3, then one of 5 above them
+    two = oracles.poly_pow(x * PolyQ((1, 1)), 3)
+    assert multiplicity_counts(two) == {3: 2}
+    assert multiplicity_counts(two * oracles.poly_pow(PolyQ((-1, 1)), 5)) == {3: 2, 5: 1}
+
+
 def test_divmod_roundtrip():
     rng = random.Random(9)
     for _ in range(25):
