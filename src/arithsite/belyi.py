@@ -19,7 +19,7 @@ from math import comb
 from . import conway
 from .bigpicture import PIC_ONE, PicClass, hyperdistance
 from .dessins import Passport, _parts
-from .ratpoly import MAX_EXACT_DEGREE, PolyQ, format_poly, multiplicity_counts, poly_gcd, root_multiplicity
+from .ratpoly import MAX_EXACT_DEGREE, PolyQ, format_poly, multiplicity_counts, poly_gcd
 
 
 def _roots(f: PolyQ) -> int:
@@ -63,7 +63,12 @@ def _trusted(poly: PolyQ) -> BelyiPoly:
 
 
 def b_dk(d: int, k: int) -> BelyiPoly:
-    """The degree-d family member with 0 of valency d-k and 1 of valency k+1."""
+    """The degree-d family member with 0 of valency d-k and 1 of valency k+1.
+
+    B = c int_0^x t^(d-k-1) (1-t)^k dt, with c = (d-k) C(d, k) making B(1) = 1.
+    Its derivative c x^(d-k-1) (1-x)^k vanishes only at 0 and 1, so every
+    critical value lies in B({0, 1}) = {0, 1}: B is Belyi by theorem.
+    """
     if d < 2 or not 0 <= k < d:
         raise ValueError(f"need d >= 2 and 0 <= k < d, got d={d}, k={k}")
     if d > MAX_EXACT_DEGREE:
@@ -72,7 +77,7 @@ def b_dk(d: int, k: int) -> BelyiPoly:
     inner = [Fraction((-1) ** (k - i) * comb(k, i), d - i) for i in range(k + 1)]
     inner.reverse()  # a_k + ... + a_0 x^k, lowest degree first
     poly = PolyQ.monomial(c, d - k) * PolyQ(inner)
-    return BelyiPoly(poly)
+    return _trusted(poly)
 
 
 def compose(p: BelyiPoly, p2: BelyiPoly) -> BelyiPoly:
@@ -84,14 +89,21 @@ def black_count(p: BelyiPoly) -> int:
 
 
 def white_count(p: BelyiPoly) -> int:
-    return _roots(p.poly - PolyQ.const(1))
+    """#roots(P - 1) = d + 1 - #roots(P), by the predicate."""
+    return p.degree + 1 - black_count(p)
 
 
 def valency_at(p: BelyiPoly, r: int) -> int:
+    """The multiplicity of r as a root of P - r.
+
+    At 0 it is the index of the lowest nonzero coefficient of P.  At 1 it is
+    that index for 1 - P(1 - x), whose root at 0 has the multiplicity of the
+    root of P - 1 at 1.
+    """
     if r not in (0, 1):
         raise ValueError("valency is defined at 0 and 1")
-    f = p.poly if r == 0 else p.poly - PolyQ.const(1)
-    return root_multiplicity(f, r)
+    f = p.poly if r == 0 else involution_poly(p).poly
+    return next(i for i, c in enumerate(f.num) if c)
 
 
 def poly_passport(p: BelyiPoly) -> Passport:

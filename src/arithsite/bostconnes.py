@@ -16,9 +16,16 @@ from .primes import is_prime
 # MAX_TORSION caps the torsion a check enumerates: n for condition 3, n*m
 # for condition 4, p*q for condition 5, p for rho and the level of
 # presheaf_value.  On a 2-core Xeon host condition 3 took 0.23 s at
-# n = 10^4 and 2.5 s at n = 10^5, condition 5 took 0.43 s at p q = 9797,
-# and each free letter of a presheaf word 0.2 s at level 10^4.
+# n = 10^4 and 2.5 s at n = 10^5, and condition 5 took 0.43 s at p q = 9797.
 MAX_TORSION = 10**4
+
+# MAX_PRESHEAF_BITS caps level * bits(level P), the size of a presheaf value:
+# its `level` elements have denominators dividing level P, with P the product
+# of the word's free primes.  On a 2-core Xeon host the closed form below took
+# 0.8 s in the CLI at level 2 on 6500 letters P[999999999989,1], near the cap;
+# applying the letters one by one took over 60 s on 1000 letters P[2,1] at
+# level 10^4, a value of 10^7 bits.
+MAX_PRESHEAF_BITS = 2**19
 
 
 def _check_torsion(size: int) -> None:
@@ -117,13 +124,18 @@ def presheaf_value(w: Word, level: int) -> set[Fraction]:
     The power part only fixes the source torsion group, which for Q/Z is all
     of (1/level)Z/Z since sigma is surjective; the free prefix acts by the
     operator chain.  Operators may refine the level: results live in
-    (1/(level * prod p))Z/Z.
+    (1/(level * prod p))Z/Z.  The free letters compose to t -> (t + a)/P:
+    a letter maps (t + a')/P' to ((t + a')/P' + i)/p, and each maps [0, 1)
+    into itself, so no reduction mod 1 intervenes.
     """
     if level < 1:
         raise ValueError("need level >= 1")
     _check_torsion(level)
     free, _power = split_normal(w)
-    vals = set(torsion(level))
+    a, big_p = 0, 1
     for l in reversed(free):
-        vals = {operator(l, x) for x in vals}
-    return vals
+        a, big_p = a + l.i * big_p, big_p * l.p
+    bits = level * (level * big_p).bit_length()
+    if bits > MAX_PRESHEAF_BITS:
+        raise ValueError(f"refusing a presheaf value of {bits} bits > {MAX_PRESHEAF_BITS}")
+    return {Fraction(k + a * level, level * big_p) for k in range(level)}

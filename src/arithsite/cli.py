@@ -40,7 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", action="store_true")
     p = s.add_parser("psi")
     p.add_argument("n", type=int)
-    p.add_argument("--proj", action="store_true", help="count P^1(Z/n) orbits instead")
     p = s.add_parser("ball-dot")
     p.add_argument("x")
     p.add_argument("primes", type=int, nargs="+")
@@ -180,14 +179,13 @@ def _run_bp(args) -> None:
         for c in bp.neighbours(bp.parse_class(args.x), args.p):
             print(bp.format_class(c))
     elif args.verb == "fiber":
-        classes = bp.fiber(args.n)
         if args.count:
-            print(len(classes))
+            print(bp.psi(args.n))  # |fiber(n)| = psi(n)
         else:
-            for c in sorted(bp.format_class(x) for x in classes):
+            for c in sorted(bp.format_class(x) for x in bp.fiber(args.n)):
                 print(c)
     elif args.verb == "psi":
-        print(bp.proj_line_count(args.n) if args.proj else bp.psi(args.n))
+        print(bp.psi(args.n))
     elif args.verb == "ball-dot":
         print(bp.ball_dot(bp.parse_class(args.x), args.primes, args.radius))
 

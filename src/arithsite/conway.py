@@ -43,6 +43,7 @@ from typing import NamedTuple
 
 from .bigpicture import PicClass
 from .primes import factorize, is_prime
+from .ratpoly import json_int
 
 
 class Letter(NamedTuple):
@@ -222,11 +223,13 @@ def format_word(w: Word) -> str:
     return "*".join(f"P[{l.p},{l.i}]" for l in w)
 
 
-def _json_pair(v) -> list[int]:
+def _json_pair(v) -> tuple[int, int]:
     """One [p, i] entry of the JSON form; p and i must be JSON integers."""
-    if not (type(v) is list and len(v) == 2 and all(type(x) is int for x in v)):
-        raise ValueError(f"bad letter {v!r}: need [p, i] with integer p and i")
-    return v
+    try:
+        p, i = v if type(v) is list else ()
+        return json_int(p), json_int(i)
+    except ValueError:
+        raise ValueError(f"bad letter {v!r}: need [p, i] with integer p and i") from None
 
 
 def _text_pairs(s: str):

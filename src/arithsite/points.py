@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from math import prod
 
 from . import conway
-from .dessins import _json_int
+from .ratpoly import json_int
 from .supernatural import Supernatural, adele_class_equiv, from_chain
 
 SITES = ("A", "C", "B")
@@ -184,15 +184,15 @@ def from_json(text: str) -> TruncatedChain:
     extend = bool(obj.get("extend", False))
     try:
         if site == "A":
-            return TruncatedChain("A", tuple(_json_int(e) for e in obj["entries"]), extend)
+            return TruncatedChain("A", tuple(json_int(e) for e in obj["entries"]), extend)
         if site == "C":
             # one pass over all letters, so each distinct prime is tested once
             words = obj["entries"]
-            flat = iter(conway.letters((_json_int(p), _json_int(i)) for w in words for p, i in w))
+            flat = iter(conway.letters((json_int(p), json_int(i)) for w in words for p, i in w))
             return TruncatedChain("C", tuple(tuple(next(flat) for _ in w) for w in words), extend)
         if site != "B":
             raise ValueError(f"unknown site {site!r}")
-        entries = tuple(tuple(_json_int(i) for i in e) for e in obj["entries"])
-        return TruncatedChain("B", entries, extend, tuple(_json_int(d) for d in obj.get("gen_degrees", ())))
+        entries = tuple(tuple(json_int(i) for i in e) for e in obj["entries"])
+        return TruncatedChain("B", entries, extend, tuple(json_int(d) for d in obj.get("gen_degrees", ())))
     except TypeError as e:
         raise ValueError(f"bad chain field: {e}") from e

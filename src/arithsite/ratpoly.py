@@ -28,6 +28,13 @@ def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def json_int(v) -> int:
+    """A JSON integer field; floats, strings and booleans are refused."""
+    if type(v) is not int:
+        raise ValueError(f"JSON field {v!r} is not an integer")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # 2x2 matrices
 # ---------------------------------------------------------------------------
@@ -290,21 +297,6 @@ def squarefree_part(f: PolyQ) -> PolyQ:
         return POLY_ONE
     g = poly_gcd(f, f.derivative())
     return f.divmod(g)[0].monic()
-
-
-def root_multiplicity(f: PolyQ, r) -> int:
-    """Largest m with (x - r)^m dividing f."""
-    if f.is_zero():
-        raise ValueError("root multiplicity in 0 is undefined")
-    r = frac(r)
-    lin = PolyQ((-r, 1))
-    m = 0
-    while True:
-        q, rem = f.divmod(lin)
-        if not rem.is_zero():
-            return m
-        m += 1
-        f = q
 
 
 def multiplicity_counts(f: PolyQ, first: PolyQ | None = None) -> dict[int, int]:

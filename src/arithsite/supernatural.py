@@ -57,14 +57,6 @@ class Supernatural:
             raise ValueError("need n >= 1")
         return cls.from_factors({p: e for p, e in factorize(n).items()})
 
-    # -- access
-
-    def exponent(self, p: int):
-        for q, e in self.exceptions:
-            if q == p:
-                return e
-        return self.default
-
     def __str__(self) -> str:
         return format_supernatural(self)
 

@@ -6,6 +6,8 @@
   matrix hyper-distance through Mat2Q.inv and primitive_form, a breadth-first
   fiber over neighbours, and a greedy descent towards (1, 0) that normalizes
   after each step.  They share no code with the Hermite-coordinate versions.
+- The orbit count of P^1(Z/n), which `bp psi --proj` ran before psi(n)
+  answered it.
 - The Conway monoid's rewriting presentation, which conway.normalize ran
   before its closed form: shear-exact meta-commutation and power-free
   cancellation, leftmost-first or on a random schedule.
@@ -13,12 +15,15 @@
   confirms each quotient with mul.
 - The Fraction polynomial kernel that ratpoly.PolyQ ran before it stored
   integer numerators over one denominator: product, composition and division
-  on coefficient tuples of Fractions, lowest degree first; and PolyQ powers
-  and exact divisibility.
+  on coefficient tuples of Fractions, lowest degree first; PolyQ powers and
+  exact divisibility; and the root multiplicity by repeated division by
+  (x - r), which belyi.valency_at ran before it read a coefficient index.
 - belyi.poly_passport as it was before Riemann-Hurwitz let it take one gcd:
   a full multiplicity chain of P and another of P - 1, each to its end.
 - Primality by trial division, which primes.is_prime ran before the strong
   probable-prime test.
+- bostconnes.presheaf_value as it was before the free letters composed to
+  one affine map: the operators applied one letter at a time.
 - The brute-force sigma_n fiber of Q/Z, random framed trees and a
   frame-anchored canonical relabeling of dessins.
 - dessins.anatomy as it was before one rooted pass replaced it.
@@ -31,6 +36,7 @@
 """
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -39,7 +45,7 @@ from arithsite import conway as cw
 from arithsite import dessins as ds
 from arithsite.belyi import BelyiPoly
 from arithsite.bigpicture import PIC_ONE, PicClass, neighbours
-from arithsite.bostconnes import qz
+from arithsite.bostconnes import operator, qz, torsion
 from arithsite.primes import factorize
 from arithsite.ratpoly import POLY_ONE, Mat2Q, PolyQ, poly_gcd, primitive_form
 
@@ -85,6 +91,22 @@ def bfs_fiber(n: int) -> set[PicClass]:
                         nxt.append(y)
         frontier = nxt
     return {x for x, d in dist.items() if d == n}
+
+
+def proj_line_count(n: int) -> int:
+    """|P^1(Z/n)|: the orbits of the units of Z/n on the pairs (a, b) with
+    gcd(a, b, n) = 1, each orbit marked in full when first met."""
+    units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
+    seen = bytearray(n * n)
+    orbits = 0
+    for a in range(n):
+        for b in range(n):
+            if seen[a * n + b] or gcd(a, b, n) != 1:
+                continue
+            orbits += 1
+            for u in units:
+                seen[u * a % n * n + u * b % n] = 1
+    return orbits
 
 
 def _apply_letter(l: cw.Letter, x: PicClass) -> PicClass:
@@ -270,6 +292,18 @@ def poly_divides(f: PolyQ, g: PolyQ) -> bool:
     return g.divmod(f)[1].is_zero()
 
 
+def root_multiplicity(f: PolyQ, r) -> int:
+    """Largest m with (x - r)^m dividing f; f is not zero."""
+    lin = PolyQ((-Fraction(r), 1))
+    m = 0
+    while True:
+        q, rem = f.divmod(lin)
+        if not rem.is_zero():
+            return m
+        m += 1
+        f = q
+
+
 def chain_multiplicity_counts(f: PolyQ) -> dict[int, int]:
     """ratpoly.multiplicity_counts without its last-root stop: the gcd chain
     f, gcd(f, f'), ... runs down to a constant."""
@@ -313,6 +347,15 @@ def trial_division_is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def operator_presheaf(w: cw.Word, level: int) -> set[Fraction]:
+    """The free letters of the normal word w applied one by one to (1/level)Z/Z."""
+    free, _power = cw.split_normal(w)
+    vals = set(torsion(level))
+    for l in reversed(free):
+        vals = {operator(l, x) for x in vals}
+    return vals
 
 
 def sigma_fiber(p: int, x: Fraction) -> set[Fraction]:

@@ -11,14 +11,22 @@ from fractions import Fraction
 from arithsite import arboreal, belyi, bostconnes as bc, conway as cw
 from arithsite import dessins as ds, kernels, points as pt
 from arithsite.belyi import b_dk
-from arithsite.bigpicture import PIC_ONE, PicClass, fiber, hyperdistance, proj_line_count, psi
+from arithsite.bigpicture import PIC_ONE, PicClass, fiber, hyperdistance, psi
 from arithsite.conway import Letter
 from arithsite.ratpoly import PolyQ, squarefree_part
 from arithsite.supernatural import INF, Supernatural, adele_class_equiv
 
 import numpy as np
 
-from oracles import count_distinct, letter_matrix, meta_commute_shear, random_tree_dessin, rewrite_normalize, shear
+from oracles import (
+    count_distinct,
+    letter_matrix,
+    meta_commute_shear,
+    proj_line_count,
+    random_tree_dessin,
+    rewrite_normalize,
+    shear,
+)
 
 
 def _report(num: int, label: str, ok: bool):

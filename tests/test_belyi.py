@@ -74,6 +74,45 @@ def test_counts():
     assert belyi.black_count(b_dk(7, 0)) == 1
 
 
+def test_b_dk_is_belyi_by_theorem():
+    # B' = c x^(d-k-1) (1-x)^k, so the predicate b_dk skips holds
+    for d in range(2, 65):
+        for k in range(d):
+            assert belyi.is_dynamical_belyi(b_dk(d, k).poly), (d, k)
+    assert belyi.is_dynamical_belyi(b_dk(512, 256).poly)
+
+
+def test_b_dk_skips_the_predicate(monkeypatch):
+    def refuse(p):
+        raise AssertionError("b_dk ran the dynamical-Belyi predicate")
+
+    monkeypatch.setattr(belyi, "is_dynamical_belyi", refuse)
+    assert b_dk(512, 256).degree == 512
+    with pytest.raises(AssertionError):
+        BelyiPoly(b_dk(3, 1).poly)  # a parsed polynomial is still checked
+
+
+def _counts_oracle(f: BelyiPoly) -> tuple[int, int, int]:
+    """White count and the valencies at 0 and 1, without Riemann-Hurwitz."""
+    one = PolyQ.const(1)
+    white = sum(oracles.chain_multiplicity_counts(f.poly - one).values())
+    return white, oracles.root_multiplicity(f.poly, 0), oracles.root_multiplicity(f.poly - one, 1)
+
+
+def test_white_count_and_valencies_match_oracles():
+    # every B_dk with d <= 12, all composites of those with d <= 4, 40 seeded
+    # composites of any two, and the involution of each
+    members = [b_dk(d, k) for d in range(2, 13) for k in range(d)]
+    small = [p for p in members if p.degree <= 4]
+    rng = random.Random(15)
+    comps = [belyi.compose(p, q) for p in small for q in small]
+    comps += [belyi.compose(rng.choice(members), rng.choice(members)) for _ in range(40)]
+    for p in members + comps:
+        for f in (p, belyi.involution_poly(p)):
+            got = belyi.white_count(f), belyi.valency_at(f, 0), belyi.valency_at(f, 1)
+            assert got == _counts_oracle(f), f
+
+
 def test_poly_passport_matches_dessin():
     for d in range(2, 9):
         for k in range(d):
@@ -92,8 +131,8 @@ def test_poly_passport_matches_two_chain_oracle():
 
 
 def test_poly_passport_takes_one_large_gcd(monkeypatch):
-    # each b_dk(7, 0) = x^7 takes two gcds of degree 7 in the predicate.  The
-    # passport of x^49 takes one: B = x^48 drops the degree by 1, so one black
+    # b_dk(7, 0) = x^7 is Belyi by theorem and takes no gcd.  The passport
+    # of x^49 takes one: B = x^48 drops the degree by 1, so one black
     # root of multiplicity 49, and W = 49 is constant, so 49 simple white
     # roots.  The two full chains of the old passport took 50 gcds, two of
     # them of degree 49.
@@ -107,7 +146,7 @@ def test_poly_passport_takes_one_large_gcd(monkeypatch):
     monkeypatch.setattr(ratpoly, "poly_gcd", counted)
     passport = belyi.poly_passport(belyi.compose(b_dk(7, 0), b_dk(7, 0)))
     assert passport == ds.Passport((49,), (1,) * 49)
-    assert degrees == [7, 7, 7, 7, 49]
+    assert degrees == [49]
 
 
 def test_compose_count_check_examples():

@@ -15,11 +15,10 @@ from arithsite.bigpicture import (
     hyperdistance,
     neighbours,
     parse_class,
-    proj_line_count,
     psi,
 )
 from arithsite.ratpoly import Mat2Q, primitive_form
-from oracles import alpha, bfs_fiber, matrix_distance
+from oracles import alpha, bfs_fiber, matrix_distance, proj_line_count
 
 C = parse_class
 
@@ -144,6 +143,9 @@ def test_psi_values():
     assert psi(1) == 1
     assert psi(6) == 12
     assert proj_line_count(4) == 6 == psi(4)
+    # psi(n) = |P^1(Z/n)|, the index of Gamma_0(n), against the orbit count
+    for n in range(1, 201):
+        assert proj_line_count(n) == psi(n), n
 
 
 def test_ball_dot_radius_one():

@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from arithsite import bostconnes as bc, conway as cw
 from arithsite.conway import Letter
-from oracles import sigma_fiber
+from oracles import operator_presheaf, sigma_fiber
 
 
 def F(a, b=1):
@@ -56,8 +57,7 @@ def test_torsion_cap():
 
 
 def test_operator_does_not_enumerate_the_kernel(monkeypatch):
-    # one operator step costs O(1), not O(p): rho and presheaf_value call it
-    # once per element
+    # one operator step costs O(1), not O(p): rho calls it once per element
     def forbidden(*args):
         raise AssertionError("kernel enumerated")
 
@@ -108,6 +108,23 @@ def test_presheaf_single_letter():
 def test_presheaf_requires_normal_word():
     with pytest.raises(ValueError, match="normal"):
         bc.presheaf_value((Letter(3, 1), Letter(2, 0)), 2)
+
+
+def test_presheaf_matches_the_operator_chain():
+    rng = random.Random(15)
+    for _ in range(200):
+        ps = rng.choices((2, 3, 5, 7), k=rng.randint(0, 6))
+        w = cw.normalize(tuple(Letter(p, rng.randrange(p + 1)) for p in ps))
+        level = rng.randint(1, 12)
+        assert bc.presheaf_value(w, level) == operator_presheaf(w, level), (w, level)
+
+
+def test_presheaf_size_cap():
+    # 1000 letters P[2,1] at level 10^4 ran over 60 s one letter at a time
+    word = (Letter(2, 1),) * 1000
+    with pytest.raises(ValueError, match="refusing a presheaf value of 10140000 bits > 524288"):
+        bc.presheaf_value(word, 10**4)
+    assert bc.presheaf_value(word, 1) == {Fraction(2**1000 - 1, 2**1000)}
 
 
 def test_presheaf_functoriality_small():

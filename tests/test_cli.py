@@ -1,4 +1,7 @@
+import argparse
+import ast
 import hashlib
+import importlib
 import json
 import os
 import random
@@ -7,14 +10,16 @@ import shlex
 import signal
 import subprocess
 import sys
-from math import isqrt
+from math import isqrt, prod
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import arithsite
-from arithsite import bigpicture as bp, conway as cw, dessins as ds
-from arithsite.cli import MAX_INT_DIGITS, main
+from arithsite import belyi, bigpicture as bp, conway as cw, dessins as ds
+from arithsite.cli import MAX_INT_DIGITS, build_parser, main
+from arithsite.ratpoly import format_poly
 
 DEEP = "[" * 10**5 + "]" * 10**5
 SRC = str(Path(arithsite.__file__).resolve().parents[1])
@@ -38,8 +43,10 @@ def test_distance(run):
 def test_fiber_count(run):
     code, out, _ = run("bp", "fiber", "12", "--count")
     assert code == 0 and out.strip() == "24"
-    code, out, err = run("bp", "fiber", "5040", "--count")
-    assert code == 1 and out == "" and "error: refusing psi(5040) = 13824 > 1000" in err
+    # the count is psi(n), so MAX_FIBER caps only the listing
+    assert run("bp", "fiber", "5040", "--count") == (0, "13824\n", "")
+    code, out, err = run("bp", "fiber", "5040")
+    assert code == 1 and out == "" and err == "error: refusing psi(5040) = 13824 > 1000 classes\n"
 
 
 def test_bdk(run):
@@ -50,11 +57,12 @@ def test_bdk(run):
 
 
 def test_psi_and_proj(run):
+    # psi(n) is |P^1(Z/n)|, so there is no --proj orbit count
     assert run("bp", "psi", "6")[1].strip() == "12"
-    assert run("bp", "psi", "4", "--proj")[1].strip() == "6"
-    for n in ("201", "2000"):
-        code, out, err = run("bp", "psi", n, "--proj")
-        assert code == 1 and out == "" and "error: refusing" in err and "Traceback" not in err, n
+    assert run("bp", "psi", "2000") == (0, "3600\n", "")
+    with pytest.raises(SystemExit) as e:
+        run("bp", "psi", "4", "--proj")
+    assert e.value.code == 2
 
 
 def test_neighbours(run):
@@ -440,6 +448,10 @@ BOUNDED = [
     (f"ds dot {E}", lambda: ds.to_dot(EDK) + "\n"),
     # trial division tested each 12-digit prime in 79 ms, three times over
     (f"sn lcm {SN_PRIMES} {SN_PRIMES}", f"{SN_PRIMES}*[default=0]\n"),
+    # applying the letters one by one took over 60 s; the value has 10^7 bits
+    (f"bc presheaf {'*'.join(['P[2,1]'] * 1000)} 10000", None),
+    # the count is psi(n), with no fiber built
+    (f"bp fiber {2**200 * 3**5} --count", lambda: f"{bp.psi(2**200 * 3**5)}\n"),
 ]
 
 
@@ -447,22 +459,36 @@ def _bounded_id(argv: str) -> str:
     if len(argv) < 100:
         return argv
     group, verb, rest = argv.split(" ", 2)
-    args = (ARG_IDS.get(a, f"<{a.count('*') + 1} letters>") for a in rest.split())
+    args = (a if len(a) < 100 else ARG_IDS.get(a, f"<{a.count('*') + 1} letters>") for a in rest.split())
     return f"{group} {verb} {' '.join(args)}"
 
 
-@pytest.mark.parametrize("argv, want", BOUNDED, ids=[_bounded_id(a) for a, _ in BOUNDED])
-def test_bounded_time(run, argv, want):
+def _within_budget(run, argv: list[str], label: str):
+    """run(*argv) under a 2 s alarm; past it, fail the test with a plain line.
+
+    The alarm can fire inside a long integer operation, whose frames have no
+    line numbers, and pytest cannot render that traceback.  So the timeout is
+    caught, and the failure is raised without it.
+    """
+
     def expire(signum, frame):
-        raise TimeoutError(f"{argv} ran past its 2 s budget")
+        raise TimeoutError
 
     old = signal.signal(signal.SIGALRM, expire)
     signal.alarm(2)
     try:
-        code, out, err = run(*argv.split())
+        return run(*argv)
+    except TimeoutError:
+        pass
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
+    pytest.fail(f"{label} ran past its 2 s budget", pytrace=False)
+
+
+@pytest.mark.parametrize("argv, want", BOUNDED, ids=[_bounded_id(a) for a, _ in BOUNDED])
+def test_bounded_time(run, argv, want):
+    code, out, err = _within_budget(run, argv.split(), _bounded_id(argv))
     if callable(want):
         want = want()
     if want is None:
@@ -502,6 +528,30 @@ def test_readme_examples(run):
         comment = re.search(r"\s#\s*(.*)$", line)
         if comment and " " not in comment.group(1):
             assert out == comment.group(1) + "\n", line
+
+
+CAP = re.compile(r"MAX_\w+|TRIAL_BOUND|PSI_13")
+
+
+def _readme_caps() -> dict[str, int]:
+    """Each `NAME` = value of README's list of caps, with 10^4 read as 10**4."""
+    text = README.read_text().split("Work that grows without bound is capped", 1)[1].split("\n## ", 1)[0]
+    caps = {}
+    for name, value in re.findall(r"`(\w+)`\s*=\s*(\d[\d *^]*\d|\d)", text):
+        if CAP.fullmatch(name):
+            caps[name] = prod(int(b) ** int(e or 1) for b, _, e in (f.partition("^") for f in value.split("*")))
+    return caps
+
+
+def test_readme_lists_every_cap():
+    src = {}
+    for path in sorted(Path(SRC, "arithsite").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for t in stmt.targets if isinstance(stmt, ast.Assign) else ():
+                if isinstance(t, ast.Name) and CAP.fullmatch(t.id):
+                    src[t.id] = getattr(importlib.import_module(f"arithsite.{path.stem}"), t.id)
+    assert len(src) >= 17
+    assert _readme_caps() == src
 
 
 @pytest.mark.parametrize(
@@ -563,3 +613,198 @@ def test_only_ar_imports_numpy(argv):
 def test_sn_imports_its_modules_only():
     want = {"arithsite", "arithsite.cli", "arithsite.supernatural", "arithsite.primes"}
     assert _loaded_modules(["sn", "chain", "2", "4"]) == want
+
+
+def test_pt_does_not_import_dessins():
+    a = json.dumps({"site": "A", "entries": [2, 4, 8]})
+    assert "arithsite.dessins" not in _loaded_modules(["pt", "tail", a, a])
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: every verb, on valid shapes mixed with huge, negative, non-integer and
+# malformed values
+# ---------------------------------------------------------------------------
+
+
+def _mostly(valid, hostile):
+    """valid three times in four, else hostile."""
+    return st.integers(0, 3).flatmap(lambda r: valid if r else hostile)
+
+
+def _ints(lo: int, hi: int):
+    return _mostly(st.integers(lo, hi).map(str), st.sampled_from(
+        ["0", "-1", "-7", "1.5", "1e3", "", "x", "0x10", str(10**40 + 1), str(2**521 - 1), "9" * 5000]))
+
+
+_FRACS = _mostly(
+    st.builds(lambda a, b: f"{a}/{b}", st.integers(-9, 30), st.integers(1, 30)),
+    st.sampled_from(["x", "1/0", "1e-3", "-", "1", f"1/{10**60 + 7}", "7" * 2000]),
+)
+_CLASSES = _mostly(
+    st.builds(lambda a, b, r: f"{a}/{b}:{r}", st.integers(1, 30), st.integers(1, 30), _FRACS),
+    st.sampled_from(["junk", "1:", ":0", "0:0", "-1:0", "1/0:0", "1:2:3", f"{10**30}:1/{10**30 + 1}"]),
+)
+_LETTER = st.sampled_from((2, 3, 5, 7, 11)).flatmap(lambda p: st.integers(0, p).map(lambda i: f"P[{p},{i}]"))
+_WORDS = _mostly(
+    st.one_of(
+        st.lists(_LETTER, max_size=8).map(lambda ls: "*".join(ls) or "e"),
+        # long one-prime words, up to 36 KB, heaviest first; at 126 KB `cw mul`,
+        # `divide` and `word2class` still run past the budget
+        st.builds(lambda p, i, n: "*".join([f"P[{p},{i}]"] * n),
+                  st.sampled_from((999999999989, 2)), st.sampled_from((1, 0)), st.sampled_from((2000, 500))),
+    ),
+    st.sampled_from(["P[4,1]", "P[2,3]", "P[2,-1]", "P[2]", "P[,]", "Q[2,1]", "[[2,1.5]]", '[["2",1]]', "[5]",
+                     "[[2,1,0]]", "{}", "[" * 50, f"P[{2**521 - 1},0]"]),
+)
+_SUPERNATURALS = _mostly(
+    st.lists(st.tuples(st.sampled_from(("2", "3", "5", "7", "11")), st.sampled_from(("", "^2", "^inf"))),
+             max_size=4, unique_by=lambda t: t[0]).map(lambda ts: "*".join(p + e for p, e in ts) or "1"),
+    # and the 2000 largest primes below 10^12
+    st.sampled_from(["2*[default=inf]", "2^x", "4", "2*2", "^3", "2^-1", "0", "", "[default=-1]",
+                     "2^99999999999", SN_PRIMES]),
+)
+_POLYS = _mostly(
+    st.builds(lambda d, k: format_poly(belyi.b_dk(d, min(k, d - 1)).poly), st.integers(2, 6), st.integers(0, 5)),
+    st.sampled_from(["x", "x^2", "x^3-x", "x^", "2*y", "x^-1", "x^1000000", "1/0*x", "--x", "", "1",
+                     "x^" + "1" * 100, "1/4*x^3-3/2*x^2+9/4*x"]),
+)
+_DESSINS = _mostly(
+    st.builds(lambda d, k: _dessin_arg(ds.e_dessin(d, min(k, d - 1))), st.integers(1, 8), st.integers(0, 7)),
+    st.sampled_from(["[1,2]", '"x"', "{}", '{"n":3}', "[" * 1000,
+                     '{"n":2,"alpha":[0,1],"beta":[0,1],"frame_black":0,"frame_white":0}',
+                     '{"n":1,"alpha":[0],"beta":[0],"frame_black":5,"frame_white":0}',
+                     '{"n":-1,"alpha":[],"beta":[],"frame_black":0,"frame_white":0}']),
+)
+_CHAINS = _mostly(
+    st.one_of(
+        st.builds(lambda es, ext: json.dumps({"site": "A", "entries": es, "extend": ext}),
+                  st.lists(st.integers(1, 50), max_size=5), st.booleans()),
+        st.builds(lambda ws: json.dumps({"site": "C", "entries": ws}),
+                  st.lists(st.lists(st.tuples(st.sampled_from((2, 3)), st.integers(0, 2)), max_size=3), max_size=3)),
+        st.builds(lambda es: json.dumps({"site": "B", "entries": es, "gen_degrees": [2, 3]}),
+                  st.lists(st.lists(st.integers(0, 1), max_size=3), max_size=3)),
+    ),
+    st.sampled_from(['{"site":"C","entries":[[[4,0]]]}', '{"site":"B","entries":[[0],[0,0]],"gen_degrees":[0]}',
+                     '{"site":"A","entries":[-2]}', '{"site":"A","entries":[2.5,4]}', '{"site":"Z","entries":[]}',
+                     "[1]", "{}", ""]),
+)
+
+
+def _flag(name: str, values=None):
+    """An optional flag: absent, or present (with a value drawn from values)."""
+    present = st.just([name]) if values is None else values.map(lambda v: [name, v])
+    return st.one_of(st.just([]), present)
+
+
+def _required(name: str, values):
+    """A required option: present three times in four."""
+    return _mostly(values.map(lambda v: [name, v]), st.just([]))
+
+
+def _many(strategy, max_size: int = 4):
+    """One or more values (nargs="+"), else none, a usage error."""
+    return _mostly(st.lists(strategy, min_size=1, max_size=max_size), st.just([]))
+
+
+_AR = [_many(_POLYS, 2), _required("--alpha", _FRACS), _required("--depth", _ints(0, 3))]
+_GRAMMAR = {
+    ("bp", "distance"): [_CLASSES, _CLASSES],
+    ("bp", "neighbours"): [_CLASSES, _ints(0, 40)],
+    ("bp", "fiber"): [_ints(0, 400), _flag("--count")],
+    ("bp", "psi"): [_ints(0, 5000), _flag("--proj")],
+    ("bp", "ball-dot"): [_CLASSES, _many(_ints(0, 12)), _flag("--radius", _ints(0, 4))],
+    ("cw", "normalize"): [_WORDS],
+    ("cw", "mul"): [_WORDS, _WORDS],
+    ("cw", "word2class"): [_WORDS],
+    ("cw", "class2word"): [_CLASSES],
+    ("cw", "delta"): [_WORDS],
+    ("cw", "divide"): [_WORDS, _WORDS],
+    ("sn", "chain"): [_many(_ints(1, 100)), _flag("--limit")],
+    ("sn", "equiv"): [_SUPERNATURALS, _SUPERNATURALS],
+    ("sn", "divides"): [_SUPERNATURALS, _SUPERNATURALS],
+    ("sn", "lcm"): [_SUPERNATURALS, _SUPERNATURALS],
+    ("sn", "open"): [_SUPERNATURALS, _many(_ints(1, 100))],
+    ("ds", "passport"): [_DESSINS],
+    ("ds", "compose"): [_DESSINS, _DESSINS],
+    ("ds", "iso"): [_DESSINS, _DESSINS],
+    ("ds", "equiv"): [_DESSINS, _DESSINS],
+    ("ds", "auto"): [_DESSINS],
+    ("ds", "involution"): [_DESSINS],
+    ("ds", "dot"): [_DESSINS],
+    ("ds", "monodromy"): [_DESSINS],
+    ("ds", "edk"): [_ints(0, 10), _ints(0, 10)],
+    ("by", "bdk"): [_ints(0, 40), _ints(0, 40)],
+    ("by", "check"): [_POLYS],
+    ("by", "beta"): [_POLYS, _flag("--word")],
+    ("by", "triangle"): [_POLYS],
+    ("by", "compose-count"): [_POLYS, _POLYS],
+    ("by", "free"): [_many(_POLYS), _flag("--maxlen", _ints(0, 3))],
+    ("bc", "cond3"): [_ints(0, 200)],
+    ("bc", "cond4"): [_ints(0, 20), _ints(0, 20)],
+    ("bc", "cond5"): [_ints(0, 40), _ints(0, 40)],
+    ("bc", "op"): [_ints(0, 12), _ints(0, 12), _FRACS],
+    ("bc", "rho"): [_ints(0, 40), _FRACS],
+    ("bc", "presheaf"): [_WORDS, _ints(0, 50)],
+    ("ar", "generic"): [_many(_POLYS, 2), _required("--alpha", _FRACS)],
+    ("ar", "squarefree"): _AR,
+    ("ar", "tree"): _AR,
+    ("ar", "dot"): _AR,
+    ("pt", "equiv"): [_CHAINS, _CHAINS],
+    ("pt", "tail"): [_CHAINS, _CHAINS],
+    ("pt", "project"): [_CHAINS],
+}
+
+
+def _flatten(parts) -> list[str]:
+    out = []
+    for part in parts:
+        out += part if isinstance(part, list) else [part]
+    return out
+
+
+_NOISE = st.sampled_from([(), (), (), (), ("--bogus",), ("extra",), ("-h",)])
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """The subparsers of parser under their first names, without aliases."""
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    out = {}
+    for name, sub in action.choices.items():
+        if sub not in out.values():
+            out[name] = sub
+    return out
+
+
+def test_fuzz_grammar_covers_every_verb():
+    verbs = {(g, v) for g, sub in _subcommands(build_parser()).items() for v in _subcommands(sub)}
+    assert verbs == set(_GRAMMAR)
+
+
+def _argv_label(argv) -> str:
+    return " ".join(a if len(a) <= 60 else f"<{len(a)} characters>" for a in argv)
+
+
+@pytest.mark.parametrize("verb", sorted(_GRAMMAR), ids=" ".join)
+@settings(max_examples=10, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_fuzz(capsys, verb, data):
+    # every call exits 0, 1 or 2 within the budget, and never with a traceback
+    def run(*args):
+        try:
+            code = main(list(args))
+        except SystemExit as e:  # argparse, in process
+            code = e.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    argv = [*verb, *_flatten(data.draw(st.tuples(*_GRAMMAR[verb]))), *data.draw(_NOISE)]
+    label = _argv_label(argv)
+    code, out, err = _within_budget(run, argv, label)
+    assert code in (0, 1, 2) and "Traceback" not in err, label
+    if code == 0:
+        assert err == "", label
+    elif code == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, label
+    else:
+        assert out == "" and "usage:" in err, label

@@ -68,7 +68,6 @@ UNCALLED = {
     "ratpoly.squarefree_part": "traced layer",
     # constructs of the paper that the tests and acceptance criteria check
     "belyi.degree_morphism": "the degree morphism to the multiplicative integers",
-    "belyi.involution_poly": "the involution 1 - P(1 - x)",
     "belyi.valency_at": "the valencies of the marked points 0 and 1",
     "belyi.white_count": "the white vertex count",
     "dessins.UNIT": "the unit of dessin composition, the dessin of x",

