@@ -4,7 +4,7 @@ Level k holds the d^k complex roots of F_k - alpha, F_k = B_1 o ... o B_k.
 They are distinct by a theorem: BelyiPoly proves exactly that each B_j fixes
 0 and 1 with finite critical values in {0, 1}; by the chain rule so do the
 critical values of F_k; and genericity_check demands 0 < alpha < 1.
-(``squarefree_level`` decides the same fact exactly, for ``ar squarefree``.)
+``squarefree_level`` answers ``ar squarefree`` by the same theorem.
 
 Each level is certified.  Under a float parent w within rho of the true
 parent w*, the siblings z_1..z_d are the companion-matrix eigenvalues of the
@@ -47,13 +47,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .belyi import BelyiPoly
-from .ratpoly import MAX_EXACT_DEGREE, PolyQ, poly_gcd
+from .belyi import BelyiPoly, black_count, white_count
+from .ratpoly import MAX_EXACT_DEGREE, PolyQ
 
 # Size caps, each on a count that grows as d^n with the depth n.
 # MAX_LEAVES bounds the numeric tree: the leaves of build_tree.
-# MAX_EXACT_DEGREE (from ratpoly) bounds the exact composite of composite
-# and squarefree_level.
+# MAX_EXACT_DEGREE (from ratpoly) bounds the exact composite of composite,
+# the tests' oracle for squarefree_level, which builds no composite.
 MAX_LEAVES = 2000
 
 
@@ -99,11 +99,15 @@ def composite(gens: list[BelyiPoly], n: int) -> PolyQ:
 
 
 def squarefree_level(gens: list[BelyiPoly], alpha: Fraction, n: int) -> bool:
-    """Exact certificate that the level-n composite minus alpha has simple roots."""
+    """Whether F_n - alpha has simple roots.  By the chain rule, always outside {0, 1}.
+    At 0, F_n'(z) = prod B_j'(u_j) for u_n = z, u_{j-1} = B_j(u_j), u_0 = 0; no u_j is
+    1 (B_j fixes 1), so a factor vanishes iff u_j is a multiple root of B_j, which
+    u_0 = ... = u_{j-1} = 0 reaches: so iff each B_j up to level n has d roots; 1 alike."""
     if n < 1:
         raise ValueError("need n >= 1")
-    f = composite(gens, n) - PolyQ.const(Fraction(alpha))
-    return poly_gcd(f, f.derivative()).degree == 0
+    d = _check_gens(gens)
+    count = {0: black_count, 1: white_count}.get(Fraction(alpha))
+    return count is None or all(count(g) == d for g in gens[:n])
 
 
 @dataclass(frozen=True)

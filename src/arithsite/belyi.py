@@ -6,19 +6,25 @@ with #roots(f) = deg f - deg gcd(f, f'), and over C by deg P' = d - 1 in all
 (Riemann-Hurwitz; Lando-Zvonkin ch. 1-2).  So the predicate is exactly
 #roots(P) + #roots(P-1) = d + 1.  Then every root of P' is a root of P or of
 P - 1, a root of multiplicity m there having multiplicity m - 1 in P', and
-P' = c B W with B = gcd(P, P') and W = gcd(P - 1, P'): poly_passport takes
-one gcd for B and gets W by exact division.
+P' = c B W with B = gcd(P, P') and W = gcd(P - 1, P'): the passport of a
+parsed P takes one gcd for B and gets W by exact division.
+
+B_{d,k}, composites and involutions carry their passport and the multiplicities
+v0, v1 of 0 in P and 1 in P - 1.  g fixes 0, 1 with critical values in {0, 1}, so
+f o g has f's black parts less one v0, deg g times over, plus v0 times g's; white
+alike at 1 (dessins.compose_passport); and the valencies multiply.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from . import conway
 from .bigpicture import PIC_ONE, PicClass, hyperdistance
-from .dessins import Passport, _parts
+from .dessins import Passport, _parts, compose_passport
 from .ratpoly import MAX_EXACT_DEGREE, PolyQ, format_poly, multiplicity_counts, poly_gcd
 
 
@@ -50,15 +56,37 @@ class BelyiPoly:
     def __str__(self):
         return format_poly(self.poly)
 
+    @cached_property
+    def passport(self) -> Passport:
+        """Exact multiplicity passport of (P, P-1); matches passport(D(P)).
 
-def _trusted(poly: PolyQ) -> BelyiPoly:
-    """A BelyiPoly without the predicate, for results closed by theorem.
+        One gcd: B = gcd(P, P'), and W = P'/B is gcd(P - 1, P') up to a constant.
+        """
+        dp = self.poly.derivative()
+        b = poly_gcd(self.poly, dp)
+        parts = []
+        for f, first in ((self.poly, b), (self.poly - PolyQ.const(1), dp.divmod(b)[0])):
+            ms = []
+            for m, cnt in multiplicity_counts(f, first).items():
+                ms += [m] * cnt
+            parts.append(_parts(ms))
+        return Passport(*parts)
+
+    @cached_property
+    def valencies(self) -> tuple[int, int]:
+        """(v0, v1): the lowest nonzero coefficient index of P and of 1 - P(1 - x)."""
+        flipped = PolyQ.const(1) - self.poly.compose(PolyQ((1, -1)))
+        return tuple(next(i for i, c in enumerate(f.num) if c) for f in (self.poly, flipped))
+
+
+def _trusted(poly: PolyQ, passport: Passport, valencies: tuple[int, int]) -> BelyiPoly:
+    """A BelyiPoly without the predicate, carrying what its theorem gives.
 
     Chain rule: (P o Q)' = P'(Q) Q', so every critical value of P o Q lies in
     P({0, 1}) u P(crit P), inside {0, 1}.  Involution: 1 - P(1-x) swaps 0, 1.
     """
     out = object.__new__(BelyiPoly)
-    object.__setattr__(out, "poly", poly)
+    out.__dict__.update(poly=poly, passport=passport, valencies=valencies)
     return out
 
 
@@ -77,54 +105,32 @@ def b_dk(d: int, k: int) -> BelyiPoly:
     inner = [Fraction((-1) ** (k - i) * comb(k, i), d - i) for i in range(k + 1)]
     inner.reverse()  # a_k + ... + a_0 x^k, lowest degree first
     poly = PolyQ.monomial(c, d - k) * PolyQ(inner)
-    return _trusted(poly)
+    passport = Passport((d - k, *[1] * k), (k + 1, *[1] * (d - k - 1)))
+    return _trusted(poly, passport, (d - k, k + 1))
 
 
 def compose(p: BelyiPoly, p2: BelyiPoly) -> BelyiPoly:
-    return _trusted(p.poly.compose(p2.poly))
+    (v0, v1), (w0, w1) = p.valencies, p2.valencies
+    passport = compose_passport(p.passport, v0, v1, p2.passport, p2.degree)
+    return _trusted(p.poly.compose(p2.poly), passport, (v0 * w0, v1 * w1))
 
 
 def black_count(p: BelyiPoly) -> int:
-    return _roots(p.poly)
+    return len(p.passport.black)
 
 
 def white_count(p: BelyiPoly) -> int:
-    """#roots(P - 1) = d + 1 - #roots(P), by the predicate."""
-    return p.degree + 1 - black_count(p)
-
-
-def valency_at(p: BelyiPoly, r: int) -> int:
-    """The multiplicity of r as a root of P - r.
-
-    At 0 it is the index of the lowest nonzero coefficient of P.  At 1 it is
-    that index for 1 - P(1 - x), whose root at 0 has the multiplicity of the
-    root of P - 1 at 1.
-    """
-    if r not in (0, 1):
-        raise ValueError("valency is defined at 0 and 1")
-    f = p.poly if r == 0 else involution_poly(p).poly
-    return next(i for i, c in enumerate(f.num) if c)
+    return len(p.passport.white)
 
 
 def poly_passport(p: BelyiPoly) -> Passport:
-    """Exact multiplicity passport of (P, P-1); matches passport(D(P)).
-
-    One gcd: B = gcd(P, P'), and W = P'/B is gcd(P - 1, P') up to a constant.
-    """
-    dp = p.poly.derivative()
-    b = poly_gcd(p.poly, dp)
-    parts = []
-    for f, first in ((p.poly, b), (p.poly - PolyQ.const(1), dp.divmod(b)[0])):
-        ms = []
-        for m, cnt in multiplicity_counts(f, first).items():
-            ms += [m] * cnt
-        parts.append(_parts(ms))
-    return Passport(*parts)
+    return p.passport
 
 
 def compose_count_check(p: BelyiPoly, p2: BelyiPoly) -> bool:
-    """Black count of the composition versus deg(P2)(#P^-1(0)-1) + #(P2)^-1(0)."""
-    left = black_count(compose(p, p2))
+    """Black count of the composition versus deg(P2)(#P^-1(0)-1) + #(P2)^-1(0); the
+    left side takes its own gcd, independent of the passport compose carries."""
+    left = _roots(p.poly.compose(p2.poly))
     right = p2.degree * (black_count(p) - 1) + black_count(p2)
     return left == right
 
@@ -151,9 +157,9 @@ def triangle_check(p: BelyiPoly) -> bool:
 
 
 def involution_poly(p: BelyiPoly) -> BelyiPoly:
-    """1 - P(1 - x); swaps the roles of 0 and 1."""
-    one_minus_x = PolyQ((1, -1))
-    return _trusted(PolyQ.const(1) - p.poly.compose(one_minus_x))
+    """1 - P(1 - x); swaps the roles of 0 and 1, so the colours and valencies."""
+    flipped = PolyQ.const(1) - p.poly.compose(PolyQ((1, -1)))
+    return _trusted(flipped, Passport(*p.passport[::-1]), p.valencies[::-1])
 
 
 # MAX_FREE_DEGREE bounds free_check by the summed degree of the composites it

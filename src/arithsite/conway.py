@@ -189,19 +189,21 @@ def mul(w1: Word, w2: Word) -> Word:
 def divide_left(y: Word, x: Word) -> Word | None:
     """The unique z with y = mul(z, x), or None; free words only.
 
-    z is the normal word of the class of alpha_y . alpha_x^-1.  If z is free
-    and y normal, mul(z, x) and y are free normal words of one class, and such
-    a word is fixed by its class (primes those of N, indices the digits of
-    rho N), so they are equal; mul returns normal words, so y must be normal.
+    A free z has delta(z) delta(x) = delta(y): its primes are y's letter primes
+    less x's, of product P, and its class alpha_y . alpha_x^-1 is (1/P, rho) with
+    rho P = rho_y P - rho_x, an integer whose digits are z's indices.  Then
+    mul(z, x) and y are free normal words of one class, and such a word is fixed
+    by its class, so they are equal; mul returns normal words, so y must be normal.
     """
     if not (is_free(y) and is_free(x)):
         raise ValueError("outside monoid C")
-    if not is_normal(y):
+    primes = Counter(l.p for l in y)
+    primes.subtract(l.p for l in x)
+    if not is_normal(y) or min(primes.values(), default=0) < 0:
         return None
-    cy, cx = word_to_class(y), word_to_class(x)
-    a = cy.m / cx.m
-    z = class_to_word(PicClass(a, cy.rho - a * cx.rho))
-    return z if is_free(z) else None
+    big_p = prod(primes.elements())
+    r = word_to_class(y).rho * big_p - word_to_class(x).rho
+    return _normal_word(r.numerator, sorted(primes.elements()), []) if r.denominator == 1 else None
 
 
 # ---------------------------------------------------------------------------

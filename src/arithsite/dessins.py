@@ -218,12 +218,15 @@ def compose(t: FramedDessin, t2: FramedDessin) -> FramedDessin:
     return _trusted(t.n * m, tuple(alpha), tuple(beta), e0 * m + f0, e1 * m + f1)
 
 
-def passport_compose_predict(anat: Anatomy, p2: Passport, d2: int) -> Passport:
-    """Predicted passport of compose(T, T2) from T's anatomy and T2's passport."""
-    black = list(anat.head.black + anat.body.black + anat.tail.black) * d2
-    black += [anat.valency0 * part for part in p2.black]
-    white = list(anat.head.white + anat.body.white + anat.tail.white) * d2
-    white += [anat.valency1 * part for part in p2.white]
+def compose_passport(p: Passport, v0: int, v1: int, p2: Passport, d2: int) -> Passport:
+    """The passport of f o g, for f of passport p and marked valencies v0, v1, and g
+    of passport p2 and degree d2: f's other vertices lift d2 times, the marked ones
+    to g's vertices, times v0 or v1.  Dessins and belyi share this law."""
+    black, white = list(p.black), list(p.white)
+    black.remove(v0)
+    white.remove(v1)
+    black = black * d2 + [v0 * part for part in p2.black]
+    white = white * d2 + [v1 * part for part in p2.white]
     return Passport(_parts(black), _parts(white))
 
 

@@ -16,11 +16,11 @@ from itertools import zip_longest
 from math import gcd, lcm
 
 # MAX_EXACT_DEGREE caps the degree of the exact polynomials built from user
-# input: each term of parse_poly, the composites of arboreal and belyi.b_dk
-# (and the dessin of the same degree, dessins.e_dessin).  On a 2-core Xeon
-# host the exact composite and its squarefree check took 0.08 s together at
-# degree 512 (d = 8), 0.22 s at degree 729 (d = 3) and 4.2 s at degree 2187
-# (d = 3): cost climbs steeply with the degree.
+# input: each term of parse_poly and belyi.b_dk (and the dessin of the same
+# degree, dessins.e_dessin), and arboreal.composite, the tests' oracle.  On a
+# 2-core Xeon host a composite and its squarefree check took 0.08 s together
+# at degree 512 (d = 8), 0.22 s at degree 729 (d = 3) and 4.2 s at degree
+# 2187 (d = 3): cost climbs steeply with the degree.
 MAX_EXACT_DEGREE = 512
 
 

@@ -12,12 +12,13 @@
   before its closed form: shear-exact meta-commutation and power-free
   cancellation, leftmost-first or on a random schedule.
 - conway.divide_left as it was before its theorem replaced the re-check: it
-  confirms each quotient with mul.
+  confirms each quotient with mul.  And as it was before delta decided it:
+  the quotient class through class_to_word, which factors its N.
 - The Fraction polynomial kernel that ratpoly.PolyQ ran before it stored
   integer numerators over one denominator: product, composition and division
   on coefficient tuples of Fractions, lowest degree first; PolyQ powers and
   exact divisibility; and the root multiplicity by repeated division by
-  (x - r), which belyi.valency_at ran before it read a coefficient index.
+  (x - r), which belyi's valencies ran before they read a coefficient index.
 - belyi.poly_passport as it was before Riemann-Hurwitz let it take one gcd:
   a full multiplicity chain of P and another of P - 1, each to its end.
 - Primality by trial division, which primes.is_prime ran before the strong
@@ -27,6 +28,8 @@
 - The brute-force sigma_n fiber of Q/Z, random framed trees and a
   frame-anchored canonical relabeling of dessins.
 - dessins.anatomy as it was before one rooted pass replaced it.
+- arboreal.squarefree_level as it was before the chain rule answered it: the
+  exact composite and one gcd with its derivative.
 - The preimage tree with the eight-step Newton polish that arboreal.build_tree
   ran before one step replaced it.
 - A flood-fill count of the eps-clusters of a point set.
@@ -230,6 +233,18 @@ def checked_divide_left(y: cw.Word, x: cw.Word) -> cw.Word | None:
     if cw.mul(z, tuple(x)) != tuple(y):
         return None
     return z
+
+
+def class_divide_left(y: cw.Word, x: cw.Word) -> cw.Word | None:
+    """conway.divide_left as the normal word of the quotient class, free or None."""
+    if not (cw.is_free(y) and cw.is_free(x)):
+        raise ValueError("outside monoid C")
+    if not cw.is_normal(y):
+        return None
+    cy, cx = cw.word_to_class(y), cw.word_to_class(x)
+    a = cy.m / cx.m
+    z = cw.class_to_word(PicClass(a, cy.rho - a * cx.rho))
+    return z if cw.is_free(z) else None
 
 
 def _trim(cs) -> tuple[Fraction, ...]:
@@ -473,6 +488,12 @@ def canonical_form(d: ds.FramedDessin) -> ds.FramedDessin:
     """Frame-anchored canonical relabeling; equal outputs mean framed isomorphism."""
     a2, b2, wf = ds._framed_key(d)
     return ds.FramedDessin(d.n, a2, b2, 0, wf)
+
+
+def exact_squarefree_level(gens, alpha, n: int) -> bool:
+    """Whether the exact level-n composite minus alpha is squarefree, by one gcd."""
+    f = arboreal.composite(gens, n) - PolyQ.const(Fraction(alpha))
+    return poly_gcd(f, f.derivative()).degree == 0
 
 
 def eight_step_tree(gens, alpha, n: int) -> arboreal.ArborealTree:

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -6,9 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arithsite import arboreal, kernels
-from arithsite.belyi import b_dk
+from arithsite.belyi import BelyiPoly, b_dk
 from arithsite.ratpoly import PolyQ, squarefree_part
-from oracles import count_distinct, eight_step_tree, exact_weierstrass_bounds, mpmath_disk_problems
+from oracles import (
+    count_distinct,
+    eight_step_tree,
+    exact_squarefree_level,
+    exact_weierstrass_bounds,
+    mpmath_disk_problems,
+)
 
 B31 = b_dk(3, 1)
 HALF = Fraction(1, 2)
@@ -88,7 +95,25 @@ def test_chain_rule_theorem_against_exact_oracle(case):
     for n in range(1, 7):
         if d**n > 81:
             break
+        assert exact_squarefree_level(gens, alpha, n)
         assert arboreal.squarefree_level(gens, alpha, n)
+
+
+def test_squarefree_level_matches_exact_composite():
+    # 1500 seeded cases: degrees 1-5 (x included), 1-3 generators, depth 1-3,
+    # and alpha at both critical values and off them
+    rng = random.Random(16)
+    alphas = [Fraction(0), Fraction(1), HALF, Fraction(2), Fraction(-3, 7)]
+    answers = []
+    for _ in range(300):
+        d = rng.randint(1, 5)
+        pool = [BelyiPoly(PolyQ.x())] if d == 1 else [b_dk(d, k) for k in range(d)]
+        gens = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        n = rng.randint(1, 3)
+        for alpha in alphas:
+            answers.append(arboreal.squarefree_level(gens, alpha, n))
+            assert answers[-1] == exact_squarefree_level(gens, alpha, n), (gens, alpha, n)
+    assert len(answers) == 1500 and 100 < answers.count(False) < 1000
 
 
 def _matched_error(got, want):
@@ -207,12 +232,14 @@ def test_build_tree_refusals():
     with pytest.raises(ValueError, match="generic"):
         arboreal.build_tree([dipper], Fraction(3, 4), 2)
     # the caps hold before any d^n or exact composite is built: degree 1
-    # keeps d^n = 1 at any depth, and level 6 of B31 has degree 729 > 512
+    # keeps d^n = 1 at any depth, and level 6 of B31 has degree 729 > 512;
+    # squarefree_level builds no composite, so it answers at level 6
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="refusing depth 3000"):
         arboreal.build_tree([BelyiPoly(parse_poly("x"))], HALF, 3000)
+    assert arboreal.squarefree_level([B31], HALF, 6)
     with pytest.raises(ValueError, match="exact degree"):
-        arboreal.squarefree_level([B31], HALF, 6)
+        arboreal.composite([B31], 6)
     with pytest.raises(ValueError, match="exact degree"):
         arboreal.composite([B31], 10**9)
     assert time.perf_counter() - t0 < 1.0

@@ -70,7 +70,8 @@ def test_four_cubic_realizations():
 def test_counts():
     p = b_dk(3, 1)
     assert belyi.black_count(p) == 2 and belyi.white_count(p) == 2
-    assert belyi.valency_at(b_dk(8, 3), 0) == 5
+    assert b_dk(8, 3).valencies == (5, 4)
+    assert BelyiPoly(b_dk(8, 3).poly).valencies == (5, 4)
     assert belyi.black_count(b_dk(7, 0)) == 1
 
 
@@ -109,7 +110,7 @@ def test_white_count_and_valencies_match_oracles():
     comps += [belyi.compose(rng.choice(members), rng.choice(members)) for _ in range(40)]
     for p in members + comps:
         for f in (p, belyi.involution_poly(p)):
-            got = belyi.white_count(f), belyi.valency_at(f, 0), belyi.valency_at(f, 1)
+            got = belyi.white_count(f), *f.valencies
             assert got == _counts_oracle(f), f
 
 
@@ -131,22 +132,27 @@ def test_poly_passport_matches_two_chain_oracle():
 
 
 def test_poly_passport_takes_one_large_gcd(monkeypatch):
-    # b_dk(7, 0) = x^7 is Belyi by theorem and takes no gcd.  The passport
-    # of x^49 takes one: B = x^48 drops the degree by 1, so one black
-    # root of multiplicity 49, and W = 49 is constant, so 49 simple white
-    # roots.  The two full chains of the old passport took 50 gcds, two of
-    # them of degree 49.
+    # b_dk(7, 0) = x^7 and its composite x^49 carry their passports by
+    # theorem and take no gcd.  The passport of a parsed x^49 takes one:
+    # B = x^48 drops the degree by 1, so one black root of multiplicity 49,
+    # and W = 49 is constant, so 49 simple white roots.  The two full chains
+    # of the old passport took 50 gcds, two of them of degree 49.
     degrees = []
 
     def counted(f, g):
         degrees.append(max(f.degree, g.degree))
         return poly_gcd(f, g)
 
+    parsed = BelyiPoly(PolyQ.monomial(1, 49))  # the predicate takes its own gcds
     monkeypatch.setattr(belyi, "poly_gcd", counted)
     monkeypatch.setattr(ratpoly, "poly_gcd", counted)
     passport = belyi.poly_passport(belyi.compose(b_dk(7, 0), b_dk(7, 0)))
     assert passport == ds.Passport((49,), (1,) * 49)
+    assert degrees == []
+    assert belyi.poly_passport(parsed) == passport
     assert degrees == [49]
+    assert belyi.black_count(parsed) == 1 and belyi.white_count(parsed) == 49
+    assert degrees == [49]  # the counts read the cached passport
 
 
 def test_compose_count_check_examples():
@@ -235,6 +241,32 @@ def _old_predicate(p: PolyQ) -> bool:
 
 _BDK = st.integers(2, 7).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d - 1)))
 _SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _chain(draw):
+    """A B_dk followed by up to four compositions or involutions, degree <= 150."""
+    p = b_dk(*draw(_BDK))
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            p = belyi.involution_poly(p)
+            continue
+        q = b_dk(*draw(_BDK)) if draw(st.booleans()) else p
+        if p.degree * q.degree <= 150:
+            p = belyi.compose(p, q) if draw(st.booleans()) else belyi.compose(q, p)
+    return p
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_chain())
+def test_carried_passport_and_valencies_match_gcd_path(p):
+    # b_dk, compose and involution_poly carry their data by theorem; a parsed
+    # polynomial computes it by one gcd, and the two-chain oracle by two chains
+    parsed = BelyiPoly(p.poly)
+    assert p.passport == parsed.passport == oracles.two_chain_poly_passport(p)
+    assert p.valencies == parsed.valencies
+    one = PolyQ.const(1)
+    assert p.valencies == (oracles.root_multiplicity(p.poly, 0), oracles.root_multiplicity(p.poly - one, 1))
 
 
 @st.composite

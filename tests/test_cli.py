@@ -167,8 +167,8 @@ def test_ar_verbs(run):
     assert code == 1 and out == "" and "need n >= 1" in err
     code, out, err = run("ar", "tree", "x", "--alpha", "1/2", "--depth", "3000")
     assert code == 1 and out == "" and "error: refusing depth 3000" in err
-    code, out, err = run("ar", "squarefree", "-2*x^3+3*x^2", "--alpha", "1/2", "--depth", "7")
-    assert code == 1 and out == "" and "error: refusing d^n = 2187 > 512 exact degree" in err
+    # the chain rule answers past the exact composite's degree cap
+    assert run("ar", "squarefree", "-2*x^3+3*x^2", "--alpha", "1/2", "--depth", "7") == (0, "true\n", "")
     # degree-1 rows: one 1x1 companion matrix per level
     code, out, err = run("ar", "tree", "x", "--alpha", "1/2", "--depth", "3")
     levels = json.loads(out)["levels"]
@@ -348,6 +348,11 @@ SEVENS = "*".join(["P[7,0]"] * 6000)
 # 7000 letters P[999999999989,0], a 126 KB argument over one 12-digit prime
 BIG_PRIME = "*".join(["P[999999999989,0]"] * 7000)
 
+# 200 letters P[1000003,1], a 3.6 KB argument; rho could not factor the
+# quotient class's N, a power of 1000003
+MILLION_200 = "*".join(["P[1000003,1]"] * 200)
+MILLION_100 = "*".join(["P[1000003,1]"] * 100)
+
 
 def _largest_primes_below(n: int, count: int, span: int) -> list[int]:
     """The count largest primes below n, ascending, by a sieve of [n - span, n)."""
@@ -452,6 +457,11 @@ BOUNDED = [
     (f"bc presheaf {'*'.join(['P[2,1]'] * 1000)} 10000", None),
     # the count is psi(n), with no fiber built
     (f"bp fiber {2**200 * 3**5} --count", lambda: f"{bp.psi(2**200 * 3**5)}\n"),
+    # the chain rule answers from the generators, with no composite of degree 3^1000000
+    ("ar squarefree x^3 --alpha 0 --depth 1000000", "false\n"),
+    # delta decides the quotient; factoring its N was refused
+    (f"cw divide {MILLION_200} P[2,1]", "none\n"),
+    (f"cw divide {MILLION_200} {MILLION_100}", f"{MILLION_100}\n"),
 ]
 
 
@@ -707,6 +717,8 @@ def _many(strategy, max_size: int = 4):
 
 
 _AR = [_many(_POLYS, 2), _required("--alpha", _FRACS), _required("--depth", _ints(0, 3))]
+# ar squarefree reads the generators' counts, not a composite, at any depth
+_AR_SQUAREFREE = [*_AR[:2], _required("--depth", _ints(0, 10**9))]
 _GRAMMAR = {
     ("bp", "distance"): [_CLASSES, _CLASSES],
     ("bp", "neighbours"): [_CLASSES, _ints(0, 40)],
@@ -746,7 +758,7 @@ _GRAMMAR = {
     ("bc", "rho"): [_ints(0, 40), _FRACS],
     ("bc", "presheaf"): [_WORDS, _ints(0, 50)],
     ("ar", "generic"): [_many(_POLYS, 2), _required("--alpha", _FRACS)],
-    ("ar", "squarefree"): _AR,
+    ("ar", "squarefree"): _AR_SQUAREFREE,
     ("ar", "tree"): _AR,
     ("ar", "dot"): _AR,
     ("pt", "equiv"): [_CHAINS, _CHAINS],

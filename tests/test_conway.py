@@ -11,6 +11,7 @@ from arithsite.conway import Letter
 from arithsite.ratpoly import Mat2Q
 from oracles import (
     checked_divide_left,
+    class_divide_left,
     descent_class_to_word,
     letter_matrix,
     meta_commute,
@@ -209,6 +210,29 @@ def test_divide_left_matches_checked_quotient(z, x):
     for y in (z, cw.normalize(z), z + x, cw.mul(z, x)):
         assert cw.divide_left(y, x) == checked_divide_left(y, x)
     assert cw.divide_left(cw.mul(z, x), x) == cw.normalize(z)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_free_words(6), _free_words(6), _free_words(6))
+def test_divide_left_by_delta_matches_quotient_class(z, x, w):
+    # delta decides what the quotient class through class_to_word decided, on
+    # quotients, on y without x's primes and on y with them but no quotient
+    for y in (cw.normalize(z), cw.mul(z, x), cw.normalize(w), cw.mul(w, z), cw.normalize(z + w + x)):
+        assert cw.divide_left(y, x) == class_divide_left(y, x)
+
+
+def test_divide_left_takes_no_factorization(monkeypatch):
+    # a quotient's primes are y's letter primes less x's, which parse_word proved
+    def refuse(n):
+        raise AssertionError("divide_left factored a number")
+
+    monkeypatch.setattr(cw, "factorize", refuse)
+    big = W("*".join(["P[1000003,1]"] * 200))
+    assert cw.divide_left(big, W("P[2,1]")) is None
+    assert cw.divide_left(big, big[:100]) == big[100:]
+    # x's primes are y's, but rho P is not an integer
+    assert cw.divide_left(W("P[2,1]*P[3,2]*P[5,1]"), W("P[2,1]")) is None
+    assert cw.divide_left(W("P[2,1]*P[3,2]*P[5,1]"), W("P[5,1]")) == W("P[2,1]*P[3,2]")
 
 
 def test_left_cancellative():

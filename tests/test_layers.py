@@ -60,18 +60,42 @@ def test_compose_is_traced_through_the_product(tracing):
     assert not hasattr(ratpoly.PolyQ.__mul__, "__wrapped__")  # bindings restored
 
 
+def test_belyi_compose_takes_one_gcd_per_operation(tracing, monkeypatch):
+    # the composite carries its passport, so of the belyi-compose operation
+    # only compose_count_check takes a gcd, on the composite it builds
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    ops = workloads.BelyiCompose(7, ROOT).round(0)
+    tracer = tracing.Tracer()
+    tracer.install()
+    results = []
+    try:
+        for op in ops:
+            tracer.active = True
+            results.append(op.run())
+            tracer.active = False
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert [op.check(got) for op, got in zip(ops, results)] == [None] * len(ops) == [None] * 36
+    assert tracer.calls["ratpoly.poly_gcd"] == len(ops)
+    assert tracer.calls["ratpoly.multiplicity_counts"] == 0
+    assert tracer.calls["belyi.is_dynamical_belyi"] == 0
+    assert tracer.calls["belyi.compose"] == len(ops)
+    assert tracer.calls["ratpoly.PolyQ.compose"] == 2 * len(ops)
+
+
 # Public names of src/arithsite that nothing in src/ or perfbench/ refers to,
 # each with the reason it stays
 UNCALLED = {
     # perfbench/tracing.py names these in LAYERS strings, not in code
     "ratpoly.primitive_form": "traced layer",
     "ratpoly.squarefree_part": "traced layer",
+    "arboreal.composite": "traced layer",
     # constructs of the paper that the tests and acceptance criteria check
     "belyi.degree_morphism": "the degree morphism to the multiplicative integers",
-    "belyi.valency_at": "the valencies of the marked points 0 and 1",
-    "belyi.white_count": "the white vertex count",
+    "belyi.involution_poly": "the involution 1 - P(1 - x), which swaps 0 and 1",
     "dessins.UNIT": "the unit of dessin composition, the dessin of x",
-    "dessins.passport_compose_predict": "the passport of a composite from its anatomy",
     "points.chain_in_open": "localic open membership of a point",
     "points.chain_to_supernatural": "the supernatural limit of a site-A point",
     "supernatural.mul": "the semigroup product of supernatural numbers",
