@@ -7,3 +7,10 @@ imports nothing, so that each CLI call loads only the modules it uses.
 """
 
 __version__ = "0.1.0"
+
+# Python refuses int <-> str conversions of more than 4300 digits by default.
+# This cap admits every integer that one argument can spell (Linux limits an
+# argv string to 128 KiB); printing an integer this long takes about 0.3 s.
+# cli sets it as the interpreter's limit, and ratpoly.parse_rational refuses
+# a decimal exponent past it, which would build a longer integer.
+MAX_INT_DIGITS = 131072

@@ -81,12 +81,15 @@ def _factor(gens: list[BelyiPoly], k: int) -> BelyiPoly:
 
 
 def genericity_check(gens: list[BelyiPoly], alpha: Fraction) -> bool:
-    """True when no generator maps alpha to 0 or 1."""
+    """True when no generator maps alpha = p/q to 0 or 1.  By the rational root
+    theorem P(p/q) in {0, 1} needs q to divide P's leading integer numerator, so
+    P(p/q), an integer of about q^d over q^d, is evaluated only then."""
     _check_gens(gens)
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    return all(g.poly(alpha) not in (0, 1) for g in gens)
+    q = alpha.denominator
+    return all(g.poly.num[-1] % q or g.poly(alpha) not in (0, 1) for g in gens)
 
 
 def composite(gens: list[BelyiPoly], n: int) -> PolyQ:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import floor, gcd, lcm
 
 from .primes import factorize, is_prime
-from .ratpoly import frac
+from .ratpoly import frac, parse_rational
 
 
 @dataclass(frozen=True)
@@ -169,6 +169,6 @@ def format_class(x: PicClass) -> str:
 def parse_class(text: str) -> PicClass:
     try:
         ms, rs = text.split(":")
-        return PicClass(Fraction(ms), Fraction(rs))
+        return PicClass(parse_rational(ms), parse_rational(rs))
     except (ValueError, ZeroDivisionError) as e:
         raise ValueError(f"bad class literal {text!r}") from e

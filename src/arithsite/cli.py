@@ -11,10 +11,8 @@ import json
 import sys
 from fractions import Fraction
 
-# Python refuses int <-> str conversions of more than 4300 digits by default.
-# This cap admits every integer that one argument can spell (Linux limits an
-# argv string to 128 KiB); printing an integer this long takes about 0.3 s.
-MAX_INT_DIGITS = 131072
+from . import MAX_INT_DIGITS
+
 MAX_ERROR_CHARS = 200  # error messages may echo a whole 128 KiB argument
 
 
@@ -277,6 +275,7 @@ def _run_by(args) -> None:
 
 def _run_bc(args) -> None:
     from . import bostconnes as bc, conway as cw
+    from .ratpoly import parse_rational
 
     if args.verb == "cond3":
         ok = bc.check_condition3(args.n)
@@ -288,10 +287,10 @@ def _run_bc(args) -> None:
         ok = bc.check_condition5(args.p, args.q)
         print(json.dumps({"condition": 5, "p": args.p, "q": args.q, "ok": ok, "cells": args.p * args.q}))
     elif args.verb == "op":
-        x = bc.qz(Fraction(args.x))
+        x = bc.qz(parse_rational(args.x))
         print(bc.operator(cw.letter(args.p, args.i), x))
     elif args.verb == "rho":
-        x = bc.qz(Fraction(args.x))
+        x = bc.qz(parse_rational(args.x))
         print(json.dumps(sorted(str(v) for v in bc.rho(args.p, x))))
     elif args.verb == "presheaf":
         w = cw.parse_word(args.word)
@@ -301,10 +300,10 @@ def _run_bc(args) -> None:
 
 def _run_ar(args) -> None:
     from . import arboreal, belyi
-    from .ratpoly import parse_poly
+    from .ratpoly import parse_poly, parse_rational
 
     gens = [belyi.BelyiPoly(parse_poly(t)) for t in args.polys]
-    alpha = Fraction(args.alpha)
+    alpha = parse_rational(args.alpha)
     if args.verb == "generic":
         _print_bool(arboreal.genericity_check(gens, alpha))
     elif args.verb == "squarefree":

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from math import prod
 
 from . import conway
-from .ratpoly import json_int
+from .ratpoly import json_bool, json_int
 from .supernatural import Supernatural, adele_class_equiv, from_chain
 
 SITES = ("A", "C", "B")
@@ -181,7 +181,7 @@ def from_json(text: str) -> TruncatedChain:
     if not isinstance(obj, dict):
         raise ValueError("a chain is a JSON object")
     site = obj["site"]
-    extend = bool(obj.get("extend", False))
+    extend = json_bool(obj.get("extend", False))
     try:
         if site == "A":
             return TruncatedChain("A", tuple(json_int(e) for e in obj["entries"]), extend)

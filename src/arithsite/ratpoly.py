@@ -15,6 +15,8 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 
+from . import MAX_INT_DIGITS
+
 # MAX_EXACT_DEGREE caps the degree of the exact polynomials built from user
 # input: each term of parse_poly and belyi.b_dk (and the dessin of the same
 # degree, dessins.e_dessin), and arboreal.composite, the tests' oracle.  On a
@@ -33,6 +35,30 @@ def json_int(v) -> int:
     if type(v) is not int:
         raise ValueError(f"JSON field {v!r} is not an integer")
     return v
+
+
+def json_bool(v) -> bool:
+    """A JSON boolean field; numbers and strings are refused."""
+    if type(v) is not bool:
+        raise ValueError(f"JSON field {v!r} is not a boolean")
+    return v
+
+
+# each alternative matches in one way, so a failed match takes linear time
+_RATIONAL_RE = re.compile(r"[+-]?(?:\d+/\d+|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?(\d+))?)")
+
+
+def parse_rational(text: str) -> Fraction:
+    """An integer, p/q, or a decimal with an optional exponent: 3, -2/7, 0.25,
+    1e-3.  Fraction builds 10^|e| before any cap can apply, so an exponent past
+    MAX_INT_DIGITS is refused first."""
+    m = _RATIONAL_RE.fullmatch(text)
+    if m is None:
+        raise ValueError(f"bad rational literal {text!r}")
+    exponent = (m[1] or "").lstrip("0")
+    if len(exponent) > len(str(MAX_INT_DIGITS)) or int(exponent or 0) > MAX_INT_DIGITS:
+        raise ValueError(f"refusing a decimal exponent past {MAX_INT_DIGITS}")
+    return Fraction(text)
 
 
 # ---------------------------------------------------------------------------

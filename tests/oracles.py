@@ -27,7 +27,11 @@
   one affine map: the operators applied one letter at a time.
 - The brute-force sigma_n fiber of Q/Z, random framed trees and a
   frame-anchored canonical relabeling of dessins.
-- dessins.anatomy as it was before one rooted pass replaced it.
+- dessins.anatomy as it was before one rooted pass replaced it, with the
+  head, body and tail passports that its face-walk successor no longer builds.
+- The dessin invariants as they were before the face walk gave them: a
+  breadth-first encoding from each start edge for the framed and unframed
+  keys, and automorphisms by a consistency search from edge 0.
 - arboreal.squarefree_level as it was before the chain rule answered it: the
   exact composite and one gcd with its derivative.
 - The preimage tree with the eight-step Newton polish that arboreal.build_tree
@@ -40,6 +44,7 @@
 
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
@@ -409,7 +414,20 @@ def random_tree_dessin(n_edges: int, rng) -> ds.FramedDessin:
     )
 
 
-def bfs_anatomy(d: ds.FramedDessin) -> ds.Anatomy:
+class SpineAnatomy(NamedTuple):
+    spine: tuple[int, ...]
+    head: ds.Passport
+    body: ds.Passport
+    tail: ds.Passport
+    valency0: int
+    valency1: int
+
+    def ends(self) -> tuple[int, int, int, int]:
+        """What dessins.anatomy returns: the spine's end edges and the valencies."""
+        return self.spine[0], self.spine[-1], self.valency0, self.valency1
+
+
+def bfs_anatomy(d: ds.FramedDessin) -> SpineAnatomy:
     """dessins.anatomy as it was before one rooted pass replaced it: a
     breadth-first search for the spine over tagged vertices, then a flood fill
     of the spine-less forest from each spine vertex."""
@@ -481,12 +499,76 @@ def bfs_anatomy(d: ds.FramedDessin) -> ds.Anatomy:
     head = valencies(lambda v, lab: lab == 0 and v != v0)
     tail = valencies(lambda v, lab: lab == last and v != v1)
     body = valencies(lambda v, lab: 0 < lab < last)
-    return ds.Anatomy(tuple(spine), head, body, tail, len(vertex_edges(v0)), len(vertex_edges(v1)))
+    return SpineAnatomy(tuple(spine), head, body, tail, len(vertex_edges(v0)), len(vertex_edges(v1)))
+
+
+def _encode_from(d: ds.FramedDessin, start: int):
+    """The dessin relabeled in breadth-first order from start, and the labels."""
+    lab = [-1] * d.n
+    lab[start] = 0
+    order = [start]
+    qi = 0
+    while qi < len(order):
+        e = order[qi]
+        qi += 1
+        for nxt in (d.alpha[e], d.beta[e]):
+            if lab[nxt] == -1:
+                lab[nxt] = len(order)
+                order.append(nxt)
+    a2 = [0] * d.n
+    b2 = [0] * d.n
+    for e in range(d.n):
+        a2[lab[e]] = lab[d.alpha[e]]
+        b2[lab[e]] = lab[d.beta[e]]
+    return (tuple(a2), tuple(b2)), lab
+
+
+def bfs_framed_key(d: ds.FramedDessin):
+    """The least encoding from an edge of vertex 0, with vertex 1's least label."""
+    black_cycle = next(c for c in ds.perm_cycles(d.alpha) if d.frame_black in c)
+    white_cycle = next(c for c in ds.perm_cycles(d.beta) if d.frame_white in c)
+    best = None
+    for start in black_cycle:
+        (a2, b2), lab = _encode_from(d, start)
+        key = (a2, b2, min(lab[e] for e in white_cycle))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def bfs_unframed_key(d: ds.FramedDessin):
+    return min(_encode_from(d, start)[0] for start in range(d.n))
+
+
+def search_automorphisms(d: ds.FramedDessin) -> list[tuple[int, ...]]:
+    """All edge permutations commuting with alpha and beta (identity included).
+
+    A map g consistent with both is onto, since its image is closed under
+    alpha and beta, which act transitively on the edges of a tree.
+    """
+    out = []
+    for target in range(d.n):
+        g = [-1] * d.n
+        g[0] = target
+        queue = [0]
+        ok = True
+        while queue and ok:
+            e = queue.pop()
+            for nxt, img in ((d.alpha[e], d.alpha[g[e]]), (d.beta[e], d.beta[g[e]])):
+                if g[nxt] == -1:
+                    g[nxt] = img
+                    queue.append(nxt)
+                elif g[nxt] != img:
+                    ok = False
+                    break
+        if ok:
+            out.append(tuple(g))
+    return out
 
 
 def canonical_form(d: ds.FramedDessin) -> ds.FramedDessin:
     """Frame-anchored canonical relabeling; equal outputs mean framed isomorphism."""
-    a2, b2, wf = ds._framed_key(d)
+    a2, b2, wf = bfs_framed_key(d)
     return ds.FramedDessin(d.n, a2, b2, 0, wf)
 
 

@@ -37,6 +37,19 @@ def test_genericity_failure():
     assert not arboreal.genericity_check([dipper], Fraction(3, 4))
 
 
+def test_genericity_agrees_with_exact_evaluation():
+    # the rational root theorem skips P(p/q) unless q divides the leading numerator
+    from arithsite.ratpoly import parse_poly
+
+    gens = [b_dk(d, k) for d in range(2, 7) for k in range(d)]
+    gens.append(BelyiPoly(parse_poly("16*x^3-24*x^2+9*x")))
+    for g in gens:
+        for q in range(2, 41):
+            for p in range(1, q):
+                alpha = Fraction(p, q)
+                assert arboreal.genericity_check([g], alpha) == (g.poly(alpha) not in (0, 1))
+
+
 def test_squarefree_level_one():
     assert arboreal.squarefree_level([B31], HALF, 1)
     f = arboreal.composite([B31], 1) - PolyQ.const(HALF)

@@ -300,10 +300,16 @@ def test_pt_verbs(run):
         '{"site":"A","entries":["2"]}',
         '{"site":"C","entries":[[[2,true]]]}',
         '{"site":"B","entries":[[0]],"gen_degrees":[2.0]}',
+        '{"site":"A","entries":[2,4],"extend":"no"}',
+        '{"site":"A","entries":[2,4],"extend":1}',
         DEEP,
     ):
         code, out, err = run("pt", "project", bad)
         assert code == 1 and out == "" and err.startswith("error: "), bad
+    # bool() read the string "no" as true, and the chain was extended
+    a = json.dumps({"site": "A", "entries": [3]})
+    assert run("pt", "tail", '{"site":"A","entries":[2,4],"extend":"no"}', a)[0] == 1
+    assert run("pt", "tail", '{"site":"A","entries":[2,4],"extend":false}', a)[1] == "true\n"
     # site-A entries and generator degrees below 1 once answered or divided by zero
     for argv in (
         ("equiv", '{"site":"A","entries":[-2]}', '{"site":"A","entries":[2]}'),
@@ -403,12 +409,19 @@ STAR = ds.e_dessin(ds.MAX_EDGES, 0)
 EDK = ds.e_dessin(ds.MAX_EDGES, ds.MAX_EDGES // 2)
 OVER = ds.FramedDessin(ds.MAX_EDGES + 1, (*range(1, ds.MAX_EDGES + 1), 0), tuple(range(ds.MAX_EDGES + 1)), 0, 0)
 S, E, O = _dessin_arg(STAR), _dessin_arg(EDK), _dessin_arg(OVER)
+# B_{512,256}, the generator at the degree cap, and a 955-digit alpha
+B512 = format_poly(belyi.b_dk(512, 256).poly)
+THIRD_POWER = f"1/{3**2000}"
+ONES_CLASS = "1" * 100000 + "x:0"
 ARG_IDS = {
     S: f"<star of {STAR.n} edges>",
     E: f"<e_dessin of {EDK.n} edges>",
     O: f"<star of {OVER.n} edges>",
     SN_PRIMES: "<2000 primes>",
     ROUGH: "<3^80000+2>",
+    B512: "<B_512,256>",
+    THIRD_POWER: "<1/3^2000>",
+    ONES_CLASS: "<10^5 ones>x:0",
 }
 
 # argv that once ran without bound or failed: each now answers within the
@@ -462,6 +475,19 @@ BOUNDED = [
     # delta decides the quotient; factoring its N was refused
     (f"cw divide {MILLION_200} P[2,1]", "none\n"),
     (f"cw divide {MILLION_200} {MILLION_100}", f"{MILLION_100}\n"),
+    # P(alpha) was evaluated exactly, at about q^d: 17.2 s and 5.7 s; q does
+    # not divide the leading numerator, so no root can be alpha
+    (f"ar generic {B512} --alpha 1e-2000", "true\n"),
+    (f"ar generic {B512} --alpha {THIRD_POWER}", "true\n"),
+    # Fraction built 10^20000000 before any cap: 35 s to refuse
+    ("bc op 2 1 1e-20000000", None),
+    ("bc rho 2 1e-20000000", None),
+    ("bp distance 1e-20000000:0 1:0", None),
+    ("ar generic x --alpha 1e-20000000", None),
+    # the literal grammar is unambiguous, so a failed match takes linear time
+    (f"bp distance 1:0 {ONES_CLASS}", None),
+    # a string-valued extend once read as true
+    ('pt tail {"site":"A","entries":[2,4],"extend":"no"} {"site":"A","entries":[3]}', None),
 ]
 
 
@@ -648,7 +674,7 @@ def _ints(lo: int, hi: int):
 
 _FRACS = _mostly(
     st.builds(lambda a, b: f"{a}/{b}", st.integers(-9, 30), st.integers(1, 30)),
-    st.sampled_from(["x", "1/0", "1e-3", "-", "1", f"1/{10**60 + 7}", "7" * 2000]),
+    st.sampled_from(["x", "1/0", "1e-3", "-", "1", f"1/{10**60 + 7}", "7" * 2000, "1e-20000000"]),
 )
 _CLASSES = _mostly(
     st.builds(lambda a, b, r: f"{a}/{b}:{r}", st.integers(1, 30), st.integers(1, 30), _FRACS),
@@ -696,6 +722,7 @@ _CHAINS = _mostly(
     ),
     st.sampled_from(['{"site":"C","entries":[[[4,0]]]}', '{"site":"B","entries":[[0],[0,0]],"gen_degrees":[0]}',
                      '{"site":"A","entries":[-2]}', '{"site":"A","entries":[2.5,4]}', '{"site":"Z","entries":[]}',
+                     '{"site":"A","entries":[2,4],"extend":"no"}',
                      "[1]", "{}", ""]),
 )
 
@@ -723,7 +750,7 @@ _GRAMMAR = {
     ("bp", "distance"): [_CLASSES, _CLASSES],
     ("bp", "neighbours"): [_CLASSES, _ints(0, 40)],
     ("bp", "fiber"): [_ints(0, 400), _flag("--count")],
-    ("bp", "psi"): [_ints(0, 5000), _flag("--proj")],
+    ("bp", "psi"): [_ints(0, 5000)],
     ("bp", "ball-dot"): [_CLASSES, _many(_ints(0, 12)), _flag("--radius", _ints(0, 4))],
     ("cw", "normalize"): [_WORDS],
     ("cw", "mul"): [_WORDS, _WORDS],

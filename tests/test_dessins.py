@@ -6,7 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from arithsite import dessins as ds
 from arithsite.dessins import FramedDessin, Passport
-from oracles import bfs_anatomy, canonical_form, random_tree_dessin
+from oracles import (
+    bfs_anatomy,
+    bfs_framed_key,
+    bfs_unframed_key,
+    canonical_form,
+    random_tree_dessin,
+    search_automorphisms,
+)
 
 
 def test_validate_single_edge():
@@ -47,38 +54,66 @@ def test_e_dessin_structure():
 
 
 def test_anatomy_of_e_dk():
+    # the paper's head, body and tail are checked on the search oracle, which
+    # still builds them; dessins.anatomy keeps only the spine ends and valencies
     for d, k in ((3, 1), (5, 2), (8, 3)):
-        a = ds.anatomy(ds.e_dessin(d, k))
+        e = ds.e_dessin(d, k)
+        a = bfs_anatomy(e)
         assert a.head == Passport((), (1,) * (d - k - 1))
         assert a.body == Passport((), ())
         assert a.tail == Passport((1,) * k, ())
-        assert a.valency0 == d - k and a.valency1 == k + 1
+        assert ds.anatomy(e) == (0, 0, d - k, k + 1)  # edge 0 is the spine
 
 
 def test_anatomy_single_edge():
-    a = ds.anatomy(ds.UNIT)
+    a = bfs_anatomy(ds.UNIT)
     assert a.spine == (0,)
     assert a.head == a.body == a.tail == Passport((), ())
-    assert a.valency0 == a.valency1 == 1
+    assert ds.anatomy(ds.UNIT) == ds.Anatomy(0, 0, 1, 1)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(1, 40), st.randoms(use_true_random=False))
 def test_anatomy_matches_the_search_oracle(n, rng):
     d = random_tree_dessin(n, rng)
-    assert ds.anatomy(d) == bfs_anatomy(d)
+    assert ds.anatomy(d) == bfs_anatomy(d).ends()
 
 
 def test_anatomy_of_every_e_dk_matches_the_search_oracle():
     for d in range(1, 31):
         for k in range(d):
             e = ds.e_dessin(d, k)
-            assert ds.anatomy(e) == bfs_anatomy(e)
+            assert ds.anatomy(e) == bfs_anatomy(e).ends()
+
+
+def _oracle_pool() -> list[FramedDessin]:
+    """400 random trees of 1 to 9 edges, every e_dessin of degree up to 7, and
+    each of those composed with each of degree up to 4."""
+    rng = random.Random(17)
+    pool = [random_tree_dessin(rng.randrange(1, 10), rng) for _ in range(400)]
+    edk = [ds.e_dessin(d, k) for d in range(1, 8) for k in range(d)]
+    return pool + edk + [ds.compose(a, b) for a in edk for b in edk if b.n <= 4]
+
+
+def test_face_walk_invariants_match_the_oracles():
+    pool = _oracle_pool()
+    framed = [bfs_framed_key(d) for d in pool]
+    unframed = [bfs_unframed_key(d) for d in pool]
+    pairs = 0
+    for i, d in enumerate(pool):
+        assert sorted(ds.automorphisms(d)) == sorted(search_automorphisms(d))
+        assert ds.anatomy(d) == bfs_anatomy(d).ends()
+        for j in range(i + 1, len(pool)):
+            if pool[j].n == d.n:
+                pairs += 1
+                assert ds.framed_iso(d, pool[j]) == (framed[i] == framed[j])
+                assert ds.combinatorial_equiv(d, pool[j]) == (unframed[i] == unframed[j])
+    assert pairs > 10000
 
 
 def test_results_valid_by_theorem_skip_validate(monkeypatch):
-    # compose, involution and e_dessin build trees by theorem, and a map
-    # consistent with alpha and beta is a bijection: none of them re-checks
+    # compose, involution and e_dessin build trees by theorem, and the
+    # automorphisms are powers of the face cycle: none of them re-checks
     t, t2 = random_tree_dessin(6, random.Random(11)), ds.e_dessin(5, 2)
 
     def refuse(d):

@@ -115,19 +115,20 @@ def _references(path: Path, module: str | None) -> set[tuple[str, str]]:
     """(module, name) of each arithsite name that the file at path refers to,
     outside the top-level statement that defines that name."""
     tree = ast.parse(path.read_text())
-    aliases, imported = {}, {}
+    aliases, imported, imported_from_package = {}, {}, set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (mod := _module_of(node)) is not None:
             for a in node.names:
-                if mod == "":
+                if mod == "":  # a submodule, or a name of arithsite/__init__.py
                     aliases[a.asname or a.name] = a.name
+                    imported_from_package.add(a.name)
                 else:
                     imported[a.asname or a.name] = (mod, a.name)
         elif isinstance(node, ast.Import):
             for a in node.names:
                 if a.name.startswith("arithsite.") and a.asname:
                     aliases[a.asname] = a.name.removeprefix("arithsite.")
-    refs = set()
+    refs = {("__init__", name) for name in imported_from_package}
     for stmt in tree.body:
         defined = {t.id for t in ast.walk(stmt) if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)}
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):

@@ -180,6 +180,24 @@ def test_format_parse_roundtrip():
         assert format_poly(parse_poly(text)) == text
 
 
+def test_parse_rational():
+    from arithsite import MAX_INT_DIGITS
+    from arithsite.ratpoly import parse_rational
+
+    for text, want in (("3", 3), ("-2/7", Fraction(-2, 7)), ("0.25", Fraction(1, 4)), ("1e-3", Fraction(1, 1000)),
+                       ("+.5E2", 50), ("7.", 7), ("1e-0000003", Fraction(1, 1000)),
+                       (f"1e-{MAX_INT_DIGITS}", Fraction(1, 10**MAX_INT_DIGITS))):
+        assert parse_rational(text) == want, text
+    for bad in ("", "x", "1/2e3", "1.5/2", " 1/3", "1_000", "e3", "1e", "-", "1/-3"):
+        with pytest.raises(ValueError, match="bad rational literal"):
+            parse_rational(bad)
+    for huge in (f"1e-{MAX_INT_DIGITS + 1}", "2e20000000", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="refusing a decimal exponent"):
+            parse_rational(huge)
+    with pytest.raises(ZeroDivisionError):
+        parse_rational("1/0")
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_poly("x^^2")
