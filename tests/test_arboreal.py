@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from arithsite import arboreal, kernels
 from arithsite.belyi import BelyiPoly, b_dk
-from arithsite.ratpoly import PolyQ, squarefree_part
+from arithsite.ratpoly import PolyQ, parse_poly, squarefree_part
 from oracles import (
     count_distinct,
     eight_step_tree,
@@ -39,8 +39,6 @@ def test_genericity_failure():
 
 def test_genericity_agrees_with_exact_evaluation():
     # the rational root theorem skips P(p/q) unless q divides the leading numerator
-    from arithsite.ratpoly import parse_poly
-
     gens = [b_dk(d, k) for d in range(2, 7) for k in range(d)]
     gens.append(BelyiPoly(parse_poly("16*x^3-24*x^2+9*x")))
     for g in gens:

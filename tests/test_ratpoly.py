@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from arithsite import MAX_INT_DIGITS
 from arithsite.ratpoly import (
     Mat2Q,
     PolyQ,
     format_poly,
     multiplicity_counts,
     parse_poly,
+    parse_rational,
     poly_gcd,
     primitive_form,
     squarefree_part,
@@ -181,9 +183,6 @@ def test_format_parse_roundtrip():
 
 
 def test_parse_rational():
-    from arithsite import MAX_INT_DIGITS
-    from arithsite.ratpoly import parse_rational
-
     for text, want in (("3", 3), ("-2/7", Fraction(-2, 7)), ("0.25", Fraction(1, 4)), ("1e-3", Fraction(1, 1000)),
                        ("+.5E2", 50), ("7.", 7), ("1e-0000003", Fraction(1, 1000)),
                        (f"1e-{MAX_INT_DIGITS}", Fraction(1, 10**MAX_INT_DIGITS))):
