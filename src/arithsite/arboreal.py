@@ -34,8 +34,8 @@ siblings have |z_i - z_m| > R_i + R_m and every radius is finite, and with
 "polish failed at level k" for a non-finite root.  Otherwise each disk holds
 exactly one true preimage of the true parent, so parenthood is exact by
 construction.  R_i is the rho of z_i's children; rho = |alpha - float(alpha)|
-at level 0, exact through Fraction and rounded up.  Siblings are ordered by
-(re, im), and ArborealTree.tol = max(1e-9, largest radius).
+at level 0, exact through Fraction and rounded up.  Siblings sort in complex
+order, (re, im), per group; ArborealTree.tol = max(1e-9, largest radius).
 """
 
 from __future__ import annotations
@@ -136,15 +136,16 @@ def _disk_radii(row: np.ndarray, z: np.ndarray, w: np.ndarray, rho: np.ndarray) 
     """Radii of the sibling groups z (shape (P, d)) of roots of row - w, each w within rho
     of its true parent; None unless all are finite and each group's disks disjoint."""
     d = z.shape[1]
-    eye = np.eye(d, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         resid = np.abs(kernels.horner(row, z) - w[:, None])
         size = kernels.horner(np.abs(row), np.abs(z)) + np.abs(w)[:, None]
-        gaps = np.where(eye, 1.0, np.abs(z[:, :, None] - z[:, None, :]))
+        gaps = np.abs(z[:, :, None] - z[:, None, :])
+        gaps.reshape(-1, d * d)[:, :: d + 1] = 1.0  # the diagonal, out of the product
         den = np.abs(row[-1]) * np.prod(gaps, axis=2) * (1 - 4 * (d + 3) * U)
         radii = d * (resid + 8 * (d + 2) * U * size + rho[:, None]) / den
-        apart = (gaps > radii[:, :, None] + radii[:, None, :]) | eye
-    if not (np.all(np.isfinite(den)) and np.all(np.isfinite(radii)) and np.all(apart)):
+        gaps.reshape(-1, d * d)[:, :: d + 1] = np.inf  # and out of the apartness test
+        apart = (gaps > radii[:, :, None] + radii[:, None, :]).all()
+    if not (np.isfinite(den).all() and np.isfinite(radii).all() and apart):
         return None
     return radii
 
@@ -164,32 +165,28 @@ def build_tree(gens: list[BelyiPoly], alpha, n: int) -> ArborealTree:
     rho = np.array([float(err) if float(err) >= err else np.nextafter(float(err), 1.0)])
     levels = [((w, 0.0, -1),)]
     radii_out = [tuple(rho.tolist())]
-    chain_rows: list[np.ndarray] = []
-    max_residual = 0.0
-    for k in range(1, n + 1):
-        fk = _factor(gens, k).poly
-        row = np.array([c / fk.den for c in fk.num], dtype=np.complex128)
-        chain_rows.append(row)
-        batch = np.tile(row, (len(values), 1))
+    rows = [np.array([c / g.poly.den for c in g.poly.num], dtype=np.complex128) for g in gens]
+    chain = [rows[(k - 1) % len(rows)] for k in range(1, n + 1)]  # row k-1 is B_{i_k}
+    nodes: list[np.ndarray] = []
+    for k, row in enumerate(chain, 1):
+        batch = row[None].repeat(len(values), axis=0)
         batch[:, 0] -= values
         # each child is solved under its own parent, so parenthood is exact
-        parent_of = np.repeat(np.arange(len(values)), d)
-        roots = kernels.dk_batch(batch).reshape(-1)
-        roots = kernels.newton_chain(row, roots, values[parent_of])
-        if not np.all(np.isfinite(roots)):
+        roots = kernels.newton_chain(row, kernels.dk_batch(batch), values[:, None])
+        if not np.isfinite(roots).all():
             raise ValueError(f"polish failed at level {k}: non-finite root")
-        roots = roots[np.lexsort((roots.imag, roots.real, parent_of))]
-        radii = _disk_radii(row, roots.reshape(-1, d), values, rho)
+        roots = np.sort(roots, axis=1)  # complex order: (re, im)
+        radii = _disk_radii(row, roots, values, rho)
         if radii is None:
             raise ValueError(f"sibling disks overlap at level {k}")
-        rho = radii.reshape(-1)
+        rho, values = radii.reshape(-1), roots.reshape(-1)
+        nodes.append(values)
         radii_out.append(tuple(rho.tolist()))
-        residuals = np.abs(kernels.chain_values(np.vstack(chain_rows), roots) - complex(alpha))
-        max_residual = max(max_residual, float(residuals.max()))
-        values = roots
-        levels.append(tuple(zip(roots.real.tolist(), roots.imag.tolist(), parent_of.tolist())))
+        parent_of = np.arange(len(roots)).repeat(d)
+        levels.append(tuple(zip(values.real.tolist(), values.imag.tolist(), parent_of.tolist())))
+    residuals = np.abs(kernels.chain_values(chain, nodes) - complex(alpha))
     tol = max(1e-9, max(max(r) for r in radii_out))
-    return ArborealTree(d, alpha, tol, tuple(levels), max_residual, tuple(radii_out))
+    return ArborealTree(d, alpha, tol, tuple(levels), float(residuals.max(initial=0.0)), tuple(radii_out))
 
 
 def tree_dot(t: ArborealTree) -> str:

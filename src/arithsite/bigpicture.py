@@ -171,4 +171,5 @@ def parse_class(text: str) -> PicClass:
         ms, rs = text.split(":")
         return PicClass(parse_rational(ms), parse_rational(rs))
     except (ValueError, ZeroDivisionError) as e:
-        raise ValueError(f"bad class literal {text!r}") from e
+        cause = f": {e}" if text.count(":") == 1 else ""  # the refusal of a part
+        raise ValueError(f"bad class literal {text!r}{cause}") from e

@@ -4,8 +4,8 @@ The only hot loops in this package are numeric: batched root solves over
 same-degree polynomials (companion-matrix eigenvalues) and one Horner rule
 for the Newton step and chain values, each one vectorised numpy routine.
 The tree builder polishes the backward-stable eigenvalues with one Newton
-step on each level's row (``newton_chain``, a name perfbench traces).  No
-caller needs ``min_pairwise_gap``: perfbench traces it by name.
+step per level (``newton_chain``) and finds every residual in one pass per
+tree (``chain_values``).  ``min_pairwise_gap`` stays only as a traced name.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def dk_batch(coeffs: np.ndarray) -> np.ndarray:
     companion = np.zeros((m, d, d), dtype=np.complex128)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         companion[:, 0, :] = -coeffs[:, -2::-1] / coeffs[:, -1:]
-    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    companion.reshape(m, d * d)[:, d :: d + 1] = 1.0  # the subdiagonal
     return np.linalg.eigvals(companion)
 
 
@@ -53,13 +53,14 @@ def newton_chain(row: np.ndarray, xs: np.ndarray, targets) -> np.ndarray:
         return xs - (horner(row, xs) - targets) / dv
 
 
-def chain_values(chain: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Evaluate the composition chain[0] o ... o chain[-1] at xs (innermost last)."""
-    v = xs.astype(np.complex128)
+def chain_values(chain, levels: list[np.ndarray]) -> np.ndarray:
+    """chain[0] o ... o chain[k] at each point of levels[k], in one pass from the innermost
+    row, which the points of levels[k] join at chain[k]; in the order of np.concatenate(levels)."""
+    v = np.empty(0, dtype=np.complex128)
     # huge points saturate to inf or nan without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for row in chain[::-1]:
-            v = horner(row, v)
+        for row, points in zip(chain[::-1], levels[::-1]):
+            v = horner(row, np.concatenate([points, v]))
     return v
 
 

@@ -35,7 +35,10 @@
 - arboreal.squarefree_level as it was before the chain rule answered it: the
   exact composite and one gcd with its derivative.
 - The preimage tree with the eight-step Newton polish that arboreal.build_tree
-  ran before one step replaced it.
+  ran before one step replaced it.  And its level loop as it was before each
+  level took one (P, d) pass: siblings ordered by lexsort on the flat level,
+  disk radii through an identity mask, and every level's residual found by
+  evaluating the whole chain so far.
 - A flood-fill count of the eps-clusters of a point set.
 - Two checks of the inclusion disks that certify arboreal.build_tree: the
   Weierstrass corrections of level 1 in exact rational arithmetic, and the
@@ -592,6 +595,64 @@ def eight_step_tree(gens, alpha, n: int) -> arboreal.ArborealTree:
         return arboreal.build_tree(gens, alpha, n)
     finally:
         kernels.newton_chain = one_step
+
+
+def _masked_disk_radii(row, z, w, rho):
+    """arboreal._disk_radii with the diagonal of the gaps masked by np.eye."""
+    d = z.shape[1]
+    eye = np.eye(d, dtype=bool)
+    u = arboreal.U
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        resid = np.abs(kernels.horner(row, z) - w[:, None])
+        size = kernels.horner(np.abs(row), np.abs(z)) + np.abs(w)[:, None]
+        gaps = np.where(eye, 1.0, np.abs(z[:, :, None] - z[:, None, :]))
+        den = np.abs(row[-1]) * np.prod(gaps, axis=2) * (1 - 4 * (d + 3) * u)
+        radii = d * (resid + 8 * (d + 2) * u * size + rho[:, None]) / den
+        apart = (gaps > radii[:, :, None] + radii[:, None, :]) | eye
+    if not (np.all(np.isfinite(den)) and np.all(np.isfinite(radii)) and np.all(apart)):
+        return None
+    return radii
+
+
+def per_level_tree(gens, alpha, n: int) -> arboreal.ArborealTree:
+    """build_tree one flat level at a time: siblings sorted by lexsort under
+    their parent, and each level's residual from the whole chain so far."""
+    d = gens[0].degree
+    alpha = Fraction(alpha)
+    w = float(alpha)
+    values = np.array([complex(w)])
+    err = abs(alpha - Fraction(w))
+    rho = np.array([float(err) if float(err) >= err else np.nextafter(float(err), 1.0)])
+    levels = [((w, 0.0, -1),)]
+    radii_out = [tuple(rho.tolist())]
+    chain_rows = []
+    max_residual = 0.0
+    for k in range(1, n + 1):
+        fk = arboreal._factor(gens, k).poly
+        row = np.array([c / fk.den for c in fk.num], dtype=np.complex128)
+        chain_rows.append(row)
+        batch = np.tile(row, (len(values), 1))
+        batch[:, 0] -= values
+        parent_of = np.repeat(np.arange(len(values)), d)
+        roots = kernels.dk_batch(batch).reshape(-1)
+        roots = kernels.newton_chain(row, roots, values[parent_of])
+        if not np.all(np.isfinite(roots)):
+            raise ValueError(f"polish failed at level {k}: non-finite root")
+        roots = roots[np.lexsort((roots.imag, roots.real, parent_of))]
+        radii = _masked_disk_radii(row, roots.reshape(-1, d), values, rho)
+        if radii is None:
+            raise ValueError(f"sibling disks overlap at level {k}")
+        rho = radii.reshape(-1)
+        radii_out.append(tuple(rho.tolist()))
+        v = roots
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r in chain_rows[::-1]:
+                v = kernels.horner(r, v)
+        max_residual = max(max_residual, float(np.abs(v - complex(alpha)).max()))
+        values = roots
+        levels.append(tuple(zip(roots.real.tolist(), roots.imag.tolist(), parent_of.tolist())))
+    tol = max(1e-9, max(max(r) for r in radii_out))
+    return arboreal.ArborealTree(d, alpha, tol, tuple(levels), max_residual, tuple(radii_out))
 
 
 def exact_weierstrass_bounds(gens, tree) -> list[tuple[Fraction, Fraction]]:

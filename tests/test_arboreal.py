@@ -15,6 +15,7 @@ from oracles import (
     exact_squarefree_level,
     exact_weierstrass_bounds,
     mpmath_disk_problems,
+    per_level_tree,
 )
 
 B31 = b_dk(3, 1)
@@ -181,6 +182,45 @@ def test_sibling_order_on_1024_leaves():
         assert parents == [i // 2 for i in range(len(level))]
         for i in range(0, len(level), 2):
             assert level[i][:2] <= level[i + 1][:2]
+
+
+def _tree_or_refusal(build, gens, alpha, n):
+    try:
+        t = build(gens, alpha, n)
+    except ValueError as e:
+        return str(e)
+    return t.degree, t.alpha, t.tol, t.levels, t.radii, repr(t.max_residual)
+
+
+def test_build_tree_equals_the_per_level_loop():
+    # the (P, d) level and the one residual pass per tree give the flat
+    # per-level loop's tree bit for bit: 300 seeded B_{d,k} sequences up to
+    # the leaf cap, and its refusals at the same level with the same text
+    rng = random.Random(18)
+    shapes = []
+    for _ in range(300):
+        d = rng.randint(2, 12)
+        gens = [b_dk(d, rng.randint(0, d - 1)) for _ in range(rng.randint(1, 3))]
+        while True:
+            q = rng.randint(2, 50)
+            alpha = Fraction(rng.randint(1, q - 1), q)
+            if arboreal.genericity_check(gens, alpha):
+                break
+        n = rng.randint(1, max(k for k in range(1, 12) if d**k <= arboreal.MAX_LEAVES))
+        got = _tree_or_refusal(arboreal.build_tree, gens, alpha, n)
+        assert got == _tree_or_refusal(per_level_tree, gens, alpha, n), (gens, alpha, n)
+        shapes.append((d, n))
+    assert len(set(shapes)) > 40 and max(d**n for d, n in shapes) > 1000
+    refusals = {
+        (128, 127, Fraction(1, 3)): "sibling disks overlap at level 1",
+        (100, 50, Fraction(1, 3)): "sibling disks overlap at level 1",
+        (72, 36, Fraction(2, 7)): "sibling disks overlap at level 1",
+        (72, 71, Fraction(2, 7)): "sibling disks overlap at level 1",
+        (512, 256, Fraction(1, 3)): "polish failed at level 1: non-finite root",
+    }
+    for (d, k, alpha), message in refusals.items():
+        for build in (arboreal.build_tree, per_level_tree):
+            assert _tree_or_refusal(build, [b_dk(d, k)], alpha, 1) == message
 
 
 def test_build_tree_depth_four():

@@ -217,6 +217,16 @@ def test_int_digit_cap(run):
         assert err == f"error: refusing an integer of more than {MAX_INT_DIGITS} decimal digits\n"
 
 
+def test_class_literal_refusals_keep_their_cause(run):
+    # a part's refusal by a cap reads as it does where a bare rational is parsed
+    _, _, bare = run("bc", "op", "2", "1", "1e-20000000")
+    code, out, err = run("bp", "distance", "1e-20000000:0", "1:0")
+    assert bare == f"error: refusing a decimal exponent past {MAX_INT_DIGITS}\n"
+    assert (code, out) == (1, "") and err == "error: bad class literal '1e-20000000:0': " + bare[7:]
+    assert run("bp", "distance", "x:0", "1:0")[2] == "error: bad class literal 'x:0': bad rational literal 'x'\n"
+    assert run("bp", "distance", "1:0:3", "1:0")[2] == "error: bad class literal '1:0:3'\n"
+
+
 def _tree_b15_10(run):
     code, poly, _ = run("by", "bdk", "15", "10")
     assert code == 0

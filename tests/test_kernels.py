@@ -84,8 +84,9 @@ def test_newton_chain_polishes():
     polished = kernels.dk_batch(batch).reshape(-1) + 1e-6
     for _ in range(10):
         polished = kernels.newton_chain(row, polished, np.repeat(lvl1, 3))
-    resid = np.abs(kernels.chain_values(chain, polished) - alpha)
-    assert np.max(resid) < 1e-12
+    # level 1 joins the pass at chain[0], level 2 at chain[1]
+    resid = np.abs(kernels.chain_values(chain, [lvl1, polished]) - alpha)
+    assert resid.shape == (12,) and np.max(resid) < 1e-12
 
 
 def test_chain_values_composition_order():
@@ -94,7 +95,18 @@ def test_chain_values_composition_order():
     cube = np.array([0, 0, 0, 1], dtype=np.complex128)  # x^3
     chain = np.vstack([np.pad(sq, (0, 1)), cube])
     x = np.array([2.0 + 0j])
-    assert kernels.chain_values(chain, x)[0] == 64.0  # (2^3)^2
+    assert kernels.chain_values(chain, [np.empty(0), x]).tolist() == [64.0]  # (2^3)^2
+
+
+def test_chain_values_levels_join_at_their_row():
+    # a point of levels[0] is mapped by chain[0] alone, one of levels[1] by
+    # chain[0] o chain[1]; the values come level by level
+    sq = np.array([0, 0, 1, 0], dtype=np.complex128)  # x^2
+    shift = np.array([1, 1, 0, 0], dtype=np.complex128)  # x + 1
+    chain = np.vstack([sq, shift])
+    levels = [np.array([3.0, 1j]), np.array([2.0, -1.0, 1j])]
+    assert kernels.chain_values(chain, levels).tolist() == [9, -1, 9, 0, 2j]
+    assert kernels.chain_values(chain, [np.empty(0), np.empty(0)]).shape == (0,)
 
 
 def test_min_pairwise_gap():

@@ -60,12 +60,10 @@ def test_compose_is_traced_through_the_product(tracing):
     assert not hasattr(ratpoly.PolyQ.__mul__, "__wrapped__")  # bindings restored
 
 
-def test_belyi_compose_takes_one_gcd_per_operation(tracing, monkeypatch):
-    # the composite carries its passport, so of the belyi-compose operation
-    # only compose_count_check takes a gcd, on the composite it builds
+def _traced_round(tracing, monkeypatch, workload: str):
+    """Round 0 of a perfbench workload at seed 7, each operation traced and checked."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    workloads = importlib.import_module("workloads")
-    ops = workloads.BelyiCompose(7, ROOT).round(0)
+    ops = getattr(importlib.import_module("workloads"), workload)(7, ROOT).round(0)
     tracer = tracing.Tracer()
     tracer.install()
     results = []
@@ -77,12 +75,31 @@ def test_belyi_compose_takes_one_gcd_per_operation(tracing, monkeypatch):
     finally:
         tracer.active = False
         tracer.uninstall()
-    assert [op.check(got) for op, got in zip(ops, results)] == [None] * len(ops) == [None] * 36
-    assert tracer.calls["ratpoly.poly_gcd"] == len(ops)
+    assert [op.check(got) for op, got in zip(ops, results)] == [None] * len(ops)
+    return tracer, results
+
+
+def test_belyi_compose_takes_one_gcd_per_operation(tracing, monkeypatch):
+    # the composite carries its passport, so of the belyi-compose operation
+    # only compose_count_check takes a gcd, on the composite it builds
+    tracer, results = _traced_round(tracing, monkeypatch, "BelyiCompose")
+    n = len(results)
+    assert n == 36
+    assert tracer.calls["ratpoly.poly_gcd"] == n
     assert tracer.calls["ratpoly.multiplicity_counts"] == 0
     assert tracer.calls["belyi.is_dynamical_belyi"] == 0
-    assert tracer.calls["belyi.compose"] == len(ops)
-    assert tracer.calls["ratpoly.PolyQ.compose"] == 2 * len(ops)
+    assert tracer.calls["belyi.compose"] == n
+    assert tracer.calls["ratpoly.PolyQ.compose"] == 2 * n
+
+
+def test_preimage_trees_take_one_residual_pass_per_tree(tracing, monkeypatch):
+    # each level takes one root solve and one Newton step on its (P, d)
+    # array; the residuals of all levels come from one chain_values pass
+    tracer, trees = _traced_round(tracing, monkeypatch, "PreimageTrees")
+    depths = sum(len(t.levels) - 1 for t in trees)
+    assert tracer.calls["arboreal.build_tree"] == tracer.calls["kernels.chain_values"] == len(trees)
+    assert tracer.calls["kernels.dk_batch"] == tracer.calls["kernels.newton_chain"] == depths
+    assert tracer.calls["kernels.min_pairwise_gap"] == 0
 
 
 # Public names of src/arithsite that nothing in src/ or perfbench/ refers to,
