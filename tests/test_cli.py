@@ -829,6 +829,93 @@ def test_fuzz_grammar_covers_every_verb():
     assert verbs == set(_GRAMMAR)
 
 
+# the argparse tree of `arithsite`, in order: per group its aliases and help,
+# per verb each argument's option strings (or dest), nargs, type, required and default
+STR, INT, FLAG = (None, None, True, None), (None, int, True, None), (0, None, False, False)
+MANY, MANY_INT = ("+", None, True, None), ("+", int, True, None)
+_AR_SURFACE = [("polys", *MANY), (("--alpha",), None, None, True, None), (("--depth",), None, int, True, None)]
+SURFACE = {
+    "bp": (["bigpicture"], "big picture classes", {
+        "distance": [("x", *STR), ("y", *STR)],
+        "neighbours": [("x", *STR), ("p", *INT)],
+        "fiber": [("n", *INT), (("--count",), *FLAG)],
+        "psi": [("n", *INT)],
+        "ball-dot": [("x", *STR), ("primes", *MANY_INT), (("--radius",), None, int, False, 1)],
+    }),
+    "cw": (["conway"], "Conway monoid words", {
+        "normalize": [("word", *STR)],
+        "mul": [("w1", *STR), ("w2", *STR)],
+        "word2class": [("word", *STR)],
+        "class2word": [("x", *STR)],
+        "delta": [("word", *STR)],
+        "divide": [("y", *STR), ("x", *STR)],
+    }),
+    "sn": (["supernatural"], "supernatural numbers", {
+        "chain": [("entries", *MANY_INT), (("--limit",), *FLAG)],
+        "equiv": [("s", *STR), ("t", *STR)],
+        "divides": [("n", *STR), ("s", *STR)],
+        "lcm": [("s", *STR), ("t", *STR)],
+        "open": [("s", *STR), ("generators", *MANY_INT)],
+    }),
+    "ds": (["dessins"], "framed tree dessins", {
+        "passport": [("d", *STR)],
+        "compose": [("d", *STR), ("d2", *STR)],
+        "iso": [("d", *STR), ("d2", *STR)],
+        "equiv": [("d", *STR), ("d2", *STR)],
+        "auto": [("d", *STR)],
+        "involution": [("d", *STR)],
+        "dot": [("d", *STR)],
+        "monodromy": [("d", *STR)],
+        "edk": [("d", *INT), ("k", *INT)],
+    }),
+    "by": (["belyi"], "dynamical Belyi polynomials", {
+        "bdk": [("d", *INT), ("k", *INT)],
+        "check": [("poly", *STR)],
+        "beta": [("poly", *STR), (("--word",), *FLAG)],
+        "triangle": [("poly", *STR)],
+        "compose-count": [("poly", *STR), ("poly2", *STR)],
+        "free": [("polys", *MANY), (("--maxlen",), None, int, False, 2)],
+    }),
+    "bc": (["bostconnes"], "Bost-Connes checks", {
+        "cond3": [("n", *INT)],
+        "cond4": [("n", *INT), ("m", *INT)],
+        "cond5": [("p", *INT), ("q", *INT)],
+        "op": [("p", *INT), ("i", *INT), ("x", *STR)],
+        "rho": [("p", *INT), ("x", *STR)],
+        "presheaf": [("word", *STR), ("level", *INT)],
+    }),
+    "ar": (["arboreal"], "preimage trees", {
+        "generic": _AR_SURFACE[:2],
+        "squarefree": _AR_SURFACE,
+        "tree": _AR_SURFACE,
+        "dot": _AR_SURFACE,
+    }),
+    "pt": (["points"], "points of the localic covers", {
+        "equiv": [("c1", *STR), ("c2", *STR)],
+        "tail": [("c1", *STR), ("c2", *STR)],
+        "project": [("c", *STR)],
+    }),
+}
+
+
+def test_parser_surface():
+    # the verb-name check above misses a dropped type, default or alias
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {c.dest: c.help for c in action._choices_actions}
+    surface = {}
+    for name, group in _subcommands(parser).items():
+        aliases = [n for n, g in action.choices.items() if g is group and n != name]
+        surface[name] = (aliases, helps[name], {
+            verb: [(tuple(a.option_strings) or a.dest, a.nargs, a.type, a.required, a.default)
+                   for a in p._actions if not isinstance(a, argparse._HelpAction)]
+            for verb, p in _subcommands(group).items()
+        })
+    assert surface == SURFACE
+    # the order of groups and verbs is the order of the usage lines
+    assert [(g, list(v[2])) for g, v in surface.items()] == [(g, list(v[2])) for g, v in SURFACE.items()]
+
+
 def _argv_label(argv) -> str:
     return " ".join(a if len(a) <= 60 else f"<{len(a)} characters>" for a in argv)
 
