@@ -183,7 +183,9 @@ def build_tree(gens: list[BelyiPoly], alpha, n: int) -> ArborealTree:
         nodes.append(values)
         radii_out.append(tuple(rho.tolist()))
         parent_of = np.arange(len(roots)).repeat(d)
-        levels.append(tuple(zip(values.real.tolist(), values.imag.tolist(), parent_of.tolist())))
+        # + 0.0 makes a signed zero, such as the imaginary part of -(-1/3 + 0j), read 0.0
+        re, im = (values.real + 0.0).tolist(), (values.imag + 0.0).tolist()
+        levels.append(tuple(zip(re, im, parent_of.tolist())))
     residuals = np.abs(kernels.chain_values(chain, nodes) - complex(alpha))
     tol = max(1e-9, max(max(r) for r in radii_out))
     return ArborealTree(d, alpha, tol, tuple(levels), float(residuals.max(initial=0.0)), tuple(radii_out))

@@ -170,6 +170,6 @@ def parse_class(text: str) -> PicClass:
     try:
         ms, rs = text.split(":")
         return PicClass(parse_rational(ms), parse_rational(rs))
-    except (ValueError, ZeroDivisionError) as e:
+    except ValueError as e:
         cause = f": {e}" if text.count(":") == 1 else ""  # the refusal of a part
         raise ValueError(f"bad class literal {text!r}{cause}") from e

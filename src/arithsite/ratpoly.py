@@ -51,14 +51,17 @@ _RATIONAL_RE = re.compile(r"[+-]?(?:\d+/\d+|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?(
 def parse_rational(text: str) -> Fraction:
     """An integer, p/q, or a decimal with an optional exponent: 3, -2/7, 0.25,
     1e-3.  Fraction builds 10^|e| before any cap can apply, so an exponent past
-    MAX_INT_DIGITS is refused first."""
+    MAX_INT_DIGITS is refused first; p/0 is refused as a bad literal."""
     m = _RATIONAL_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"bad rational literal {text!r}")
     exponent = (m[1] or "").lstrip("0")
     if len(exponent) > len(str(MAX_INT_DIGITS)) or int(exponent or 0) > MAX_INT_DIGITS:
         raise ValueError(f"refusing a decimal exponent past {MAX_INT_DIGITS}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"bad rational literal {text!r}: zero denominator") from None
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,22 @@ def test_ar_verbs(run):
     assert all(len(lv) == 1 and lv[0]["value"] == [0.5, 0.0] for lv in levels)
 
 
+def test_ar_tree_prints_no_negative_zero(run):
+    # the companion row of x - 1/3 is -(-1/3 + 0j), whose imaginary part is -0.0
+    code, out, err = run("ar", "tree", "x", "--alpha", "1/3", "--depth", "1")
+    assert (code, err) == (0, "") and "-0.0" not in out
+    assert json.loads(out)["levels"][1] == [{"value": [1 / 3, 0.0], "parent": 0}]
+    code, out, err = run("ar", "dot", "x", "--alpha", "1/3", "--depth", "1")
+    assert (code, err) == (0, "") and out.count('label="0.333333+0i"') == 2
+
+
+def test_zero_denominators_are_bad_literals(run):
+    bad = "bad rational literal '1/0': zero denominator\n"
+    assert run("bc", "op", "2", "1", "1/0") == (1, "", "error: " + bad)
+    assert run("ar", "generic", "x", "--alpha", "1/0") == (1, "", "error: " + bad)
+    assert run("bp", "distance", "1:1/0", "1:0") == (1, "", "error: bad class literal '1:1/0': " + bad)
+
+
 def test_ar_tree_refuses_non_finite_roots(run):
     # B_{100,50} - 1/3 is too ill-conditioned for float roots: its Newton
     # polish diverges to NaN, which must exit 1 rather than print a tree
@@ -211,7 +227,9 @@ def test_int_digit_cap(run):
     # both directions of int <-> str stop at the cap, named in plain words
     sevens = "7" * 70000
     for argv in (("bp", "distance", f"{sevens}:0", f"1/{sevens}:0"),
-                 ("ar", "generic", "x", "--alpha", "1" * (MAX_INT_DIGITS + 1))):
+                 ("ar", "generic", "x", "--alpha", "1" * (MAX_INT_DIGITS + 1)),
+                 # the last neighbour, 2M, has one digit past the cap: no line of the list is printed
+                 ("bp", "neighbours", "9" * MAX_INT_DIGITS + ":0", "2")):
         code, out, err = run(*argv)
         assert (code, out) == (1, "")
         assert err == f"error: refusing an integer of more than {MAX_INT_DIGITS} decimal digits\n"

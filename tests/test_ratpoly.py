@@ -193,8 +193,9 @@ def test_parse_rational():
     for huge in (f"1e-{MAX_INT_DIGITS + 1}", "2e20000000", "1e" + "9" * 5000):
         with pytest.raises(ValueError, match="refusing a decimal exponent"):
             parse_rational(huge)
-    with pytest.raises(ZeroDivisionError):
-        parse_rational("1/0")
+    for zero in ("1/0", "-3/000", "0/0"):
+        with pytest.raises(ValueError, match=f"^bad rational literal '{zero}': zero denominator$"):
+            parse_rational(zero)
 
 
 def test_parse_rejects_garbage():
