@@ -329,6 +329,8 @@ def from_json(text: str) -> FramedDessin:
         )
     except TypeError as e:
         raise ValueError(f"bad dessin field: {e}") from e
+    except KeyError as e:
+        raise ValueError(f"missing field {e}") from e
 
 
 def _vertex_maps(d: FramedDessin):

@@ -40,6 +40,10 @@
   disk radii through an identity mask, and every level's residual found by
   evaluating the whole chain so far.
 - A flood-fill count of the eps-clusters of a point set.
+- The points queries as they were before the order facts of the points
+  docstring decided them: interleaving by testing every pair of entries, a
+  periodic extension tested by building its next step, and tail equivalence
+  by a search over every pair of windows of the two continuations.
 - Two checks of the inclusion disks that certify arboreal.build_tree: the
   Weierstrass corrections of level 1 in exact rational arithmetic, and the
   roots of a level's composite to 80 digits with mpmath.
@@ -54,11 +58,13 @@ import numpy as np
 from arithsite import arboreal, kernels
 from arithsite import conway as cw
 from arithsite import dessins as ds
+from arithsite import points as pt
 from arithsite.belyi import BelyiPoly
 from arithsite.bigpicture import PIC_ONE, PicClass, neighbours
 from arithsite.bostconnes import operator, qz, torsion
 from arithsite.primes import factorize
 from arithsite.ratpoly import POLY_ONE, Mat2Q, PolyQ, poly_gcd, primitive_form
+from arithsite.supernatural import adele_class_equiv, from_chain
 
 
 def alpha(x: PicClass) -> Mat2Q:
@@ -744,3 +750,49 @@ def count_distinct(xs: np.ndarray, eps: float) -> int:
                     top += 1
         count += 1
     return count
+
+
+def interleaves(site: str, xs, ys) -> bool:
+    return all(any(pt._geq(site, x, y) for y in ys) for x in xs)
+
+
+def search_chain_equiv(c1: pt.TruncatedChain, c2: pt.TruncatedChain) -> bool:
+    if c1.site != c2.site:
+        raise ValueError("chains live on different sites")
+    return interleaves(c1.site, c1.entries, c2.entries) and interleaves(c1.site, c2.entries, c1.entries)
+
+
+def search_chain_in_open(c: pt.TruncatedChain, target) -> bool:
+    target = int(target) if c.site == "A" else tuple(target)
+    return any(pt._geq(c.site, target, e) for e in c.entries)
+
+
+def nontrivial_extension(c: pt.TruncatedChain) -> bool:
+    if not c.extend:
+        return False
+    return pt._step(c.site, c.entries[-2], c.entries[-1]) != c.entries[-1]
+
+
+def search_tail_equiv(c1: pt.TruncatedChain, c2: pt.TruncatedChain) -> bool:
+    """points.tail_equiv by the window search, with no cap on the steps it builds."""
+    if c1.site != c2.site:
+        raise ValueError("chains live on different sites")
+    e1, e2 = nontrivial_extension(c1), nontrivial_extension(c2)
+    if not e1 and not e2:
+        return True
+    if e1 != e2:
+        return False
+    if c1.site == "A":
+        s1 = from_chain(list(c1.entries), limit=True)
+        s2 = from_chain(list(c2.entries), limit=True)
+        return adele_class_equiv(s1, s2)
+    depth = max(len(c1.entries), len(c2.entries)) + 2
+    m1 = pt._materialize(c1, depth)
+    m2 = pt._materialize(c2, depth + 2)
+    for i in range(len(m1)):
+        for j in range(len(m2)):
+            t1 = m1[i : i + depth]
+            t2 = m2[j : j + depth + 2]
+            if interleaves(c1.site, t1, t2) and interleaves(c1.site, t2[:depth], m1[i:]):
+                return True
+    return False

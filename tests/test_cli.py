@@ -348,6 +348,24 @@ def test_pt_verbs(run):
         assert code == 1 and out == "" and err.startswith("error: ") and "Traceback" not in err, argv
 
 
+def test_missing_json_fields_are_named(run):
+    # a KeyError once printed the bare key, as in `error: 'alpha'`
+    assert run("ds", "passport", '{"n":3}') == (1, "", "error: missing field 'alpha'\n")
+    assert run("ds", "passport", "{}") == (1, "", "error: missing field 'n'\n")
+    assert run("pt", "project", '{"entries":[2]}') == (1, "", "error: missing field 'site'\n")
+    assert run("pt", "project", '{"site":"A"}') == (1, "", "error: missing field 'entries'\n")
+
+
+def test_chain_order_refusals_print_entries(run):
+    # once Python reprs: (Letter(p=3, i=1),) !>= (Letter(p=2, i=0),) and (1,) !>= (0, 0)
+    c = '{"site":"C","entries":[[[3,1]],[[2,0]]]}'
+    assert run("pt", "equiv", c, '{"site":"C","entries":[[[3,1]]]}') == (
+        1, "", "error: chain order violation: P[3,1] !>= P[2,0]\n")
+    b = '{"site":"B","entries":[[1],[0,0]],"gen_degrees":[2]}'
+    assert run("pt", "project", b) == (1, "", "error: chain order violation: [1] !>= [0, 0]\n")
+    assert run("pt", "project", '{"site":"A","entries":[4,2]}') == (1, "", "error: chain order violation: 4 !>= 2\n")
+
+
 def test_domain_error_exit_code(run):
     code, _, err = run("bp", "distance", "junk", "1:0")
     assert code == 1 and "error" in err
@@ -441,6 +459,21 @@ S, E, O = _dessin_arg(STAR), _dessin_arg(EDK), _dessin_arg(OVER)
 B512 = format_poly(belyi.b_dk(512, 256).poly)
 THIRD_POWER = f"1/{3**2000}"
 ONES_CLASS = "1" * 100000 + "x:0"
+
+
+def _chain_arg(site: str, entries, **fields) -> str:
+    """A chain in compact JSON, which has no spaces for BOUNDED to split on."""
+    return json.dumps({"site": site, "entries": entries, **fields}, separators=(",", ":"))
+
+
+A_TWOS = _chain_arg("A", [2] * 20000)
+A_ONES = _chain_arg("A", [1] * 19999 + [2])
+C_TWOS = _chain_arg("C", [[[2, 1]]] * 40 + [[[2, 1], [2, 1]]], extend=True)
+C_THREES = _chain_arg("C", [[[3, 1]]] * 40 + [[[3, 1], [3, 1]]], extend=True)
+C_LONG_STEP = _chain_arg("C", [[], [[999999999989, 1]] * 500], extend=True)
+B_ZEROS = _chain_arg("B", [[0]] * 19999 + [[0, 1]], gen_degrees=[2, 3], extend=True)
+B_ONES = _chain_arg("B", [[1]] * 19999 + [[1, 0]], gen_degrees=[2, 3], extend=True)
+
 ARG_IDS = {
     S: f"<star of {STAR.n} edges>",
     E: f"<e_dessin of {EDK.n} edges>",
@@ -450,6 +483,13 @@ ARG_IDS = {
     B512: "<B_512,256>",
     THIRD_POWER: "<1/3^2000>",
     ONES_CLASS: "<10^5 ones>x:0",
+    A_TWOS: "<A: 2 x 20000>",
+    A_ONES: "<A: 1 x 19999, 2>",
+    C_TWOS: "<C: P[2,1] x 40, P[2,1]^2, extended>",
+    C_THREES: "<C: P[3,1] x 40, P[3,1]^2, extended>",
+    C_LONG_STEP: "<C: e, 500 letters, extended>",
+    B_ZEROS: "<B: [0] x 19999, [0,1], extended>",
+    B_ONES: "<B: [1] x 19999, [1,0], extended>",
 }
 
 # argv that once ran without bound or failed: each now answers within the
@@ -516,6 +556,13 @@ BOUNDED = [
     (f"bp distance 1:0 {ONES_CLASS}", None),
     # a string-valued extend once read as true
     ('pt tail {"site":"A","entries":[2,4],"extend":"no"} {"site":"A","entries":[3]}', None),
+    # interleaving tested every pair of entries (41 s); the deepest entries decide it
+    (f"pt equiv {A_TWOS} {A_ONES}", "true\n"),
+    # the tail search tested every pair of windows (3.5 s)
+    (f"pt tail {C_TWOS} {C_THREES}", "false\n"),
+    # tails past MAX_CHAIN_SIZE: 20500 letters (2.8 s), and about 4*10^8 indices
+    (f"pt tail {C_LONG_STEP} {C_LONG_STEP}", None),
+    (f"pt tail {B_ZEROS} {B_ONES}", None),
 ]
 
 
@@ -743,10 +790,11 @@ _CHAINS = _mostly(
     st.one_of(
         st.builds(lambda es, ext: json.dumps({"site": "A", "entries": es, "extend": ext}),
                   st.lists(st.integers(1, 50), max_size=5), st.booleans()),
-        st.builds(lambda ws: json.dumps({"site": "C", "entries": ws}),
-                  st.lists(st.lists(st.tuples(st.sampled_from((2, 3)), st.integers(0, 2)), max_size=3), max_size=3)),
-        st.builds(lambda es: json.dumps({"site": "B", "entries": es, "gen_degrees": [2, 3]}),
-                  st.lists(st.lists(st.integers(0, 1), max_size=3), max_size=3)),
+        st.builds(lambda ws, ext: json.dumps({"site": "C", "entries": ws, "extend": ext}),
+                  st.lists(st.lists(st.tuples(st.sampled_from((2, 3)), st.integers(0, 2)), max_size=3), max_size=3),
+                  st.booleans()),
+        st.builds(lambda es, ext: json.dumps({"site": "B", "entries": es, "gen_degrees": [2, 3], "extend": ext}),
+                  st.lists(st.lists(st.integers(0, 1), max_size=3), max_size=3), st.booleans()),
     ),
     st.sampled_from(['{"site":"C","entries":[[[4,0]]]}', '{"site":"B","entries":[[0],[0,0]],"gen_degrees":[0]}',
                      '{"site":"A","entries":[-2]}', '{"site":"A","entries":[2.5,4]}', '{"site":"Z","entries":[]}',
