@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import floor
 
-from .conway import Letter, Word, split_normal
+from .conway import Letter, Word, free_value, split_normal
 from .primes import is_prime
 
 # MAX_TORSION caps the torsion a check enumerates: n for condition 3, n*m
@@ -124,17 +124,14 @@ def presheaf_value(w: Word, level: int) -> set[Fraction]:
     The power part only fixes the source torsion group, which for Q/Z is all
     of (1/level)Z/Z since sigma is surjective; the free prefix acts by the
     operator chain.  Operators may refine the level: results live in
-    (1/(level * prod p))Z/Z.  The free letters compose to t -> (t + a)/P:
-    a letter maps (t + a')/P' to ((t + a')/P' + i)/p, and each maps [0, 1)
-    into itself, so no reduction mod 1 intervenes.
+    (1/(level * prod p))Z/Z.  The free letters compose to t -> (t + a)/P, with
+    (a, P) = free_value, and each maps [0, 1) into itself, so no reduction mod 1
+    intervenes.
     """
     if level < 1:
         raise ValueError("need level >= 1")
     _check_torsion(level)
-    free, _power = split_normal(w)
-    a, big_p = 0, 1
-    for l in reversed(free):
-        a, big_p = a + l.i * big_p, big_p * l.p
+    a, big_p = free_value(split_normal(w)[0])
     bits = level * (level * big_p).bit_length()
     if bits > MAX_PRESHEAF_BITS:
         raise ValueError(f"refusing a presheaf value of {bits} bits > {MAX_PRESHEAF_BITS}")

@@ -119,6 +119,14 @@ def word_to_class(w: Word) -> PicClass:
     return PicClass(m, rho)
 
 
+def free_value(w: Word) -> tuple[int, int]:
+    """(N, P) of a free word: P = delta(w), and N = rho_w P < P, its indices' mixed-radix value."""
+    n, big_p = 0, 1
+    for l in w:
+        n, big_p = n * l.p + l.i, big_p * l.p
+    return n, big_p
+
+
 def _primes(n: int) -> list[int]:
     """The primes of n, ascending, with multiplicity."""
     return [p for p, e in sorted(factorize(n).items()) for _ in range(e)]
@@ -190,10 +198,10 @@ def divide_left(y: Word, x: Word) -> Word | None:
     """The unique z with y = mul(z, x), or None; free words only.
 
     A free z has delta(z) delta(x) = delta(y): its primes are y's letter primes
-    less x's, of product P, and its class alpha_y . alpha_x^-1 is (1/P, rho) with
-    rho P = rho_y P - rho_x, an integer whose digits are z's indices.  Then
-    mul(z, x) and y are free normal words of one class, and such a word is fixed
-    by its class, so they are equal; mul returns normal words, so y must be normal.
+    less x's, and N_y = N_x + N_z P_x (free_value), so z's indices are the digits
+    of (N_y - N_x)/P_x, if P_x divides it.  Then mul(z, x) and y are free normal
+    words of one class, and such a word is fixed by its class, so they are equal;
+    mul returns normal words, so y must be normal.
     """
     if not (is_free(y) and is_free(x)):
         raise ValueError("outside monoid C")
@@ -201,9 +209,9 @@ def divide_left(y: Word, x: Word) -> Word | None:
     primes.subtract(l.p for l in x)
     if not is_normal(y) or min(primes.values(), default=0) < 0:
         return None
-    big_p = prod(primes.elements())
-    r = word_to_class(y).rho * big_p - word_to_class(x).rho
-    return _normal_word(r.numerator, sorted(primes.elements()), []) if r.denominator == 1 else None
+    (n_y, _), (n_x, p_x) = free_value(y), free_value(x)
+    r, rem = divmod(n_y - n_x, p_x)
+    return _normal_word(r, sorted(primes.elements()), []) if rem == 0 else None
 
 
 # ---------------------------------------------------------------------------

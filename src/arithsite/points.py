@@ -2,14 +2,32 @@
 
 A point of a localic cover is a descending chain; here chains are finite
 truncations, optionally flagged as extending periodically by the step between
-their last two entries.  Every equivalence query is decided on the finite
-data given: a True is a certificate, a False means "not equivalent at this
-truncation depth".
+their last two entries.  chain_equiv decides the finite chains as given (False
+means "not equivalent at this truncation depth"); tail_equiv decides extended
+chains by their limits, exactly.
 
 Each site's order (divisibility in N on site A, the prefix order of words on
 site B, left division in the Conway monoid on site C) is transitive, so a chain
 xs interleaves ys (each x >= some y) iff xs[-1] >= ys[-1], and antisymmetric,
 so a periodic extension is trivial iff its last two entries are equal.
+
+Limits.  A nontrivial extension of prev >= L continues L, L s, L s s, ... on
+site B (s = L[len(prev):]) and L, u L, u u L, ... on site C (L = u prev).  All
+its tails have its limit, and two tails interleave iff:
+- site A: the limits, supernatural numbers, agree modulo the monoid, as adele
+  classes (n s = m s'), so 2^inf and 3 * 2^inf are equivalent;
+- site B: the limit words L s s s ... are equal, since x >= y iff x is a prefix
+  of y.  Past m = max(|L1|, |L2|) letters they have periods |s1| and |s2|, so
+  they are equal iff their first m + |s1| + |s2| letters agree (Fine and Wilf,
+  Proc. AMS 16, 1965).  So [[0],[0,1]] and [[1],[1,1]] are not equivalent;
+- site C: the limits in the profinite integers Zhat are equal.  With
+  (N_w, P_w) = conway.free_value(w), x >= y iff the ball N_y + P_y Zhat lies in
+  N_x + P_x Zhat.  The balls are open and closed in the compact Zhat, so nested
+  runs of them interleave iff their intersections are equal.  u acts as
+  t -> (t + A_u)/P_u, so N_{u^k L} = N_L + A_u P_L (P_u^k - 1)/(P_u - 1), and the
+  intersection is N_L mod D, for D the part of P_L prime to P_u, times the point
+  r = N_L + A_u P_L/(1 - P_u) of Z_p at each prime p of P_u.  Q embeds in Z_p,
+  so the limits are equal iff the steps' primes, D, N_L mod D and r agree.
 """
 
 from __future__ import annotations
@@ -23,11 +41,6 @@ from .ratpoly import json_bool, json_int
 from .supernatural import Supernatural, adele_class_equiv, from_chain
 
 SITES = ("A", "C", "B")
-# MAX_CHAIN_SIZE caps the letters (site C) or generator indices (site B) that
-# tail_equiv builds for the periodic steps of both chains.  Over the prime
-# 3317044064679887385961813, on a 2-core Xeon host, `pt tail` took at most
-# 1.3 s near the cap and up to 4.8 s near twice the cap.
-MAX_CHAIN_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -91,38 +104,9 @@ def chain_equiv(c1: TruncatedChain, c2: TruncatedChain) -> bool:
     return _geq(c1.site, x, y) and _geq(c1.site, y, x)
 
 
-def _step(site: str, prev, last):
-    """Periodic continuation step derived from the last two entries."""
-    if site == "A":
-        return last * (last // prev)
-    if site == "C":
-        u = conway.divide_left(last, prev)
-        return conway.mul(u, last)
-    return last + last[len(prev) :]
-
-
-def _materialize(c: TruncatedChain, steps: int) -> tuple:
-    entries = list(c.entries)
-    if c.extend:
-        for _ in range(steps):
-            entries.append(_step(c.site, entries[-2], entries[-1]))
-    return tuple(entries)
-
-
-def _built_size(c: TruncatedChain, steps: int) -> int:
-    """Letters or indices of the steps _materialize builds: each adds g more."""
-    last = len(c.entries[-1])
-    g = last - len(c.entries[-2])
-    return steps * last + g * steps * (steps + 1) // 2
-
-
 def tail_equiv(c1: TruncatedChain, c2: TruncatedChain) -> bool:
-    """Whether some tails of the two points interleave.
-
-    All finite points share the empty tail, hence are equivalent (the class
-    of 1).  Extended chains are compared on their periodic continuations; on
-    site A that is exactly the adele-class equivalence of the limits.
-    """
+    """Whether some tails of the two points interleave, by the laws above: finite
+    points share the empty tail (the class of 1), which no extended chain has."""
     if c1.site != c2.site:
         raise ValueError("chains live on different sites")
     e1, e2 = (c.extend and c.entries[-2] != c.entries[-1] for c in (c1, c2))
@@ -134,20 +118,22 @@ def tail_equiv(c1: TruncatedChain, c2: TruncatedChain) -> bool:
         s1 = from_chain(list(c1.entries), limit=True)
         s2 = from_chain(list(c2.entries), limit=True)
         return adele_class_equiv(s1, s2)
-    depth = max(len(c1.entries), len(c2.entries)) + 2
-    size = _built_size(c1, depth) + _built_size(c2, depth + 2)
-    if size > MAX_CHAIN_SIZE:
-        unit = "letters" if c1.site == "C" else "generator indices"
-        raise ValueError(f"refusing tails of {size} {unit} > {MAX_CHAIN_SIZE}")
-    m1 = _materialize(c1, depth)
-    m2 = _materialize(c2, depth + 2)
-    # The windows m1[i:i+depth] and m2[j:j+depth+2] interleave both ways iff
-    # m1[i+depth-1] >= m2[k+2] and m2[k] >= m1[-1], for k = j+depth-1 and ends
-    # clamped to the chains.  Window i = 0 ends highest, and a clamped j asks more.
-    return any(
-        _geq(c1.site, m1[depth - 1], m2[k + 2]) and _geq(c1.site, m2[k], m1[-1])
-        for k in range(depth - 1, len(m2) - 2)
-    )
+    if c1.site == "B":
+        (prev1, l1), (prev2, l2) = c1.entries[-2:], c2.entries[-2:]
+        s1, s2 = l1[len(prev1) :], l2[len(prev2) :]
+        n = max(len(l1), len(l2)) + len(s1) + len(s2)
+        return (l1 + s1 * (n // len(s1)))[:n] == (l2 + s2 * (n // len(s2)))[:n]
+    (key1, num1, den1), (key2, num2, den2) = _class_limit(c1), _class_limit(c2)
+    return key1 == key2 and num1 * den2 == num2 * den1
+
+
+def _class_limit(c: TruncatedChain) -> tuple:
+    """The site-C limit as ((step primes, D, N_L mod D), num, den), r = num/den."""
+    (n_prev, p_prev), (n, p) = (conway.free_value(w) for w in c.entries[-2:])
+    p_u, a_u = p // p_prev, (n - n_prev) // p_prev  # L = u prev
+    primes = {q for q in {l.p for l in c.entries[-1]} if p_u % q == 0}
+    d = prod(l.p for l in c.entries[-1] if l.p not in primes)
+    return (primes, d, n % d), n * (1 - p_u) + a_u * p, 1 - p_u
 
 
 def project(c: TruncatedChain) -> TruncatedChain:

@@ -43,7 +43,10 @@
 - The points queries as they were before the order facts of the points
   docstring decided them: interleaving by testing every pair of entries, a
   periodic extension tested by building its next step, and tail equivalence
-  by a search over every pair of windows of the two continuations.
+  by a search over every pair of windows of the two continuations.  That
+  search never says true where the limits differ, but it can miss equal ones.
+  So tail equivalence has a second, two-sided oracle: deep interleaving of
+  the two continuations.
 - Two checks of the inclusion disks that certify arboreal.build_tree: the
   Weierstrass corrections of level 1 in exact rational arithmetic, and the
   roots of a level's composite to 80 digits with mpmath.
@@ -767,14 +770,34 @@ def search_chain_in_open(c: pt.TruncatedChain, target) -> bool:
     return any(pt._geq(c.site, target, e) for e in c.entries)
 
 
+def step(site: str, prev, last):
+    """Periodic continuation step derived from the last two entries."""
+    if site == "A":
+        return last * (last // prev)
+    if site == "C":
+        u = cw.divide_left(last, prev)
+        return cw.mul(u, last)
+    return last + last[len(prev) :]
+
+
+def materialize(c: pt.TruncatedChain, steps: int) -> tuple:
+    """The entries of c, then `steps` periodic steps if c is extended."""
+    entries = list(c.entries)
+    if c.extend:
+        for _ in range(steps):
+            entries.append(step(c.site, entries[-2], entries[-1]))
+    return tuple(entries)
+
+
 def nontrivial_extension(c: pt.TruncatedChain) -> bool:
     if not c.extend:
         return False
-    return pt._step(c.site, c.entries[-2], c.entries[-1]) != c.entries[-1]
+    return step(c.site, c.entries[-2], c.entries[-1]) != c.entries[-1]
 
 
-def search_tail_equiv(c1: pt.TruncatedChain, c2: pt.TruncatedChain) -> bool:
-    """points.tail_equiv by the window search, with no cap on the steps it builds."""
+def _tail_search(c1: pt.TruncatedChain, c2: pt.TruncatedChain, search) -> bool:
+    """tail_equiv with search(c1, c2) deciding two nontrivially extended site-B
+    or site-C chains."""
     if c1.site != c2.site:
         raise ValueError("chains live on different sites")
     e1, e2 = nontrivial_extension(c1), nontrivial_extension(c2)
@@ -786,9 +809,28 @@ def search_tail_equiv(c1: pt.TruncatedChain, c2: pt.TruncatedChain) -> bool:
         s1 = from_chain(list(c1.entries), limit=True)
         s2 = from_chain(list(c2.entries), limit=True)
         return adele_class_equiv(s1, s2)
+    return search(c1, c2)
+
+
+def deep_tail_equiv(c1: pt.TruncatedChain, c2: pt.TruncatedChain) -> bool:
+    """points.tail_equiv by deep interleaving: each of the first 6 entries of one
+    chain's continuation is >= some entry within 40 steps of the other's, both ways."""
+
+    def above(x, y):
+        return interleaves(x.site, materialize(x, 6)[:6], materialize(y, 40))
+
+    return _tail_search(c1, c2, lambda x, y: above(x, y) and above(y, x))
+
+
+def search_tail_equiv(c1: pt.TruncatedChain, c2: pt.TruncatedChain) -> bool:
+    """points.tail_equiv as the window search decided it, before the limits did."""
+    return _tail_search(c1, c2, _window_search)
+
+
+def _window_search(c1: pt.TruncatedChain, c2: pt.TruncatedChain) -> bool:
     depth = max(len(c1.entries), len(c2.entries)) + 2
-    m1 = pt._materialize(c1, depth)
-    m2 = pt._materialize(c2, depth + 2)
+    m1 = materialize(c1, depth)
+    m2 = materialize(c2, depth + 2)
     for i in range(len(m1)):
         for j in range(len(m2)):
             t1 = m1[i : i + depth]

@@ -473,6 +473,8 @@ C_THREES = _chain_arg("C", [[[3, 1]]] * 40 + [[[3, 1], [3, 1]]], extend=True)
 C_LONG_STEP = _chain_arg("C", [[], [[999999999989, 1]] * 500], extend=True)
 B_ZEROS = _chain_arg("B", [[0]] * 19999 + [[0, 1]], gen_degrees=[2, 3], extend=True)
 B_ONES = _chain_arg("B", [[1]] * 19999 + [[1, 0]], gen_degrees=[2, 3], extend=True)
+B_STEP_ONE = _chain_arg("B", [[0]] * 19999 + [[0, 0]], gen_degrees=[2, 3], extend=True)
+B_STEP_TWO = _chain_arg("B", [[0]] * 19999 + [[0, 0, 0]], gen_degrees=[2, 3], extend=True)
 
 ARG_IDS = {
     S: f"<star of {STAR.n} edges>",
@@ -490,6 +492,8 @@ ARG_IDS = {
     C_LONG_STEP: "<C: e, 500 letters, extended>",
     B_ZEROS: "<B: [0] x 19999, [0,1], extended>",
     B_ONES: "<B: [1] x 19999, [1,0], extended>",
+    B_STEP_ONE: "<B: [0] x 19999, [0,0], extended>",
+    B_STEP_TWO: "<B: [0] x 19999, [0,0,0], extended>",
 }
 
 # argv that once ran without bound or failed: each now answers within the
@@ -560,9 +564,11 @@ BOUNDED = [
     (f"pt equiv {A_TWOS} {A_ONES}", "true\n"),
     # the tail search tested every pair of windows (3.5 s)
     (f"pt tail {C_TWOS} {C_THREES}", "false\n"),
-    # tails past MAX_CHAIN_SIZE: 20500 letters (2.8 s), and about 4*10^8 indices
-    (f"pt tail {C_LONG_STEP} {C_LONG_STEP}", None),
-    (f"pt tail {B_ZEROS} {B_ONES}", None),
+    # the periodic tails were built: 20500 letters (2.8 s), and about 4*10^8
+    # indices; the limits decide them, and steps [0] and [0,0] have one limit
+    (f"pt tail {C_LONG_STEP} {C_LONG_STEP}", "true\n"),
+    (f"pt tail {B_ZEROS} {B_ONES}", "false\n"),
+    (f"pt tail {B_STEP_ONE} {B_STEP_TWO}", "true\n"),
 ]
 
 
