@@ -41,18 +41,16 @@ order, (re, im), per group; ArborealTree.tol = max(1e-9, largest radius).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-import numpy as np
-
-from . import kernels
+from . import MAX_EXACT_DEGREE
 from .belyi import BelyiPoly, black_count, white_count
-from .ratpoly import MAX_EXACT_DEGREE, PolyQ
+from .ratpoly import PolyQ
 
 # Size caps, each on a count that grows as d^n with the depth n.
 # MAX_LEAVES bounds the numeric tree: the leaves of build_tree.
-# MAX_EXACT_DEGREE (from ratpoly) bounds the exact composite of composite,
+# MAX_EXACT_DEGREE (from the package) bounds the exact composite of composite,
 # the tests' oracle for squarefree_level, which builds no composite.
 MAX_LEAVES = 2000
 
@@ -113,28 +111,28 @@ def squarefree_level(gens: list[BelyiPoly], alpha: Fraction, n: int) -> bool:
     return count is None or all(count(g) == d for g in gens[:n])
 
 
-@dataclass(frozen=True)
-class ArborealTree:
-    degree: int
-    alpha: Fraction
-    # every node lies within tol of its true preimage
-    tol: float
-    # per level: list of (re, im, parent index at previous level)
-    levels: tuple[tuple[tuple[float, float, int], ...], ...]
-    max_residual: float
-    # per level: the inclusion radius of each node, in the order of levels
-    radii: tuple[tuple[float, ...], ...]
+class ArborealTree(namedtuple("ArborealTree", "degree alpha tol levels max_residual radii")):
+    """degree, alpha (a Fraction), and tol, within which every node lies of its
+    true preimage; per level, the nodes as (re, im, parent index at the previous
+    level), and each node's inclusion radius in the same order; the largest
+    residual |F_k(node) - alpha|."""
+
+    __slots__ = ()
 
     def leaves(self) -> int:
         return len(self.levels[-1])
 
 
-U = np.finfo(np.float64).eps / 2  # unit roundoff
+U = 2.0**-53  # unit roundoff of float64
 
 
 def _disk_radii(row: np.ndarray, z: np.ndarray, w: np.ndarray, rho: np.ndarray) -> np.ndarray | None:
     """Radii of the sibling groups z (shape (P, d)) of roots of row - w, each w within rho
     of its true parent; None unless all are finite and each group's disks disjoint."""
+    import numpy as np  # only the numeric trees load numpy
+
+    from . import kernels
+
     d = z.shape[1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         resid = np.abs(kernels.horner(row, z) - w[:, None])
@@ -151,6 +149,10 @@ def _disk_radii(row: np.ndarray, z: np.ndarray, w: np.ndarray, rho: np.ndarray) 
 
 
 def build_tree(gens: list[BelyiPoly], alpha, n: int) -> ArborealTree:
+    import numpy as np
+
+    from . import kernels
+
     d = _check_gens(gens)
     alpha = Fraction(alpha)
     if n < 0:

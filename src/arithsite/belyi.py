@@ -17,15 +17,16 @@ alike at 1 (dessins.compose_passport); and the valencies multiply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import count
 from math import comb
 
-from . import conway
+from . import MAX_EXACT_DEGREE, conway
 from .bigpicture import PIC_ONE, PicClass, hyperdistance
 from .dessins import Passport, _parts, compose_passport
-from .ratpoly import MAX_EXACT_DEGREE, PolyQ, format_poly, multiplicity_counts, poly_gcd
+from .primes import is_prime
+from .ratpoly import PolyQ, format_poly, multiplicity_counts, poly_gcd
 
 
 def _roots(f: PolyQ) -> int:
@@ -33,21 +34,38 @@ def _roots(f: PolyQ) -> int:
     return f.degree - poly_gcd(f, f.derivative()).degree
 
 
+@lru_cache(maxsize=1)  # BelyiPoly reads back the counts its predicate call just took
+def _root_counts(p: PolyQ) -> tuple[int, int]:
+    """(#roots(P), #roots(P - 1)), the black and white vertex counts of a Belyi P."""
+    return _roots(p), _roots(p - PolyQ.const(1))
+
+
 def is_dynamical_belyi(p: PolyQ) -> bool:
     if p.degree < 1:
         raise ValueError("need a nonconstant polynomial")
     if p(0) != 0 or p(1) != 1:
         return False
-    return _roots(p) + _roots(p - PolyQ.const(1)) == p.degree + 1
+    return sum(_root_counts(p)) == p.degree + 1
 
 
-@dataclass(frozen=True)
 class BelyiPoly:
-    poly: PolyQ
+    """A dynamical Belyi polynomial: a parsed one passes the predicate and keeps
+    its root counts, and _trusted ones carry their passport and valencies."""
 
-    def __post_init__(self):
-        if not is_dynamical_belyi(self.poly):
+    def __init__(self, poly: PolyQ):
+        if not is_dynamical_belyi(poly):
             raise ValueError("not a dynamical Belyi polynomial")
+        self.poly = poly
+        self.counts = _root_counts(poly)
+
+    def __eq__(self, other):
+        return self.poly == other.poly if isinstance(other, BelyiPoly) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.poly)
+
+    def __repr__(self):
+        return f"BelyiPoly(poly={self.poly!r})"
 
     @property
     def degree(self) -> int:
@@ -55,6 +73,11 @@ class BelyiPoly:
 
     def __str__(self):
         return format_poly(self.poly)
+
+    @cached_property
+    def counts(self) -> tuple[int, int]:
+        """(black, white): the distinct roots of P and of P - 1."""
+        return len(self.passport.black), len(self.passport.white)
 
     @cached_property
     def passport(self) -> Passport:
@@ -116,11 +139,11 @@ def compose(p: BelyiPoly, p2: BelyiPoly) -> BelyiPoly:
 
 
 def black_count(p: BelyiPoly) -> int:
-    return len(p.passport.black)
+    return p.counts[0]
 
 
 def white_count(p: BelyiPoly) -> int:
-    return len(p.passport.white)
+    return p.counts[1]
 
 
 def poly_passport(p: BelyiPoly) -> Passport:
@@ -162,14 +185,30 @@ def involution_poly(p: BelyiPoly) -> BelyiPoly:
     return _trusted(flipped, Passport(*p.passport[::-1]), p.valencies[::-1])
 
 
-# MAX_FREE_DEGREE bounds free_check by the summed degree of the composites it
-# builds, sum_{n <= maxlen} (sum_i deg g_i)^n; on a 2-core Xeon host a total
-# of 7380 took 1.8 s and 87380 took 65 s, about quadratic in the total.
+# MAX_FREE_DEGREE bounds free_check by the summed degree of its words,
+# sum_{n <= maxlen} (sum_i deg g_i)^n: a word's value has about deg log2(q)
+# bits, and only words whose values collide build their composites.  On a
+# 2-core Xeon host one cubic to length 8 (a total of 9840) took 0.7 ms; built
+# composite by composite, as before, it took 13.5 s.
 MAX_FREE_DEGREE = 10**4
 
 
+def _word_poly(generators: list[BelyiPoly], word: tuple[int, ...]) -> PolyQ:
+    """The composite g_{w_1} o ... o g_{w_n} of the word w."""
+    f = PolyQ.x()
+    for i in reversed(word):
+        f = generators[i].poly.compose(f)
+    return f
+
+
 def free_check(generators: list[BelyiPoly], maxlen: int) -> bool:
-    """Distinct words over the generators give distinct composites, up to maxlen."""
+    """Distinct words over the generators give distinct composites, up to maxlen.
+
+    Each word is read first at t = 1/q, inside out: (g o w)(t) = g(w(t)).  The
+    prime q divides no generator's leading numerator or denominator, so w(t)
+    has q-adic valuation -deg w, and distinct values prove distinct composites.
+    Only words whose values collide build their composites and compare them.
+    """
     if len(set(g.poly for g in generators)) != len(generators):
         raise ValueError("generators must be pairwise distinct")
     total = 0
@@ -177,12 +216,16 @@ def free_check(generators: list[BelyiPoly], maxlen: int) -> bool:
         total += sum(g.degree for g in generators) ** n
         if total > MAX_FREE_DEGREE:
             raise ValueError(f"refusing composites of total degree {total} > {MAX_FREE_DEGREE}")
-    seen: set[PolyQ] = set()
-    level = [PolyQ.x()]  # level n extends each level n-1 composite by one factor
+    q = next(q for q in count(3) if is_prime(q) and all(g.poly.num[-1] * g.poly.den % q for g in generators))
+    seen: dict[Fraction, list[tuple[int, ...]]] = {}
+    level = [((), Fraction(1, q))]  # level n puts one factor outside each level n-1 word
     for _ in range(maxlen):
-        level = [f.compose(g.poly) for f in level for g in generators]
-        for f in level:
-            if f in seen:
-                return False
-            seen.add(f)
+        level = [((i, *w), g.poly(t)) for w, t in level for i, g in enumerate(generators)]
+        for w, t in level:
+            earlier = seen.setdefault(t, [])
+            if earlier:
+                f = _word_poly(generators, w)
+                if any(_word_poly(generators, u) == f for u in earlier):
+                    return False
+            earlier.append(w)
     return True

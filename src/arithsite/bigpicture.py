@@ -16,27 +16,24 @@ fibers and the normal words of `conway` are read off these integers
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import floor, gcd, lcm
 
+from .literals import frac, parse_rational
 from .primes import factorize, is_prime
-from .ratpoly import frac, parse_rational
 
 
-@dataclass(frozen=True)
-class PicClass:
-    m: Fraction
-    rho: Fraction
+class PicClass(namedtuple("PicClass", "m rho")):
+    """The class (M, rho): M > 0 and rho reduced into [0, 1), both Fractions."""
 
-    def __post_init__(self):
-        m = frac(self.m)
-        rho = frac(self.rho)
+    __slots__ = ()
+
+    def __new__(cls, m, rho):
+        m, rho = frac(m), frac(rho)
         if m <= 0:
             raise ValueError("class needs M > 0")
-        rho -= floor(rho)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "rho", rho)
+        return tuple.__new__(cls, (m, rho - floor(rho)))
 
     def __str__(self):
         return format_class(self)

@@ -25,7 +25,7 @@ MAX_ERROR_CHARS = 200  # error messages may echo a whole 128 KiB argument
 
 def _import(group: str) -> None:
     # bind the modules that the handlers of group read: a CLI call is mostly
-    # start-up time, so a group imports only its own, and only `ar` needs numpy
+    # start-up time, so a group imports only its own (numpy loads in ar tree/dot)
     global arboreal, bc, belyi, bp, cw, ds, pt, sn, format_poly, parse_poly, parse_rational
     if group == "bp":
         from . import bigpicture as bp
@@ -40,10 +40,11 @@ def _import(group: str) -> None:
         from .ratpoly import format_poly, parse_poly
     elif group == "bc":
         from . import bostconnes as bc, conway as cw
-        from .ratpoly import parse_rational
+        from .literals import parse_rational
     elif group == "ar":
         from . import arboreal, belyi
-        from .ratpoly import parse_poly, parse_rational
+        from .literals import parse_rational
+        from .ratpoly import parse_poly
     elif group == "pt":
         from . import points as pt
 
@@ -156,12 +157,19 @@ def _add_arguments(p: argparse.ArgumentParser, spec: str) -> None:
         p.add_argument(name, **kw)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb or, when `only` is a group's name or alias, of that
+    group's verbs alone: argparse descends into that group only, and the others
+    keep their names, aliases and help for the top-level usage and -h."""
+    if not any(only in (group, alias) for group, (alias, _, _) in GROUPS.items()):
+        only = None
     # -h shows the docstring up to the table format (none under python -OO)
     ap = argparse.ArgumentParser(prog="arithsite", description=(__doc__ or "").partition("\n\nGROUPS")[0])
     groups = ap.add_subparsers(dest="group", required=True)
     for group, (alias, help_text, verbs) in GROUPS.items():
         g = groups.add_parser(group, aliases=[alias], help=help_text)
+        if only not in (None, group, alias):
+            continue
         sub = g.add_subparsers(dest="verb", required=True)
         for verb, (spec, handler) in verbs.items():
             p = sub.add_parser(verb)
@@ -188,7 +196,8 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(MAX_INT_DIGITS)
     # keep argparse from reading leading-minus polynomials as options
     argv = [(" " + a) if _looks_like_poly(a) else a for a in argv]
-    args = build_parser().parse_args(argv)
+    # argv[0] names the group only when it is one; otherwise build every verb
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         _import(args.imports)
         _print(args.handler(args))

@@ -42,8 +42,8 @@ from math import lcm, prod
 from typing import NamedTuple
 
 from .bigpicture import PicClass
+from .literals import json_int
 from .primes import factorize, is_prime
-from .ratpoly import json_int
 
 
 class Letter(NamedTuple):

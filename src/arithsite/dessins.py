@@ -50,10 +50,11 @@ Work on dessins read as JSON is bounded by MAX_EDGES and MAX_MONODROMY_ENTRIES.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from typing import NamedTuple
 
-from .ratpoly import MAX_EXACT_DEGREE, json_int
+from . import MAX_EXACT_DEGREE
+from .literals import json_int
 
 Perm = tuple[int, ...]
 
@@ -83,24 +84,15 @@ def _parts(vals) -> tuple[int, ...]:
     return tuple(sorted(vals, reverse=True))
 
 
-@dataclass(frozen=True)
-class FramedDessin:
-    n: int
-    alpha: Perm
-    beta: Perm
-    frame_black: int
-    frame_white: int
+class FramedDessin(namedtuple("FramedDessin", "n alpha beta frame_black frame_white")):
+    """Its constructor runs validate; _make(values) builds one without it."""
 
-    def __post_init__(self):
-        validate(self)
+    __slots__ = ()
 
-
-def _trusted(*values) -> FramedDessin:
-    """A FramedDessin without validate, for the three results valid by theorem."""
-    out = object.__new__(FramedDessin)
-    for f, v in zip(fields(FramedDessin), values):
-        object.__setattr__(out, f.name, v)
-    return out
+    def __new__(cls, n, alpha, beta, frame_black, frame_white):
+        out = tuple.__new__(cls, (n, alpha, beta, frame_black, frame_white))
+        validate(out)
+        return out
 
 
 def _face_walk(d: FramedDessin) -> tuple[list[int], list[int]]:
@@ -167,7 +159,7 @@ def e_dessin(d: int, k: int) -> FramedDessin:
     white_cycle = [0, *range(d - k, d)]
     for e, nxt in zip(white_cycle, white_cycle[1:] + [0]):
         beta[e] = nxt
-    return _trusted(d, alpha, tuple(beta), 0, 0)
+    return FramedDessin._make((d, alpha, tuple(beta), 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +235,7 @@ def compose(t: FramedDessin, t2: FramedDessin) -> FramedDessin:
         a, b = t.alpha[e] * m, t.beta[e] * m
         alpha += [a + f for f in t2.alpha] if e == e0 else range(a, a + m)
         beta += [b + f for f in t2.beta] if e == e1 else range(b, b + m)
-    return _trusted(t.n * m, tuple(alpha), tuple(beta), e0 * m + f0, e1 * m + f1)
+    return FramedDessin._make((t.n * m, tuple(alpha), tuple(beta), e0 * m + f0, e1 * m + f1))
 
 
 def compose_passport(p: Passport, v0: int, v1: int, p2: Passport, d2: int) -> Passport:
@@ -260,7 +252,7 @@ def compose_passport(p: Passport, v0: int, v1: int, p2: Passport, d2: int) -> Pa
 
 def involution(d: FramedDessin) -> FramedDessin:
     """Swap colours and the 0/1 marks; the 180-degree turn keeps orientations."""
-    return _trusted(d.n, d.beta, d.alpha, d.frame_white, d.frame_black)
+    return FramedDessin._make((d.n, d.beta, d.alpha, d.frame_white, d.frame_black))
 
 
 # MAX_MONODROMY_ENTRIES bounds the entries that monodromy_order stores, n for

@@ -33,52 +33,44 @@ its tails have its limit, and two tails interleave iff:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import prod
 
 from . import conway
-from .ratpoly import json_bool, json_int
+from .literals import json_bool, json_int
 from .supernatural import Supernatural, adele_class_equiv, from_chain
 
 SITES = ("A", "C", "B")
 
 
-@dataclass(frozen=True)
-class TruncatedChain:
-    site: str
-    entries: tuple
-    extend: bool = False
-    gen_degrees: tuple[int, ...] = field(default=())
+class TruncatedChain(namedtuple("TruncatedChain", "site entries extend gen_degrees")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.site not in SITES:
-            raise ValueError(f"unknown site {self.site!r}")
-        entries = tuple(
-            tuple(e) if self.site != "A" else int(e) for e in self.entries
-        )
-        if self.site == "C":
+    def __new__(cls, site: str, entries, extend: bool = False, gen_degrees=()):
+        if site not in SITES:
+            raise ValueError(f"unknown site {site!r}")
+        entries = tuple(tuple(e) if site != "A" else int(e) for e in entries)
+        if site == "C":
             # entries are monoid elements: store their normal forms
-            entries = tuple(
-                conway.normalize(tuple(conway.Letter(p, i) for p, i in e)) for e in entries
-            )
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "gen_degrees", tuple(self.gen_degrees))
-        if self.site == "A" and any(e < 1 for e in entries):
+            entries = tuple(conway.normalize(tuple(conway.Letter(p, i) for p, i in e)) for e in entries)
+        gen_degrees = tuple(gen_degrees)
+        if site == "A" and any(e < 1 for e in entries):
             raise ValueError("site-A entries must be at least 1")
-        if any(g < 1 for g in self.gen_degrees):
+        if any(g < 1 for g in gen_degrees):
             raise ValueError("generator degrees must be at least 1")
         if not entries:
             raise ValueError("chain needs at least one entry")
-        if self.extend and len(entries) < 2:
+        if extend and len(entries) < 2:
             raise ValueError("periodic extension needs at least two entries")
         for a, b in zip(entries, entries[1:]):
-            if not _geq(self.site, a, b):
-                raise ValueError(f"chain order violation: {_format(self.site, a)} !>= {_format(self.site, b)}")
-        if self.site == "B":
+            if not _geq(site, a, b):
+                raise ValueError(f"chain order violation: {_format(site, a)} !>= {_format(site, b)}")
+        if site == "B":
             for e in entries:
                 for idx in e:
-                    if not 0 <= idx < len(self.gen_degrees):
+                    if not 0 <= idx < len(gen_degrees):
                         raise ValueError(f"generator index {idx} out of range")
+        return tuple.__new__(cls, (site, entries, extend, gen_degrees))
 
 
 def _geq(site: str, a, b) -> bool:

@@ -10,58 +10,13 @@ the integer numerators; Fractions appear only at the edges.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 
-from . import MAX_INT_DIGITS
-
-# MAX_EXACT_DEGREE caps the degree of the exact polynomials built from user
-# input: each term of parse_poly and belyi.b_dk (and the dessin of the same
-# degree, dessins.e_dessin), and arboreal.composite, the tests' oracle.  On a
-# 2-core Xeon host a composite and its squarefree check took 0.08 s together
-# at degree 512 (d = 8), 0.22 s at degree 729 (d = 3) and 4.2 s at degree
-# 2187 (d = 3): cost climbs steeply with the degree.
-MAX_EXACT_DEGREE = 512
-
-
-def frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def json_int(v) -> int:
-    """A JSON integer field; floats, strings and booleans are refused."""
-    if type(v) is not int:
-        raise ValueError(f"JSON field {v!r} is not an integer")
-    return v
-
-
-def json_bool(v) -> bool:
-    """A JSON boolean field; numbers and strings are refused."""
-    if type(v) is not bool:
-        raise ValueError(f"JSON field {v!r} is not a boolean")
-    return v
-
-
-# each alternative matches in one way, so a failed match takes linear time
-_RATIONAL_RE = re.compile(r"[+-]?(?:\d+/\d+|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?(\d+))?)")
-
-
-def parse_rational(text: str) -> Fraction:
-    """An integer, p/q, or a decimal with an optional exponent: 3, -2/7, 0.25,
-    1e-3.  Fraction builds 10^|e| before any cap can apply, so an exponent past
-    MAX_INT_DIGITS is refused first; p/0 is refused as a bad literal."""
-    m = _RATIONAL_RE.fullmatch(text)
-    if m is None:
-        raise ValueError(f"bad rational literal {text!r}")
-    exponent = (m[1] or "").lstrip("0")
-    if len(exponent) > len(str(MAX_INT_DIGITS)) or int(exponent or 0) > MAX_INT_DIGITS:
-        raise ValueError(f"refusing a decimal exponent past {MAX_INT_DIGITS}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"bad rational literal {text!r}: zero denominator") from None
+from . import MAX_EXACT_DEGREE
+from .literals import frac
 
 
 # ---------------------------------------------------------------------------
@@ -69,24 +24,19 @@ def parse_rational(text: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Mat2Q:
+class Mat2Q(namedtuple("Mat2Q", "a b c d")):
     """Row-major 2x2 rational matrix [[a, b], [c, d]]."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        for f in ("a", "b", "c", "d"):
-            object.__setattr__(self, f, frac(getattr(self, f)))
+    def __new__(cls, a, b, c, d):
+        return tuple.__new__(cls, (frac(a), frac(b), frac(c), frac(d)))
 
     def det(self) -> Fraction:
         return self.a * self.d - self.b * self.c
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
+        return not any(self)
 
     def __mul__(self, other: "Mat2Q") -> "Mat2Q":
         return Mat2Q(
@@ -102,16 +52,13 @@ class Mat2Q:
             raise ValueError("singular matrix")
         return Mat2Q(self.d / d, -self.b / d, -self.c / d, self.a / d)
 
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
-
 
 def primitive_form(m: Mat2Q) -> tuple[Fraction, tuple[tuple[int, int], tuple[int, int]]]:
     """Unique scale > 0 making scale*m integral with content 1."""
     if m.is_zero():
         raise ValueError("degenerate matrix")
-    den = lcm(*(e.denominator for e in m.entries()))
-    ints = [int(e * den) for e in m.entries()]
+    den = lcm(*(e.denominator for e in m))
+    ints = [int(e * den) for e in m]
     content = gcd(*(abs(v) for v in ints))
     scale = Fraction(den, content)
     a, b, c, d = (v // content for v in ints)

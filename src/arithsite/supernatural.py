@@ -10,7 +10,7 @@ uncountable; everything else is out of reach by construction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .primes import factorize, is_prime
 
@@ -21,28 +21,26 @@ def _exp_ok(e) -> bool:
     return e == INF or (isinstance(e, int) and e >= 0)
 
 
-@dataclass(frozen=True)
-class Supernatural:
+class Supernatural(namedtuple("Supernatural", "exceptions default")):
     """exceptions: sorted tuple of (prime, exponent); default applies elsewhere."""
 
-    exceptions: tuple[tuple[int, object], ...] = ()
-    default: object = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _exp_ok(self.default):
-            raise ValueError(f"bad default exponent {self.default!r}")
+    def __new__(cls, exceptions=(), default=0):
+        if not _exp_ok(default):
+            raise ValueError(f"bad default exponent {default!r}")
         seen = set()
-        for p, e in self.exceptions:
+        for p, e in exceptions:
             if not is_prime(p):
                 raise ValueError(f"exception key {p} is not prime")
             if not _exp_ok(e):
                 raise ValueError(f"bad exponent {e!r} at prime {p}")
-            if e == self.default:
+            if e == default:
                 raise ValueError(f"non-canonical exception {p}^{e} equal to default")
             if p in seen:
                 raise ValueError(f"duplicate prime {p}")
             seen.add(p)
-        object.__setattr__(self, "exceptions", tuple(sorted(self.exceptions)))
+        return tuple.__new__(cls, (tuple(sorted(exceptions)), default))
 
     # -- constructors
 

@@ -21,6 +21,8 @@
   (x - r), which belyi's valencies ran before they read a coefficient index.
 - belyi.poly_passport as it was before Riemann-Hurwitz let it take one gcd:
   a full multiplicity chain of P and another of P - 1, each to its end.
+- belyi.free_check as it was before one rational value per word decided it:
+  every composite built, level by level, and compared.
 - Primality by trial division, which primes.is_prime ran before the strong
   probable-prime test.
 - bostconnes.presheaf_value as it was before the free letters composed to
@@ -362,6 +364,19 @@ def two_chain_poly_passport(p: BelyiPoly) -> ds.Passport:
             ms += [m] * cnt
         parts.append(tuple(sorted(ms, reverse=True)))
     return ds.Passport(*parts)
+
+
+def composite_free_check(generators: list[BelyiPoly], maxlen: int) -> bool:
+    """Distinct words give distinct composites up to maxlen, each composite built."""
+    seen: set[PolyQ] = set()
+    level = [PolyQ.x()]  # level n extends each level n-1 composite by one factor
+    for _ in range(maxlen):
+        level = [f.compose(g.poly) for f in level for g in generators]
+        for f in level:
+            if f in seen:
+                return False
+            seen.add(f)
+    return True
 
 
 def trial_division_is_prime(n: int) -> bool:

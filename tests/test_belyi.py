@@ -152,7 +152,21 @@ def test_poly_passport_takes_one_large_gcd(monkeypatch):
     assert belyi.poly_passport(parsed) == passport
     assert degrees == [49]
     assert belyi.black_count(parsed) == 1 and belyi.white_count(parsed) == 49
-    assert degrees == [49]  # the counts read the cached passport
+    assert degrees == [49]  # the counts are the predicate's
+
+
+def test_parsed_counts_are_the_predicates(monkeypatch):
+    # the predicate counts the roots of P and P - 1; a parsed polynomial keeps
+    # them, so its counts and beta take no further gcd
+    cases = [((d, k), BelyiPoly(b_dk(d, k).poly)) for d, k in ((3, 1), (8, 3), (64, 20))]
+
+    def refuse(f, g):
+        raise AssertionError("a count took a gcd")
+
+    monkeypatch.setattr(belyi, "poly_gcd", refuse)
+    for (d, k), p in cases:
+        assert (belyi.black_count(p), belyi.white_count(p)) == (k + 1, d - k)
+        assert belyi.beta_word(p) == belyi.beta_word(b_dk(d, k))
 
 
 def test_compose_count_check_examples():
@@ -210,6 +224,36 @@ def test_free_check_single_generator():
 def test_free_check_mixed_degrees():
     gens = [b_dk(d, k) for d in (3, 4, 5) for k in range(1, d - 1)]
     assert belyi.free_check(gens, 2)
+
+
+_FREE_POOL = [BelyiPoly(PolyQ.x()), *(b_dk(d, k) for d in (2, 3) for k in range(d)),
+              BelyiPoly(parse_poly("16*x^3-24*x^2+9*x")), BelyiPoly(parse_poly("1/4*x^3+3/4*x^2"))]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_FREE_POOL), min_size=1, max_size=3, unique_by=lambda g: g.poly),
+       st.integers(1, 3))
+def test_free_check_matches_the_composite_oracle(gens, maxlen):
+    # x and the commuting monomials x^2, x^3 make words with equal composites
+    assert belyi.free_check(gens, maxlen) == oracles.composite_free_check(gens, maxlen)
+
+
+def test_free_check_decides_colliding_values_by_their_composites(monkeypatch):
+    # with every word's value equal, each word is compared as a composite
+    free = [b_dk(3, 0), b_dk(3, 1), b_dk(3, 2)]
+    commuting = [b_dk(2, 0), b_dk(3, 0)]
+    monkeypatch.setattr(PolyQ, "__call__", lambda self, x: Fraction(0))
+    assert belyi.free_check(free, 2)
+    assert not belyi.free_check(commuting, 2)
+
+
+def test_free_check_reads_values_not_composites(monkeypatch):
+    # one cubic to length 8 reaches degree 3^8; its values differ, so no composite is built
+    def refuse(self, g):
+        raise AssertionError("free_check built a composite")
+
+    monkeypatch.setattr(PolyQ, "compose", refuse)
+    assert belyi.free_check([b_dk(3, 1)], 8)
 
 
 def test_free_check_rejects_duplicates():

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import functools
 import hashlib
 import importlib
 import json
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import arithsite
-from arithsite import belyi, bigpicture as bp, conway as cw, dessins as ds
+from arithsite import belyi, bigpicture as bp, cli, conway as cw, dessins as ds
 from arithsite.cli import MAX_INT_DIGITS, build_parser, main
 from arithsite.ratpoly import format_poly
 
@@ -503,6 +504,9 @@ ARG_IDS = {
 BOUNDED = [
     ("ds edk 100000000 1", None),
     ("by bdk 100000000 1", None),
+    # every composite, up to degree 3^8, was built: over 11 s under the degree cap;
+    # the words' values at one rational point differ
+    ("by free -2*x^3+3*x^2 --maxlen 8", "true\n"),
     ("bc cond3 100000000", None),
     ("bc cond4 100000 100000", None),
     ("bc cond5 999983 1000003", None),
@@ -694,42 +698,69 @@ IMPORT_PROBE = """\
 import json, sys
 import arithsite.cli as cli
 code = cli.main(json.loads(sys.argv[1]))
-print(json.dumps(sorted(m for m in sys.modules if m == "numpy" or m.startswith("arithsite"))))
+print(json.dumps(sorted(sys.modules)))
 sys.exit(code)
 """
+# the modules of a bare interpreter with json: `site` loads different ones on
+# different machines, so a call's modules are read against these
+BARE_PROBE = "import json, sys; print(json.dumps(sorted(sys.modules)))"
+NUMPY_PROBE = BARE_PROBE.replace("sys;", "sys, numpy;")
 
 
-def _loaded_modules(argv) -> set[str]:
-    """numpy and the arithsite modules in sys.modules after one fresh CLI call."""
+@functools.cache
+def _probe(*args) -> frozenset[str]:
+    """The modules that `python -c args...` prints, with src on the path."""
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)],
-        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, "-c", *args], capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return frozenset(json.loads(proc.stdout.splitlines()[-1]))
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["bp", "psi", "6"],
-        ["cw", "normalize", "P[3,1]*P[2,0]"],
-        ["sn", "chain", "2", "4"],
-        ["ds", "edk", "3", "1"],
-        ["by", "beta", "-2*x^3+3*x^2", "--word"],
-        ["bc", "presheaf", "P[2,1]", "3"],
-        ["pt", "project", '{"site":"A","entries":[2,4]}'],
-        ["ar", "generic", "-2*x^3+3*x^2", "--alpha", "1/2"],
-    ],
-)
+def _loaded_modules(argv) -> frozenset[str]:
+    """The modules that one fresh CLI call loads beyond a bare interpreter."""
+    return _probe(IMPORT_PROBE, json.dumps(argv)) - _probe(BARE_PROBE)
+
+
+CALLS = [
+    ["bp", "psi", "6"],
+    ["cw", "normalize", "P[3,1]*P[2,0]"],
+    ["sn", "chain", "2", "4"],
+    ["ds", "edk", "3", "1"],
+    ["by", "beta", "-2*x^3+3*x^2", "--word"],
+    ["bc", "presheaf", "P[2,1]", "3"],
+    ["pt", "project", '{"site":"A","entries":[2,4]}'],
+    ["ar", "generic", "-2*x^3+3*x^2", "--alpha", "1/2"],
+    ["ar", "squarefree", "-2*x^3+3*x^2", "--alpha", "1/2", "--depth", "2"],
+    ["ar", "tree", "-2*x^3+3*x^2", "--alpha", "1/2", "--depth", "2"],
+    ["ar", "dot", "-2*x^3+3*x^2", "--alpha", "1/2", "--depth", "2"],
+]
+NUMERIC = (["ar", "tree"], ["ar", "dot"])
+
+
+@pytest.mark.parametrize("argv", CALLS)
 def test_only_ar_imports_numpy(argv):
-    assert ("numpy" in _loaded_modules(argv)) == (argv[0] == "ar")
+    # the exact ar verbs, generic and squarefree, load no numpy either
+    assert ("numpy" in _loaded_modules(argv)) == (argv[:2] in NUMERIC)
+
+
+@pytest.mark.parametrize("argv", CALLS, ids=" ".join)
+def test_no_call_imports_dataclasses_or_inspect(argv):
+    loaded = _loaded_modules(argv)
+    if argv[:2] in NUMERIC:  # numpy imports inspect itself
+        loaded -= _probe(NUMPY_PROBE)
+    assert not {"dataclasses", "inspect"} & loaded
+
+
+@pytest.mark.parametrize("argv", [a for a in CALLS if a[0] in ("bp", "cw", "sn", "ds", "bc", "pt")], ids=" ".join)
+def test_exact_groups_skip_the_polynomial_kernel(argv):
+    assert "arithsite.ratpoly" not in _loaded_modules(argv)
 
 
 def test_sn_imports_its_modules_only():
     want = {"arithsite", "arithsite.cli", "arithsite.supernatural", "arithsite.primes"}
-    assert _loaded_modules(["sn", "chain", "2", "4"]) == want
+    assert {m for m in _loaded_modules(["sn", "chain", "2", "4"]) if m.startswith("arithsite")} == want
 
 
 def test_pt_does_not_import_dessins():
@@ -970,22 +1001,50 @@ SURFACE = {
 }
 
 
-def test_parser_surface():
-    # the verb-name check above misses a dropped type, default or alias
-    parser = build_parser()
+def _surface(parser: argparse.ArgumentParser) -> dict:
+    """Per group its aliases, help and verbs, each verb's arguments by option
+    strings (or dest), nargs, type, required and default; {} for a group built
+    without its verbs."""
     action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     helps = {c.dest: c.help for c in action._choices_actions}
     surface = {}
     for name, group in _subcommands(parser).items():
         aliases = [n for n, g in action.choices.items() if g is group and n != name]
+        verbs = _subcommands(group) if any(isinstance(a, argparse._SubParsersAction) for a in group._actions) else {}
         surface[name] = (aliases, helps[name], {
             verb: [(tuple(a.option_strings) or a.dest, a.nargs, a.type, a.required, a.default)
                    for a in p._actions if not isinstance(a, argparse._HelpAction)]
-            for verb, p in _subcommands(group).items()
+            for verb, p in verbs.items()
         })
+    return surface
+
+
+def test_parser_surface():
+    # the verb-name check above misses a dropped type, default or alias
+    surface = _surface(build_parser())
     assert surface == SURFACE
     # the order of groups and verbs is the order of the usage lines
     assert [(g, list(v[2])) for g, v in surface.items()] == [(g, list(v[2])) for g, v in SURFACE.items()]
+
+
+@pytest.mark.parametrize("name", [n for g, (aliases, _, _) in SURFACE.items() for n in (g, *aliases)])
+def test_parser_surface_of_one_group(monkeypatch, capsys, name):
+    # main builds the verbs of argv[0]'s group alone: that group's surface and
+    # help match the full parser's, and the other groups keep name, alias and help
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(build_parser(*a)) or built[-1])
+    with pytest.raises(SystemExit) as e:
+        main([name, "-h"])
+    assert e.value.code == 0
+    group = next(g for g, (aliases, _, _) in SURFACE.items() if name in (g, *aliases))
+    want = {g: (a, h, verbs if g == group else {}) for g, (a, h, verbs) in SURFACE.items()}
+    surface = _surface(built[0])
+    assert surface == want and list(surface) == list(want)
+    assert [list(v[2]) for v in surface.values()] == [list(v[2]) for v in want.values()]
+    one_help = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([name, "-h"])
+    assert capsys.readouterr().out == one_help
 
 
 def _argv_label(argv) -> str:

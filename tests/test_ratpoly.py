@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from arithsite import MAX_INT_DIGITS
+from arithsite.literals import parse_rational
 from arithsite.ratpoly import (
     Mat2Q,
     PolyQ,
     format_poly,
     multiplicity_counts,
     parse_poly,
-    parse_rational,
     poly_gcd,
     primitive_form,
     squarefree_part,
