@@ -20,8 +20,11 @@ MAX_INT_DIGITS = 131072
 
 # MAX_EXACT_DEGREE caps the degree of the exact polynomials built from user
 # input: each term of ratpoly.parse_poly and belyi.b_dk (and the dessin of the
-# same degree, dessins.e_dessin), and arboreal.composite, the tests' oracle.
-# On a 2-core Xeon host a composite and its squarefree check took 0.08 s
-# together at degree 512 (d = 8), 0.22 s at degree 729 (d = 3) and 4.2 s at
-# degree 2187 (d = 3): cost climbs steeply with the degree.
+# same degree, dessins.e_dessin), the composite of belyi.compose_count_check,
+# and arboreal.composite, the tests' oracle.  On a 2-core Xeon host a
+# composite and its squarefree check took 0.05 s together at degree 512
+# (B_{8,3} three times), 0.12 s at degree 729 and 2.2-2.5 s at degree 2187
+# (B_{3,1} six and seven times), the gcd taking most of it: cost climbs
+# steeply with the degree.  The check of `by compose-count` took 0.06 s at
+# degree 512 (B_{32,16} and B_{16,8}) and 28 s at degree 4096 (B_{64,32} twice).
 MAX_EXACT_DEGREE = 512

@@ -91,11 +91,12 @@ def genericity_check(gens: list[BelyiPoly], alpha: Fraction) -> bool:
 
 
 def composite(gens: list[BelyiPoly], n: int) -> PolyQ:
-    """B_{i_1} o ... o B_{i_n} with exact coefficients."""
+    """B_{i_1} o ... o B_{i_n} with exact coefficients, folded from the left (by
+    associativity), so the inner map of each compose is one generator."""
     _check_size(_check_gens(gens), n, MAX_EXACT_DEGREE, "exact degree")
     f = PolyQ.x()
-    for k in range(n, 0, -1):
-        f = _factor(gens, k).poly.compose(f)
+    for k in range(1, n + 1):
+        f = f.compose(_factor(gens, k).poly)
     return f
 
 

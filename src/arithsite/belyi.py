@@ -152,7 +152,10 @@ def poly_passport(p: BelyiPoly) -> Passport:
 
 def compose_count_check(p: BelyiPoly, p2: BelyiPoly) -> bool:
     """Black count of the composition versus deg(P2)(#P^-1(0)-1) + #(P2)^-1(0); the
-    left side takes its own gcd, independent of the passport compose carries."""
+    left side takes its own gcd, independent of the passport compose carries.
+    The composite is exact, so its degree is held to MAX_EXACT_DEGREE."""
+    if p.degree * p2.degree > MAX_EXACT_DEGREE:
+        raise ValueError(f"refusing a composite of degree {p.degree * p2.degree} > {MAX_EXACT_DEGREE}")
     left = _roots(p.poly.compose(p2.poly))
     right = p2.degree * (black_count(p) - 1) + black_count(p2)
     return left == right
@@ -194,10 +197,11 @@ MAX_FREE_DEGREE = 10**4
 
 
 def _word_poly(generators: list[BelyiPoly], word: tuple[int, ...]) -> PolyQ:
-    """The composite g_{w_1} o ... o g_{w_n} of the word w."""
+    """The composite g_{w_1} o ... o g_{w_n} of the word w, folded from the left
+    (by associativity), so the inner map of each compose is one generator."""
     f = PolyQ.x()
-    for i in reversed(word):
-        f = generators[i].poly.compose(f)
+    for i in word:
+        f = f.compose(generators[i].poly)
     return f
 
 

@@ -14,9 +14,7 @@ else with str.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from fractions import Fraction
 
 from . import MAX_INT_DIGITS
 
@@ -25,8 +23,9 @@ MAX_ERROR_CHARS = 200  # error messages may echo a whole 128 KiB argument
 
 def _import(group: str) -> None:
     # bind the modules that the handlers of group read: a CLI call is mostly
-    # start-up time, so a group imports only its own (numpy loads in ar tree/dot)
-    global arboreal, bc, belyi, bp, cw, ds, pt, sn, format_poly, parse_poly, parse_rational
+    # start-up time, so a group imports only its own (numpy loads in ar tree/dot;
+    # the ds and bc handlers print json, and bc presheaf sorts by Fraction)
+    global arboreal, bc, belyi, bp, cw, ds, pt, sn, json, Fraction, format_poly, parse_poly, parse_rational
     if group == "bp":
         from . import bigpicture as bp
     elif group == "cw":
@@ -34,11 +33,16 @@ def _import(group: str) -> None:
     elif group == "sn":
         from . import supernatural as sn
     elif group == "ds":
+        import json
+
         from . import dessins as ds
     elif group == "by":
         from . import belyi, bigpicture as bp, conway as cw
         from .ratpoly import format_poly, parse_poly
     elif group == "bc":
+        import json
+        from fractions import Fraction
+
         from . import bostconnes as bc, conway as cw
         from .literals import parse_rational
     elif group == "ar":

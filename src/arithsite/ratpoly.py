@@ -5,6 +5,15 @@ polynomial is dense: integer numerators, lowest degree first, over one
 positive denominator coprime to their content.  Both forms are canonical, so
 equality and hashing are structural, and all polynomial arithmetic runs on
 the integer numerators; Fractions appear only at the edges.
+
+Composition packs its Horner accumulator into one Python int, coefficient j
+in bits [jk, (j+1)k): the Kronecker substitution x -> 2^k (Kronecker 1882;
+von zur Gathen and Gerhard, Modern Computer Algebra, section 8.4), which maps
+Z[x] into Z as a ring homomorphism.  A Horner step is then a few shifted
+multiples of one integer, and the coefficients are unpacked once, at the
+end.  k is fixed up front from a bound on every output coefficient, by the
+triangle inequality on the Horner recurrence, so no slot can overflow: see
+PolyQ.compose.
 """
 
 from __future__ import annotations
@@ -206,18 +215,40 @@ class PolyQ:
         return _make([k * c for k, c in enumerate(self.num)][1:], self.den)
 
     def compose(self, g: "PolyQ") -> "PolyQ":
-        """self(g(x)) by Horner in integers: with self = sum_k c_k x^k / D of
-        degree n and g = G / E, it is sum_k c_k G^k E^(n-k) / (D E^n)."""
-        if self.degree < 1:
+        """self(g(x)) by Horner on one packed integer: with self = sum_i c_i x^i / D
+        of degree n and g = G / E, it is A / (D E^n), A = sum_i c_i G^i E^(n-i).
+
+        The accumulator holds P(2^k) for the Horner partial P, starting from
+        P = c_n: an exact integer for any k.  A step P -> P G + c_i E^(n-i) adds
+        c_i E^(n-i) to the multiples G_j (acc << jk).  A coefficient of P G is
+        at most max|P| ||G||_1 in absolute value, so by induction every
+        coefficient of A is at most b_0 of the recurrence b_n = |c_n|,
+        b_i = b_{i+1} ||G||_1 + |c_i| E^(n-i).  The slot width k is a multiple
+        of 8 and at least 2 above b_0's bit length, so each coefficient a_j of A
+        has |a_j| < 2^(k-1): the base-2^k digits of A(2^k) + sum_j 2^(k-1) 2^(jk)
+        are the a_j + 2^(k-1), which to_bytes cuts out slot by slot.
+        """
+        n = self.degree
+        if n < 1:
             return self
-        big_g = _make(list(g.num), 1)  # E g; a denominator of 1 leaves num as is
-        acc, e = _make([self.num[-1]], 1), 1
+        norm = sum(map(abs, g.num))
+        bound, e = abs(self.num[-1]), 1
         for c in reversed(self.num[:-1]):
             e *= g.den
-            num = list((acc * big_g).num) or [0]
-            num[0] += c * e
-            acc = _make(num, 1)
-        return _make(list(acc.num), self.den * e)
+            bound = bound * norm + abs(c) * e
+        kb = (bound.bit_length() + 9) >> 3  # bytes per slot
+        k = 8 * kb
+        shifts = [(j * k, gj) for j, gj in enumerate(g.num) if gj]
+        acc, e = self.num[-1], 1
+        for c in reversed(self.num[:-1]):
+            e *= g.den
+            acc = sum([(acc << s) * gj for s, gj in shifts], c * e)
+        slots = n * max(g.degree, 0) + 1  # deg A + 1
+        half = 1 << (k - 1)
+        offset = int.from_bytes(half.to_bytes(kb, "little") * slots, "little")  # half in every slot
+        raw = (acc + offset).to_bytes(kb * slots, "little")
+        num = [int.from_bytes(raw[i : i + kb], "little") - half for i in range(0, len(raw), kb)]
+        return _make(num, self.den * e)
 
     # -- division
 

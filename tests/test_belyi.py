@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from arithsite import belyi, conway as cw, dessins as ds, ratpoly
+from arithsite import arboreal, belyi, conway as cw, dessins as ds, ratpoly
 from arithsite.belyi import BelyiPoly, b_dk
 from arithsite.bigpicture import PIC_ONE, hyperdistance, parse_class
 from arithsite.ratpoly import PolyQ, parse_poly, poly_gcd, squarefree_part
@@ -176,6 +176,29 @@ def test_compose_count_check_examples():
     unit = BelyiPoly(PolyQ.x())
     assert belyi.compose_count_check(p, unit)
     assert belyi.compose_count_check(b_dk(4, 2), b_dk(3, 1))
+
+
+def test_compose_count_check_caps_the_composite_degree():
+    # the check builds its composite exactly: degree 512 is built, 4096 refused
+    assert belyi.compose_count_check(b_dk(32, 16), b_dk(16, 8))
+    with pytest.raises(ValueError, match=r"^refusing a composite of degree 4096 > 512$"):
+        belyi.compose_count_check(b_dk(64, 32), b_dk(64, 32))
+
+
+def test_composites_fold_from_either_side():
+    # by associativity: the left folds of _word_poly and arboreal.composite
+    # equal the right fold g_1 o (g_2 o (... o g_n))
+    gens = [b_dk(3, 1), b_dk(2, 1), BelyiPoly(parse_poly("x^2")), belyi.involution_poly(b_dk(5, 2))]
+    for word in [(0,), (1, 0), (0, 1, 3), (3, 3, 2, 1), (1,) * 7]:
+        right = PolyQ.x()
+        for i in reversed(word):
+            right = gens[i].poly.compose(right)
+        assert belyi._word_poly(gens, word) == right
+    for g in gens:
+        right = PolyQ.x()
+        for _ in range(3):
+            right = g.poly.compose(right)
+        assert arboreal.composite([g], 3) == right
 
 
 def test_beta_morphism_examples():

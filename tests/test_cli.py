@@ -458,6 +458,7 @@ OVER = ds.FramedDessin(ds.MAX_EDGES + 1, (*range(1, ds.MAX_EDGES + 1), 0), tuple
 S, E, O = _dessin_arg(STAR), _dessin_arg(EDK), _dessin_arg(OVER)
 # B_{512,256}, the generator at the degree cap, and a 955-digit alpha
 B512 = format_poly(belyi.b_dk(512, 256).poly)
+B16 = format_poly(belyi.b_dk(16, 8).poly)
 THIRD_POWER = f"1/{3**2000}"
 ONES_CLASS = "1" * 100000 + "x:0"
 
@@ -484,6 +485,7 @@ ARG_IDS = {
     SN_PRIMES: "<2000 primes>",
     ROUGH: "<3^80000+2>",
     B512: "<B_512,256>",
+    B16: "<B_16,8>",
     THIRD_POWER: "<1/3^2000>",
     ONES_CLASS: "<10^5 ones>x:0",
     A_TWOS: "<A: 2 x 20000>",
@@ -555,6 +557,8 @@ BOUNDED = [
     # not divide the leading numerator, so no root can be alpha
     (f"ar generic {B512} --alpha 1e-2000", "true\n"),
     (f"ar generic {B512} --alpha {THIRD_POWER}", "true\n"),
+    # the exact composite would have degree 8192: refused before it is built
+    (f"by compose-count {B512} {B16}", None),
     # Fraction built 10^20000000 before any cap: 35 s to refuse
     ("bc op 2 1 1e-20000000", None),
     ("bc rho 2 1e-20000000", None),
@@ -694,16 +698,17 @@ def test_long_aliases(run, short, long, argv):
     assert run(short, *argv) == (code, out, err)
 
 
+# the probes import nothing that a call might load, so json and fractions count
 IMPORT_PROBE = """\
-import json, sys
+import sys
 import arithsite.cli as cli
-code = cli.main(json.loads(sys.argv[1]))
-print(json.dumps(sorted(sys.modules)))
+code = cli.main(sys.argv[1:])
+print(sorted(sys.modules))
 sys.exit(code)
 """
-# the modules of a bare interpreter with json: `site` loads different ones on
-# different machines, so a call's modules are read against these
-BARE_PROBE = "import json, sys; print(json.dumps(sorted(sys.modules)))"
+# the modules of a bare interpreter: `site` loads different ones on different
+# machines, so a call's modules are read against these
+BARE_PROBE = "import sys; print(sorted(sys.modules))"
 NUMPY_PROBE = BARE_PROBE.replace("sys;", "sys, numpy;")
 
 
@@ -715,12 +720,12 @@ def _probe(*args) -> frozenset[str]:
         [sys.executable, "-c", *args], capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
-    return frozenset(json.loads(proc.stdout.splitlines()[-1]))
+    return frozenset(ast.literal_eval(proc.stdout.splitlines()[-1]))
 
 
 def _loaded_modules(argv) -> frozenset[str]:
     """The modules that one fresh CLI call loads beyond a bare interpreter."""
-    return _probe(IMPORT_PROBE, json.dumps(argv)) - _probe(BARE_PROBE)
+    return _probe(IMPORT_PROBE, *argv) - _probe(BARE_PROBE)
 
 
 CALLS = [
@@ -760,7 +765,11 @@ def test_exact_groups_skip_the_polynomial_kernel(argv):
 
 def test_sn_imports_its_modules_only():
     want = {"arithsite", "arithsite.cli", "arithsite.supernatural", "arithsite.primes"}
-    assert {m for m in _loaded_modules(["sn", "chain", "2", "4"]) if m.startswith("arithsite")} == want
+    loaded = _loaded_modules(["sn", "chain", "2", "4"])
+    assert {m for m in loaded if m.startswith("arithsite")} == want
+    # cli imports json and fractions only for the handlers that use them
+    assert not {"json", "fractions"} & loaded
+    assert "json" not in _loaded_modules(["bp", "fiber", "12", "--count"])
 
 
 def test_pt_does_not_import_dessins():

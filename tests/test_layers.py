@@ -44,7 +44,8 @@ def test_every_layer_has_its_metrics(tracing):
 
 
 def test_compose_is_traced_through_the_product(tracing):
-    # the belyi-compose workload reaches PolyQ.__mul__ only through compose
+    # compose runs Horner on one packed integer and calls no PolyQ product, so
+    # the belyi-compose workload reads 0 PolyQ.__mul__ calls
     p, q = belyi.b_dk(5, 2), belyi.b_dk(4, 1)
     tracer = tracing.Tracer()
     tracer.install()
@@ -56,7 +57,7 @@ def test_compose_is_traced_through_the_product(tracing):
         tracer.uninstall()
     assert tracer.calls["belyi.compose"] == 1
     assert tracer.calls["ratpoly.PolyQ.compose"] == 1
-    assert tracer.calls["ratpoly.PolyQ.__mul__"] > 0
+    assert tracer.calls["ratpoly.PolyQ.__mul__"] == 0
     assert not hasattr(ratpoly.PolyQ.__mul__, "__wrapped__")  # bindings restored
 
 

@@ -231,6 +231,38 @@ def test_integer_kernel_matches_fraction_kernel(f, g, x):
     assert f(x) == sum((c * x**k for k, c in enumerate(f.coeffs)), Fraction(0))
 
 
+# -- compose packs its Horner accumulator into one integer, so test it where a
+# slot could overflow or a sign could borrow: big coefficients, values
+# +-(2^j +- 1) at and next to byte boundaries, zero and constant inner maps,
+# denominators on both sides and negative leading terms
+
+_edge_ints = st.builds(lambda j, a, s: s * (2**j + a), st.integers(0, 210), st.sampled_from((-1, 0, 1)),
+                       st.sampled_from((-1, 1)))
+_big_ints = st.one_of(st.integers(-(2**200), 2**200), _edge_ints)
+_big_rationals = st.builds(Fraction, _big_ints, st.one_of(st.just(1), st.integers(1, 2**70), _edge_ints.filter(bool).map(abs)))
+_big_polys = st.lists(_big_rationals, max_size=6).map(PolyQ)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_big_polys, st.one_of(_big_polys, st.lists(_big_rationals, max_size=1).map(PolyQ)), st.booleans(), st.booleans())
+def test_compose_unpacks_every_slot(f, g, flip_f, flip_g):
+    f, g = (-f if flip_f else f), (-g if flip_g else g)
+    assert f.compose(g).coeffs == oracles.fraction_compose(f.coeffs, g.coeffs)
+
+
+def test_compose_at_slot_edges():
+    # each output coefficient equal to the bound, of either sign, and with the
+    # top slot exactly filled: (c x^n) o (+-(2^j - 1) x^m)
+    for j in (7, 8, 9, 15, 16, 17, 63, 64, 65):
+        for c in (1, -1, 2**j - 1, -(2**j) - 1):
+            for n, m in ((1, 1), (2, 1), (3, 2), (1, 0)):
+                for g in (PolyQ.monomial(2**j - 1, m), PolyQ.monomial(1 - 2**j, m)):
+                    f = PolyQ.monomial(c, n)
+                    assert f.compose(g).coeffs == oracles.fraction_compose(f.coeffs, g.coeffs)
+    assert PolyQ((3, -1)).compose(PolyQ()) == PolyQ.const(3)  # the zero map
+    assert PolyQ((1, 2, 1)).compose(PolyQ.const(Fraction(-1, 255))) == PolyQ.const(Fraction(254**2, 255**2))
+
+
 def test_evaluation_is_exact():
     f = parse_poly("1/4*x^3-3/2*x^2+9/4*x")
     assert f(2) == Fraction(1, 2) and f(0) == 0 and PolyQ()(Fraction(1, 3)) == 0
