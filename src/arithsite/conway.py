@@ -79,7 +79,7 @@ def letter(p: int, i: int) -> Letter:
 
 
 def is_free(w: Word) -> bool:
-    return all(not l.is_power for l in w)
+    return all(i != p for p, i in w)
 
 
 def is_normal(w: Word) -> bool:
@@ -135,13 +135,17 @@ def _primes(n: int) -> list[int]:
 def _normal_word(r: int, free: list[int], power: list[int]) -> Word:
     """Free letters over the ascending primes `free` whose indices are the
     mixed-radix digits of r modulo their product, then one power letter per
-    prime of `power`."""
+    prime of `power`.  Every p is prime and every free index a digit below
+    its p, so the letters are valid as they stand and are built by
+    tuple.__new__, skipping the NamedTuple constructor."""
+    new = tuple.__new__
     out = []
     for p in reversed(free):
         r, i = divmod(r, p)
-        out.append(Letter(p, i))
+        out.append(new(Letter, (p, i)))
     out.reverse()
-    return tuple(out) + tuple(Letter(p, p) for p in power)
+    out += [new(Letter, (p, p)) for p in power]
+    return tuple(out)
 
 
 def normalize(w: Word) -> Word:
@@ -151,24 +155,30 @@ def normalize(w: Word) -> Word:
     word_to_class, and each power letter cancels the nearest unmatched free
     letter of its prime to its right, the bicyclic reduction of the module
     docstring.  The surviving free primes, of product P, carry the digits of
-    rho P, an integer since the normal word has the same class.
+    rho P, an integer since the normal word has the same class.  That theorem
+    fixes every field of the result: its primes are letter primes of w and its
+    free indices are digits below their primes, so _normal_word builds the
+    letters directly.
     """
-    free: Counter[int] = Counter()  # per prime, unmatched free letters so far
+    free: dict[int, int] = {}  # per prime, unmatched free letters so far
     power = []
     b, d = 0, 1
-    for l in reversed(w):
-        if l.is_power:
-            b *= l.p
-            if free[l.p]:
-                free[l.p] -= 1
+    for p, i in reversed(w):
+        if i == p:
+            b *= p
+            k = free.get(p)
+            if k:
+                free[p] = k - 1
             else:
-                power.append(l.p)
+                power.append(p)
         else:
-            b += l.i * d
-            d *= l.p
-            free[l.p] += 1
-    big_p = prod(free.elements())
-    return _normal_word(b // (d // big_p), sorted(free.elements()), sorted(power))
+            b += i * d
+            d *= p
+            free[p] = free.get(p, 0) + 1
+    primes = []  # ascending, with multiplicity
+    for p in sorted(free):
+        primes += [p] * free[p]
+    return _normal_word(b // (d // prod(primes)), primes, sorted(power))
 
 
 def class_to_word(x: PicClass) -> Word:
@@ -181,8 +191,9 @@ def class_to_word(x: PicClass) -> Word:
     when P = N.  So the free indices are the mixed-radix digits of rho N over
     the primes of N, and the power suffix holds one letter per prime of M N.
     """
-    n = lcm(x.m.denominator, x.rho.denominator)
-    return _normal_word(int(x.rho * n), _primes(n), _primes(int(x.m * n)))
+    (a, m), (b, r) = x.m.as_integer_ratio(), x.rho.as_integer_ratio()
+    n = lcm(m, r)
+    return _normal_word(b * (n // r), _primes(n), _primes(a * (n // m)))
 
 
 def delta(w: Word) -> int:
@@ -194,6 +205,19 @@ def mul(w1: Word, w2: Word) -> Word:
     return normalize(tuple(w1) + tuple(w2))
 
 
+def _quotient(y: Word, x: Word) -> tuple[int, list[int]] | None:
+    """The digits value and ascending primes of divide_left(y, x), or None."""
+    if not (is_free(y) and is_free(x)):
+        raise ValueError("outside monoid C")
+    primes = Counter(l.p for l in y)
+    primes.subtract(l.p for l in x)
+    if not is_normal(y) or min(primes.values(), default=0) < 0:
+        return None
+    (n_y, _), (n_x, p_x) = free_value(y), free_value(x)
+    r, rem = divmod(n_y - n_x, p_x)
+    return (r, sorted(primes.elements())) if rem == 0 else None
+
+
 def divide_left(y: Word, x: Word) -> Word | None:
     """The unique z with y = mul(z, x), or None; free words only.
 
@@ -203,15 +227,14 @@ def divide_left(y: Word, x: Word) -> Word | None:
     words of one class, and such a word is fixed by its class, so they are equal;
     mul returns normal words, so y must be normal.
     """
-    if not (is_free(y) and is_free(x)):
-        raise ValueError("outside monoid C")
-    primes = Counter(l.p for l in y)
-    primes.subtract(l.p for l in x)
-    if not is_normal(y) or min(primes.values(), default=0) < 0:
-        return None
-    (n_y, _), (n_x, p_x) = free_value(y), free_value(x)
-    r, rem = divmod(n_y - n_x, p_x)
-    return _normal_word(r, sorted(primes.elements()), []) if rem == 0 else None
+    q = _quotient(y, x)
+    return None if q is None else _normal_word(*q, [])
+
+
+def left_divides(x: Word, y: Word) -> bool:
+    """Whether y = mul(z, x) for some z, as divide_left(y, x) decides, without
+    spelling out the quotient's digits; free words only."""
+    return _quotient(y, x) is not None
 
 
 # ---------------------------------------------------------------------------

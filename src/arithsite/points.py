@@ -78,7 +78,7 @@ def _geq(site: str, a, b) -> bool:
     if site == "A":
         return b % a == 0
     if site == "C":
-        return conway.divide_left(b, a) is not None
+        return conway.left_divides(a, b)
     return len(a) <= len(b) and b[: len(a)] == a  # B: prefix of the composition
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from arithsite.bigpicture import (
     MAX_BALL,
+    MAX_FIBER,
     MAX_NEIGHBOUR_PRIME,
     PIC_ONE,
     PicClass,
@@ -137,6 +138,26 @@ def test_fiber_twelve():
 def test_fiber_matches_breadth_first_search():
     for n in range(1, 61):
         assert fiber(n) == bfs_fiber(n), n
+
+
+def _assert_checked_classes(xs):
+    for x in xs:
+        checked = PicClass(x.m, x.rho)
+        assert type(x) is PicClass and x == checked and hash(x) == hash(checked)
+
+
+def test_fiber_classes_are_checked_classes():
+    # fiber builds its classes without PicClass's checks, by the Hermite
+    # theorem: each must be the class the checked constructor builds
+    for n in range(1, 201):
+        if psi(n) <= MAX_FIBER:
+            _assert_checked_classes(fiber(n))
+
+
+def test_neighbour_classes_are_checked_classes():
+    rng = random.Random(41)
+    for _ in range(40):
+        _assert_checked_classes(neighbours(_random_class(rng), rng.choice((2, 3, 5, 7, 11))))
 
 
 def test_psi_values():

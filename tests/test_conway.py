@@ -168,6 +168,25 @@ def test_normalize_matches_rewriting(w, seed):
     assert nf == rewrite_normalize(w, rng=random.Random(seed))
 
 
+@st.composite
+def _long_run_words(draw):
+    """Words of at most 120 letters over primes <= 7, drawn as runs over one
+    prime of up to 24 power letters followed by up to 24 free letters: each
+    run's powers cancel against the free letters to their right, and what is
+    left over cancels across the runs of that prime further right."""
+    w = []
+    for p in draw(st.lists(st.sampled_from((2, 3, 5, 7)), max_size=8)):
+        w += [Letter(p, p)] * draw(st.integers(0, 24))
+        w += [Letter(p, i) for i in draw(st.lists(st.integers(0, p - 1), max_size=24))]
+    return tuple(w[:120])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_long_run_words())
+def test_normalize_matches_rewriting_on_long_runs(w):
+    assert cw.normalize(w) == rewrite_normalize(w)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_run_words())
 def test_word_to_class_matches_matrix_product(w):
@@ -219,6 +238,32 @@ def test_divide_left_by_delta_matches_quotient_class(z, x, w):
     # quotients, on y without x's primes and on y with them but no quotient
     for y in (cw.normalize(z), cw.mul(z, x), cw.normalize(w), cw.mul(w, z), cw.normalize(z + w + x)):
         assert cw.divide_left(y, x) == class_divide_left(y, x)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_free_words(6), _free_words(6), _free_words(6))
+def test_left_divides_matches_divide_left(z, x, w):
+    for y in (z, cw.normalize(z), z + x, cw.mul(z, x), cw.mul(w, z), cw.normalize(z + w + x)):
+        assert cw.left_divides(x, y) == (cw.divide_left(y, x) is not None)
+    with pytest.raises(ValueError, match="outside monoid C"):
+        cw.left_divides(x, z + (Letter(2, 2),))
+
+
+def _assert_checked_letters(w):
+    for l in w:
+        checked = cw.letter(l.p, l.i)
+        assert type(l) is Letter and l.is_power == (l.i == l.p)
+        assert l == checked and hash(l) == hash(checked)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_long_run_words(), _free_words(6), _free_words(6))
+def test_normal_words_hold_checked_letters(w, z, x):
+    # normalize, class_to_word and divide_left build their letters by
+    # tuple.__new__: each must be the letter the checking conway.letter builds
+    _assert_checked_letters(cw.normalize(w))
+    _assert_checked_letters(cw.class_to_word(cw.word_to_class(w)))
+    _assert_checked_letters(cw.divide_left(cw.mul(z, x), x))
 
 
 def test_divide_left_takes_no_factorization(monkeypatch):

@@ -224,6 +224,20 @@ def test_site_c_tests_each_prime_once(monkeypatch):
     assert tested == [999999999989]
 
 
+def test_site_c_order_builds_no_quotient(monkeypatch):
+    # the site-C order asks whether a quotient exists, not for its letters
+    top = (Letter(2, 1),)
+    low = cw.mul((Letter(3, 2), Letter(5, 4)), top)
+    c1, c2 = TruncatedChain("C", (top, low)), TruncatedChain("C", (top,))
+
+    def forbidden(*args):
+        raise AssertionError("the site-C order built a normal word")
+
+    monkeypatch.setattr(cw, "_normal_word", forbidden)
+    assert pt._geq("C", top, low) and not pt._geq("C", low, top)
+    assert pt.chain_in_open(c1, top) and not pt.chain_equiv(c1, c2)
+
+
 def test_json_roundtrip():
     chains = [
         A(2, 4, 8),
