@@ -1,70 +1,72 @@
 """Conway's big picture: lattice classes (M, g/h), hyper-distance, neighbours.
 
 A class x is a pair (M, rho) with M a positive rational and rho in [0, 1),
-standing for the coset of the matrix alpha_x = [[M, rho], [0, 1]].  Class
-equality is structural equality of this canonical transversal.
+standing for the coset of the matrix alpha_x = [[M, rho], [0, 1]].
 
 Hermite coordinates.  Let N = lcm(den M, den rho).  The matrix
 [[M N, rho N], [0, N]] is integral with content 1, since a prime dividing all
 three entries would let N/p clear both denominators; it is the Hermite normal
 form of the primitive lattice the class stands for, and its determinant
 M N^2 is the hyper-distance from 1.  Conversely every primitive Hermite form
-[[a, b], [0, d]] with 0 <= b < d is the class (a/d, b/d).  The distance, the
+[[a, b], [0, n]] with 0 <= b < n is the class (a/n, b/n).  The distance, the
 fibers and the normal words of `conway` are read off these integers
 (Conway, Understanding groups like Gamma_0(N), 1996).
 
-The theorem fixes both fields of such a class: M = a/d > 0 and rho = b/d in
-[0, 1) are already canonical, so fiber and neighbours build their classes
-through _class, without the checks and the reduction of PicClass.
+A PicClass stores that unique form as the integers (a, b, n): a, n > 0,
+0 <= b < n and gcd(a, b, n) = 1, so equality and hashing are structural.
+_primitive brings any integral form [[a, b], [0, n]] of the lattice to it:
+divide by the content, then take b mod n.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import floor, gcd, lcm
+from math import gcd
 
 from .literals import frac, parse_rational
 from .primes import factorize, is_prime
 
 
-class PicClass(namedtuple("PicClass", "m rho")):
-    """The class (M, rho): M > 0 and rho reduced into [0, 1), both Fractions."""
+class PicClass(namedtuple("PicClass", "a b n")):
+    """The class (M, rho) = (a/n, b/n) as its primitive Hermite form (a, b, n)."""
 
     __slots__ = ()
+    m = property(lambda self: Fraction(self.a, self.n), doc="M = a/n, a Fraction")
+    rho = property(lambda self: Fraction(self.b, self.n), doc="rho = b/n, a Fraction in [0, 1)")
 
     def __new__(cls, m, rho):
         m, rho = frac(m), frac(rho)
         if m <= 0:
             raise ValueError("class needs M > 0")
-        return tuple.__new__(cls, (m, rho - floor(rho)))
+        return _primitive(m.numerator * rho.denominator, rho.numerator * m.denominator, m.denominator * rho.denominator)
+
+    def __getnewargs__(self):  # pickle and copy rebuild through __new__(m, rho)
+        return self.m, self.rho
 
     def __str__(self):
         return format_class(self)
 
 
-PIC_ONE = PicClass(Fraction(1), Fraction(0))
+def _primitive(a: int, b: int, n: int) -> PicClass:
+    """The class of the integral form [[a, b], [0, n]], a, n > 0."""
+    g = gcd(a, b, n)
+    return tuple.__new__(PicClass, (a // g, b // g % (n // g), n // g))
 
 
-def _class(m: Fraction, rho: Fraction) -> PicClass:
-    """The class (m, rho) for Fractions a theorem puts in range, m > 0 and
-    0 <= rho < 1, built without PicClass's checks."""
-    return tuple.__new__(PicClass, (m, rho))
+PIC_ONE = PicClass(1, 0)
 
 
 def hyperdistance(x: PicClass, y: PicClass) -> int:
-    """det of the primitive integral form of alpha_x . alpha_y^-1 = [[a, b], [0, 1]].
-
-    Here a = M_x/M_y and b = rho_x - a rho_y; scaled by N = lcm(den a, den b)
-    the matrix has content 1 (module docstring), so the det is a N^2.
-    """
-    a = x.m / y.m
-    n = lcm(a.denominator, (x.rho - a * y.rho).denominator)
-    return int(a * n * n)
+    """det of the primitive integral form of alpha_x . alpha_y^-1.  Scaled by n_x a_y
+    it is [[a_x n_y, b_x a_y - a_x b_y], [0, n_x a_y]], of content g: det a_x n_y n_x a_y / g^2."""
+    top, right, bottom = x.a * y.n, x.b * y.a - x.a * y.b, x.n * y.a
+    g = gcd(top, right, bottom)
+    return top // g * (bottom // g)
 
 
 # MAX_NEIGHBOUR_PRIME caps the prime p of neighbours, whose result has p + 1
-# classes; on a 2-core Xeon host p = 10007 took 0.05 s and p = 100003 0.42 s.
+# classes; on a 2-core Xeon host p = 10007 took 0.009 s and p = 100003 0.13 s.
 MAX_NEIGHBOUR_PRIME = 10**4
 
 
@@ -74,10 +76,10 @@ def neighbours(x: PicClass, p: int) -> list[PicClass]:
         raise ValueError(f"refusing p = {p} > {MAX_NEIGHBOUR_PRIME}: it has p + 1 neighbours")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    # (rho + k)/p lies in [0, 1) already; p rho may not
-    m = x.m / p
-    out = [_class(m, (x.rho + k) / p) for k in range(p)]
-    out.append(PicClass(p * x.m, p * x.rho))
+    # X_k = (M/p, (rho + k)/p) and X_p = (p M, p rho), as integral forms
+    a, b, n = x
+    out = [_primitive(a, b + k * n, p * n) for k in range(p)]
+    out.append(_primitive(p * a, p * b, n))
     return out
 
 
@@ -94,7 +96,7 @@ def psi(n: int) -> int:
 # MAX_FIBER caps the size psi(n) of a fiber that fiber(n) will enumerate, and
 # so the lines that `bp fiber n` lists; `bp fiber n --count` prints psi(n)
 # without building the fiber.  On a 2-core Xeon host the closed form below
-# built 864 classes (n = 360) in 5 ms and 13824 (n = 5040) in 0.08 s.
+# built 864 classes (n = 360) in 0.4 ms and 13824 (n = 5040) in 8 ms.
 MAX_FIBER = 1000
 
 
@@ -102,15 +104,14 @@ def fiber(n: int) -> set[PicClass]:
     """All classes at hyper-distance exactly n from the identity class.
 
     These are the primitive Hermite forms of determinant n: the classes
-    (a/d, b/d) with a d = n, 0 <= b < d and gcd(a, b, d) = 1, psi(n) of them.
-    The Hermite theorem fixes both fields, M = a/d > 0 and rho = b/d in [0, 1),
-    so no class is checked or reduced again.
+    (a/d, b/d) with a d = n, 0 <= b < d and gcd(a, b, d) = 1, psi(n) of them,
+    built as the triples (a, b, d) they are.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if psi(n) > MAX_FIBER:
         raise ValueError(f"refusing psi({n}) = {psi(n)} > {MAX_FIBER} classes")
-    return {_class(Fraction(n // d, d), Fraction(b, d))
+    return {tuple.__new__(PicClass, (n // d, b, d))
             for d in range(1, n + 1) if n % d == 0
             for b in range(d) if gcd(n // d, b, d) == 1}
 
@@ -120,8 +121,8 @@ def fiber(n: int) -> set[PicClass]:
 # trees of the p in S, so the ball of radius r has sum prod_p s_p(k_p)
 # classes, over the (k_p) with sum k_p <= r, where s_p(0) = 1 and
 # s_p(k) = (p+1) p^(k-1) count the tree's spheres.  On a 2-core Xeon host a
-# ball of 12286 classes (prime 2, radius 12) took 0.31 s and one of 25312
-# (primes 2, 3, 5, 7, radius 4) took 1.3 s.
+# ball of 12286 classes (prime 2, radius 12) took 0.12 s and one of 25312
+# (primes 2, 3, 5, 7, radius 4) took 0.33 s.
 MAX_BALL = 10**4
 
 
@@ -146,7 +147,7 @@ def ball_dot(x: PicClass, primes: list[int], radius: int) -> str:
     size = _ball_size(set(primes), min(radius, MAX_BALL.bit_length()))
     if size > MAX_BALL:
         raise ValueError(f"refusing a ball of more than {MAX_BALL} classes")
-    seen = {x}
+    name = {x: str(x)}  # each class of the ball, formatted once
     frontier = [x]
     edges = set()
     for _ in range(radius):
@@ -154,13 +155,13 @@ def ball_dot(x: PicClass, primes: list[int], radius: int) -> str:
         for v in frontier:
             for p in primes:
                 for w in neighbours(v, p):
-                    edges.add((min(str(v), str(w)), max(str(v), str(w)), p))
-                    if w not in seen:
-                        seen.add(w)
+                    if w not in name:
+                        name[w] = str(w)
                         nxt.append(w)
+                    edges.add((min(name[v], name[w]), max(name[v], name[w]), p))
         frontier = nxt
     lines = ["graph bigpicture {"]
-    for v in sorted(str(c) for c in seen):
+    for v in sorted(name.values()):
         lines.append(f'  "{v}";')
     for a, b, p in sorted(edges):
         lines.append(f'  "{a}" -- "{b}" [label="{p}"];')

@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import NamedTuple
 
 from .bigpicture import PicClass
@@ -188,12 +188,10 @@ def class_to_word(x: PicClass) -> Word:
     (p_k, i_k), p_1 <= ... <= p_k, and power primes of product Q to
     M = Q/P and rho P = i_1 p_2...p_k + ... + i_{k-1} p_k + i_k, where
     P = p_1...p_k; its delta P Q is M N^2, for N = lcm(den M, den rho), exactly
-    when P = N.  So the free indices are the mixed-radix digits of rho N over
-    the primes of N, and the power suffix holds one letter per prime of M N.
+    when P = N = n, for x = (a, b, n).  So the free indices are the mixed-radix
+    digits of b = rho n over the primes of n, and the powers are a's primes.
     """
-    (a, m), (b, r) = x.m.as_integer_ratio(), x.rho.as_integer_ratio()
-    n = lcm(m, r)
-    return _normal_word(b * (n // r), _primes(n), _primes(a * (n // m)))
+    return _normal_word(x.b, _primes(x.n), _primes(x.a))
 
 
 def delta(w: Word) -> int:

@@ -51,8 +51,9 @@ class TruncatedChain(namedtuple("TruncatedChain", "site entries extend gen_degre
             raise ValueError(f"unknown site {site!r}")
         entries = tuple(tuple(e) if site != "A" else int(e) for e in entries)
         if site == "C":
-            # entries are monoid elements: store their normal forms
-            entries = tuple(conway.normalize(tuple(conway.Letter(p, i) for p, i in e)) for e in entries)
+            # entries are monoid elements: store their normal forms, testing each prime once
+            flat = iter(conway.letters(l for e in entries for l in e))
+            entries = tuple(conway.normalize(tuple(next(flat) for _ in e)) for e in entries)
         gen_degrees = tuple(gen_degrees)
         if site == "A" and any(e < 1 for e in entries):
             raise ValueError("site-A entries must be at least 1")
@@ -180,10 +181,7 @@ def from_json(text: str) -> TruncatedChain:
         if site == "A":
             return TruncatedChain("A", tuple(json_int(e) for e in obj["entries"]), extend)
         if site == "C":
-            # one pass over all letters, so each distinct prime is tested once
-            words = obj["entries"]
-            flat = iter(conway.letters((json_int(p), json_int(i)) for w in words for p, i in w))
-            return TruncatedChain("C", tuple(tuple(next(flat) for _ in w) for w in words), extend)
+            return TruncatedChain("C", [[(json_int(p), json_int(i)) for p, i in w] for w in obj["entries"]], extend)
         if site != "B":
             raise ValueError(f"unknown site {site!r}")
         entries = tuple(tuple(json_int(i) for i in e) for e in obj["entries"])

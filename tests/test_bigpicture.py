@@ -1,8 +1,12 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
+from math import floor, gcd, lcm
 
 import pytest
 
+from arithsite import conway as cw
 from arithsite.bigpicture import (
     MAX_BALL,
     MAX_FIBER,
@@ -19,7 +23,7 @@ from arithsite.bigpicture import (
     psi,
 )
 from arithsite.ratpoly import Mat2Q, primitive_form
-from oracles import alpha, bfs_fiber, matrix_distance, proj_line_count
+from oracles import alpha, bfs_fiber, letter_matrix, matrix_distance, proj_line_count
 
 C = parse_class
 
@@ -51,9 +55,9 @@ def test_self_distance_one_iff_equal():
         assert (hyperdistance(x, y) == 1) == (x == y)
 
 
-def _random_class(rng):
-    m = Fraction(rng.randint(1, 12), rng.randint(1, 12))
-    rho = Fraction(rng.randint(0, 11), rng.randint(1, 12))
+def _random_class(rng, top=12):
+    m = Fraction(rng.randint(1, top), rng.randint(1, top))
+    rho = Fraction(rng.randint(0, top - 1), rng.randint(1, top))
     return PicClass(m, rho)
 
 
@@ -66,9 +70,10 @@ def test_symmetry_random_pairs():
 
 def test_distance_matches_matrix_form():
     rng = random.Random(16)
-    for _ in range(2000):
-        x, y = _random_class(rng), _random_class(rng)
-        assert hyperdistance(x, y) == matrix_distance(x, y)
+    for top in (12, 10**6):
+        for _ in range(2000):
+            x, y = _random_class(rng, top), _random_class(rng, top)
+            assert hyperdistance(x, y) == matrix_distance(x, y)
 
 
 def test_number_like_formula():
@@ -160,6 +165,41 @@ def test_neighbour_classes_are_checked_classes():
         _assert_checked_classes(neighbours(_random_class(rng), rng.choice((2, 3, 5, 7, 11))))
 
 
+def _assert_hermite(x, m, rho):
+    # x stores the primitive Hermite form of the class (m, rho), rho reduced mod 1
+    a, b, n = x
+    assert type(x) is PicClass and gcd(a, b, n) == 1 and 0 <= b < n
+    assert n == lcm(m.denominator, rho.denominator)
+    assert Fraction(a, n) == m and Fraction(b, n) == rho - floor(rho) == x.rho and x.m == m
+
+
+def test_classes_are_primitive_hermite_forms():
+    rng = random.Random(25)
+    for top in (12, 10**6):
+        for _ in range(300):
+            m = Fraction(rng.randint(1, top), rng.randint(1, top))
+            rho = Fraction(rng.randint(-3 * top, 3 * top), rng.randint(1, top))
+            x = PicClass(m, rho)
+            _assert_hermite(x, m, rho)
+            rho -= floor(rho)
+            p = rng.choice((2, 3, 5, 7))
+            expected = [(m / p, (rho + k) / p) for k in range(p)] + [(p * m, p * rho)]
+            for y, (m_y, rho_y) in zip(neighbours(x, p), expected, strict=True):
+                _assert_hermite(y, m_y, rho_y)
+    for n in range(1, 201):
+        if psi(n) <= MAX_FIBER:
+            for x in fiber(n):
+                _assert_hermite(x, x.m, x.rho)
+                assert x.a * x.n == n
+    for _ in range(300):
+        ps = rng.choices((2, 3, 5, 7, 999983), k=rng.randint(0, 12))
+        w = tuple(cw.letter(p, rng.randint(0, p)) for p in ps)
+        matrix = Mat2Q(1, 0, 0, 1)
+        for l in w:
+            matrix = matrix * letter_matrix(l)
+        _assert_hermite(cw.word_to_class(w), matrix.a, matrix.b)
+
+
 def test_psi_values():
     assert psi(1) == 1
     assert psi(6) == 12
@@ -197,6 +237,8 @@ def test_ball_dot_cap_counts_the_ball():
 
 def test_class_text_roundtrip():
     for text in ("1:0", "1/2:1/2", "2:0", "7/3:5/6"):
-        assert format_class(parse_class(text)) == text
+        x = parse_class(text)
+        assert format_class(x) == text
+        assert pickle.loads(pickle.dumps(x)) == x == copy.copy(x)
     with pytest.raises(ValueError):
         parse_class("nope")

@@ -224,6 +224,14 @@ def test_site_c_tests_each_prime_once(monkeypatch):
     assert tested == [999999999989]
 
 
+def test_site_c_entries_are_checked_letters():
+    # the constructor tests the letters that from_json passes through
+    with pytest.raises(ValueError, match="4 is not prime"):
+        TruncatedChain("C", [[(4, 1)], [(4, 1), (4, 1)]])
+    with pytest.raises(ValueError, match="index 3 out of range"):
+        TruncatedChain("C", [[(2, 1)], [(2, 3), (2, 1)]])
+
+
 def test_site_c_order_builds_no_quotient(monkeypatch):
     # the site-C order asks whether a quotient exists, not for its letters
     top = (Letter(2, 1),)
