@@ -7,7 +7,7 @@ critical values of F_k; and genericity_check demands 0 < alpha < 1.
 ``squarefree_level`` answers ``ar squarefree`` by the same theorem.
 
 Each level is certified.  Under a float parent w within rho of the true
-parent w*, the siblings z_1..z_d are the companion-matrix eigenvalues of the
+parent w*, the siblings z_1..z_d are the roots kernels.dk_batch finds for the
 float row of B_k - w, after one Newton step on that row.  With f = B_k - w*,
 c its leading coefficient and the Weierstrass corrections
 W_i = f(z_i) / (c prod_{m != i} (z_i - z_m)), f/c is the characteristic

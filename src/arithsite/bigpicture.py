@@ -41,6 +41,14 @@ class PicClass(namedtuple("PicClass", "a b n")):
             raise ValueError("class needs M > 0")
         return _primitive(m.numerator * rho.denominator, rho.numerator * m.denominator, m.denominator * rho.denominator)
 
+    @classmethod
+    def _make(cls, form):
+        """The class of the integral form [[a, b], [0, n]], form = (a, b, n); _replace builds through it."""
+        a, b, n = form
+        if a <= 0 or n <= 0:
+            raise ValueError("class needs a, n > 0")
+        return _primitive(a, b, n)
+
     def __getnewargs__(self):  # pickle and copy rebuild through __new__(m, rho)
         return self.m, self.rho
 

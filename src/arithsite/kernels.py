@@ -1,11 +1,13 @@
 """Floating-point kernels for the preimage-tree builder.
 
 The only hot loops in this package are numeric: batched root solves over
-same-degree polynomials (companion-matrix eigenvalues) and one Horner rule
-for the Newton step and chain values, each one vectorised numpy routine.
-The tree builder polishes the backward-stable eigenvalues with one Newton
-step per level (``newton_chain``) and finds every residual in one pass per
-tree (``chain_values``).  ``min_pairwise_gap`` stays only as a traced name.
+same-degree polynomials and one Horner rule for the Newton step and chain
+values, each vectorised over its batch.  Degree-2 rows are solved by the
+quadratic formula in its cancellation-free form; every other degree by the
+eigenvalues of the stacked companion matrices.  The tree builder polishes
+the roots with one Newton step per level (``newton_chain``) and finds every
+residual in one pass per tree (``chain_values``).  ``min_pairwise_gap``
+stays only as a traced name.
 """
 
 from __future__ import annotations
@@ -29,16 +31,38 @@ def horner(row: np.ndarray, v: np.ndarray) -> np.ndarray:
 def dk_batch(coeffs: np.ndarray) -> np.ndarray:
     """Roots of each row polynomial (ascending coefficients), shape (m, d).
 
-    They are the eigenvalues of the stacked companion matrices (Edelman and
-    Murakami, Math. Comp. 64, 1995).  LAPACK converges or raises LinAlgError,
-    a ValueError, as it does on an inf or nan coefficient.  The name is the
+    Each row is divided by its leading coefficient; a row where that is not
+    finite raises LinAlgError, a ValueError.  A degree-2 row z^2 + p z + r
+    is solved in closed form without cancellation: q = -(p + s sqrt(p^2 - 4r)) / 2,
+    the sign s making Re(conj(p) s sqrt(p^2 - 4r)) >= 0, and the roots q and
+    r / q.  Other degrees, and the degree-2 rows where that is not finite
+    (q = 0, the double root 0, or p^2 or 4r overflowing), take the eigenvalues
+    of the stacked companion matrices (Edelman and Murakami, Math. Comp. 64,
+    1995), which LAPACK finds or raises LinAlgError.  The name is the
     Durand-Kerner solver's that this replaced; perfbench traces it by name.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    m, d = coeffs.shape[0], coeffs.shape[1] - 1
+    with np.errstate(all="ignore"):
+        monic = coeffs[:, :-1] / coeffs[:, -1:]  # the companion's first row, reversed and negated
+        if monic.shape[1] != 2:
+            return _companion_eigvals(monic)
+        if not np.isfinite(monic).all():
+            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+        r, p = monic.T
+        root = np.sqrt(p * p - 4 * r)
+        roots = np.empty_like(monic)
+        roots[:, 0] = q = -0.5 * p - np.copysign(0.5, (p.conjugate() * root).real) * root
+        roots[:, 1] = r / q
+    if not np.isfinite(roots).all():
+        wide = ~np.isfinite(roots).all(axis=1)
+        roots[wide] = _companion_eigvals(monic[wide])
+    return roots
+
+
+def _companion_eigvals(monic: np.ndarray) -> np.ndarray:
+    m, d = monic.shape
     companion = np.zeros((m, d, d), dtype=np.complex128)
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        companion[:, 0, :] = -coeffs[:, -2::-1] / coeffs[:, -1:]
+    companion[:, 0, :] = -monic[:, ::-1]
     companion.reshape(m, d * d)[:, d :: d + 1] = 1.0  # the subdiagonal
     return np.linalg.eigvals(companion)
 
@@ -74,8 +98,10 @@ def min_pairwise_gap(xs: np.ndarray) -> float:
 
 
 def warmup() -> None:
-    """Run every kernel once on tiny inputs, paying first-call costs outside timed runs."""
+    """Run every kernel once on tiny inputs, paying first-call costs outside timed runs:
+    a degree-2 row for the closed form and a degree-3 row for the companion eigenvalues."""
     c = np.array([[-1.0, 0.0, 1.0]], dtype=np.complex128)
     r = dk_batch(c)
+    dk_batch(np.array([[-1.0, 0.0, 0.0, 1.0]], dtype=np.complex128))
     newton_chain(c[0], r[0], 0.0)
     min_pairwise_gap(r[0])

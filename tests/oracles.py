@@ -41,6 +41,8 @@
   level took one (P, d) pass: siblings ordered by lexsort on the flat level,
   disk radii through an identity mask, and every level's residual found by
   evaluating the whole chain so far.
+- kernels.dk_batch as it was before degree-2 rows took the closed form: the
+  eigenvalues of the stacked companion matrices, for every degree.
 - A flood-fill count of the eps-clusters of a point set.
 - The points queries as they were before the order facts of the points
   docstring decided them: interleaving by testing every pair of entries, a
@@ -619,6 +621,18 @@ def eight_step_tree(gens, alpha, n: int) -> arboreal.ArborealTree:
         return arboreal.build_tree(gens, alpha, n)
     finally:
         kernels.newton_chain = one_step
+
+
+def companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of each row polynomial (ascending coefficients): the eigenvalues
+    of the stacked companion matrices, degree 2 included."""
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    m, d = coeffs.shape[0], coeffs.shape[1] - 1
+    companion = np.zeros((m, d, d), dtype=np.complex128)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        companion[:, 0, :] = -coeffs[:, -2::-1] / coeffs[:, -1:]
+    companion.reshape(m, d * d)[:, d :: d + 1] = 1.0  # the subdiagonal
+    return np.linalg.eigvals(companion)
 
 
 def _masked_disk_radii(row, z, w, rho):

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from arithsite import arboreal, kernels
 from arithsite.belyi import BelyiPoly, b_dk
 from arithsite.ratpoly import PolyQ, parse_poly, squarefree_part
 from oracles import (
+    companion_roots,
     count_distinct,
     eight_step_tree,
     exact_squarefree_level,
@@ -221,6 +223,51 @@ def test_build_tree_equals_the_per_level_loop():
     for (d, k, alpha), message in refusals.items():
         for build in (arboreal.build_tree, per_level_tree):
             assert _tree_or_refusal(build, [b_dk(d, k)], alpha, 1) == message
+
+
+def _degree_two_sweep(count, seed):
+    """A seeded sample of the depth-10 degree-2 trees [B21], [B20, B21] and [B21, B20]
+    at every alpha = p/q with q < 60."""
+    b21, b20 = b_dk(2, 1), b_dk(2, 0)
+    cases = [
+        (gens, Fraction(p, q))
+        for gens in ([b21], [b20, b21], [b21, b20])
+        for q in range(2, 60)
+        for p in range(1, q)
+        if gcd(p, q) == 1
+    ]
+    assert len(cases) == 3255
+    return random.Random(seed).sample(cases, count)
+
+
+def test_degree_two_closed_form_matches_the_companion_eigenvalues(monkeypatch):
+    # the closed form and the companion eigenvalues certify the same trees, and
+    # refuse the same ones at the same level: float(alpha) = 1 makes 1 a double root
+    tiny = Fraction(1, 10**20)
+    cases = _degree_two_sweep(60, 26) + [([b_dk(2, 1)], 1 - tiny), ([b_dk(2, 0), b_dk(2, 1)], 1 - tiny)]
+    got = [_tree_or_refusal(arboreal.build_tree, gens, alpha, 10) for gens, alpha in cases]
+    assert got[-2:] == ["sibling disks overlap at level 1", "sibling disks overlap at level 2"]
+    monkeypatch.setattr(kernels, "dk_batch", companion_roots)
+    for (gens, alpha), mine in zip(cases, got):
+        theirs = _tree_or_refusal(arboreal.build_tree, gens, alpha, 10)
+        if isinstance(mine, str) or isinstance(theirs, str):
+            assert mine == theirs, (gens, alpha)
+        else:
+            assert _matched_error(mine[3], theirs[3]) <= 1e-12, (gens, alpha)
+
+
+def test_degree_two_conjugate_siblings_print_in_one_order():
+    # under a real parent the siblings are real or a conjugate pair; the closed
+    # form gives the pair equal real parts, so the negative imaginary part is first
+    pairs = 0
+    for gens, alpha in _degree_two_sweep(150, 6):
+        levels = arboreal.build_tree(gens, alpha, 10).levels
+        for k in range(1, len(levels)):
+            for (re0, im0, parent), (re1, im1, _) in zip(levels[k][::2], levels[k][1::2]):
+                if levels[k - 1][parent][1] == 0.0 and (im0, im1) != (0.0, 0.0):
+                    pairs += 1
+                    assert re0 == re1 and im0 < 0 < im1, (gens, alpha, k)
+    assert pairs > 1000
 
 
 def test_build_tree_depth_four():

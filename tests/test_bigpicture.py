@@ -235,6 +235,21 @@ def test_ball_dot_cap_counts_the_ball():
         ball_dot(PIC_ONE, [2], 12)
 
 
+def test_namedtuple_builders_canonicalise():
+    # _make and _replace take integral forms to their class, or refuse them
+    assert PicClass._make((2, 4, 2)) == PicClass(1, 2) == PicClass(1, 0)
+    assert str(PicClass._make((6, 9, 4))) == "3/2:1/4"
+    assert PIC_ONE._replace(b=3) == PIC_ONE
+    assert PicClass(3, Fraction(1, 2))._replace(a=4) == PicClass(2, Fraction(1, 2))
+    for form in ((0, 1, 1), (1, 0, 0), (-2, 1, 3)):
+        with pytest.raises(ValueError):
+            PicClass._make(form)
+    with pytest.raises(ValueError):
+        PIC_ONE._replace(n=-1)
+    with pytest.raises(TypeError):
+        PicClass._make((1.5, 0, 1))
+
+
 def test_class_text_roundtrip():
     for text in ("1:0", "1/2:1/2", "2:0", "7/3:5/6"):
         x = parse_class(text)

@@ -5,7 +5,9 @@ import pytest
 
 from arithsite import kernels
 from arithsite.belyi import b_dk
-from oracles import count_distinct
+from oracles import companion_roots, count_distinct
+
+U = 2.0**-53
 
 
 def _random_coeffs(rng, m, d):
@@ -51,6 +53,56 @@ def test_dk_batch_against_sympy_nroots():
                 dist = np.abs(want[:, None] - got[None, :])
                 assert len(got) == len(want) == d
                 assert max(dist.min(axis=1).max(), dist.min(axis=0).max()) < 1e-8, (d, k, w)
+
+
+def _assert_same_quadratic_roots(coeffs):
+    # as sets, each root within 16 ulps of its condition |z| + (|p| |z| + |r|) / |z1 - z2|
+    # for the monic row z^2 + p z + r, which is 1 + 3 / gap at a near-double root 1
+    got, want = kernels.dk_batch(coeffs), companion_roots(coeffs)
+    r, p = np.abs(coeffs[:, :-1] / coeffs[:, -1:]).T
+    z = np.abs(want)
+    tol = 16 * U * (z + (p[:, None] * z + r[:, None]) / np.abs(want[:, :1] - want[:, 1:]))
+    straight = (np.abs(got - want) <= tol).all(axis=1)
+    crossed = (np.abs(got[:, ::-1] - want) <= tol).all(axis=1)
+    assert (straight | crossed).all(), coeffs[~(straight | crossed)]
+
+
+def _minus(g, ws):
+    rows = np.tile(np.array([complex(c) for c in g.poly.coeffs]), (len(ws), 1))
+    rows[:, 0] -= ws
+    return rows
+
+
+def test_dk_batch_degree_two_closed_form_against_companion_eigenvalues():
+    rng = np.random.default_rng(26)
+    _assert_same_quadratic_roots(_random_coeffs(rng, 2000, 2))
+    wild = _random_coeffs(rng, 2000, 2) * np.exp(10 * rng.normal(size=(2000, 3)))
+    _assert_same_quadratic_roots(wild)
+    # B_{2,1} - w = -z^2 + 2z - w: a near-double root at 1 as w -> 1, conjugate roots for w > 1
+    near = [1 - 10.0**-j for j in range(1, 16)] + [1.0] + [1 + 10.0**-j for j in range(1, 16)]
+    _assert_same_quadratic_roots(_minus(b_dk(2, 1), near + [2.0, 10.0, 1e3, 0.5 + 1j]))
+    # B_{2,0} - w = z^2 - w: c1 = 0
+    _assert_same_quadratic_roots(_minus(b_dk(2, 0), [1 / 3, 2.0, 1e-5, -1 / 3, -2.0, 1j, 1 - 1j]))
+
+
+def test_dk_batch_degree_two_double_root_at_zero():
+    # c0 = c1 = 0: q = 0, and the double root 0 comes from the companion eigenvalues
+    coeffs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -3j], [-1.0, 0.0, 1.0]], dtype=np.complex128)
+    roots = kernels.dk_batch(coeffs)
+    assert roots[:2].tolist() == [[0, 0], [0, 0]] and sorted(roots[2].real.tolist()) == [-1, 1]
+
+
+def test_dk_batch_falls_back_to_the_companion_eigenvalues():
+    # p^2 or 4r overflows in the closed form: those rows, and every degree other
+    # than 2, take the companion eigenvalues bit for bit
+    wide = np.array([[1.0, 1e200, 1.0], [1e-300, 1e300, 1.0], [1e308, 0.0, 1.0], [-1.0, 0.0, 1.0]])
+    got = kernels.dk_batch(wide)
+    assert np.array_equal(got[:3], companion_roots(wide[:3])) and np.isfinite(got).all()
+    assert abs(got[0]).max() == 1e200 and sorted(got[3].real.tolist()) == [-1, 1]
+    rng = np.random.default_rng(27)
+    for d in (1, 3, 4, 7):
+        coeffs = _random_coeffs(rng, 50, d)
+        assert np.array_equal(kernels.dk_batch(coeffs), companion_roots(coeffs))
 
 
 def test_dk_batch_degree_one_rows():
