@@ -1,14 +1,15 @@
 """Bost-Connes data: the Q/Z instance, axiom checks, and the lattice presheaf.
 
-Elements of Q/Z are reduced Fractions in [0, 1).  The datum is
-sigma_n(x) = nx mod 1 with section s_n(x) = x/n; the kernel of sigma_n is
-the n-torsion (1/n)Z/Z, whose element x_{i,n} is i/n.
+The datum is sigma_n(x) = nx mod 1 with section s_n(x) = x/n for x in [0, 1);
+the kernel of sigma_n is the n-torsion (1/n)Z/Z, whose element x_{i,n} is i/n.
+The checks read a torsion level (1/L)Z/Z as the residues Z/L, a standing for
+a/L, and build no Fraction.  sigma, operator and rho read a rational x as
+x mod 1; they and presheaf_value return reduced Fractions in [0, 1).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor
 
 from .conway import Letter, Word, free_value, split_normal
 from .primes import is_prime
@@ -16,7 +17,8 @@ from .primes import is_prime
 # MAX_TORSION caps the torsion a check enumerates: n for condition 3, n*m
 # for condition 4, p*q for condition 5, p for rho and the level of
 # presheaf_value.  On a 2-core Xeon host condition 3 took 0.23 s at
-# n = 10^4 and 2.5 s at n = 10^5, and condition 5 took 0.43 s at p q = 9797.
+# n = 10^4 and 2.5 s at n = 10^5, and condition 5 took 0.43 s at p q = 9797,
+# both in Fractions; in residues each takes under 5 ms at the cap.
 MAX_TORSION = 10**4
 
 # MAX_PRESHEAF_BITS caps level * bits(level P), the size of a presheaf value:
@@ -24,7 +26,8 @@ MAX_TORSION = 10**4
 # of the word's free primes.  On a 2-core Xeon host the closed form below took
 # 0.8 s in the CLI at level 2 on 6500 letters P[999999999989,1], near the cap;
 # applying the letters one by one took over 60 s on 1000 letters P[2,1] at
-# level 10^4, a value of 10^7 bits.
+# level 10^4, a value of 10^7 bits.  rho(p, u/v) is capped by the same rule,
+# at p * bits(p v): printing its 101 values took 2.9 s at 10^7 bits.
 MAX_PRESHEAF_BITS = 2**19
 
 
@@ -33,18 +36,12 @@ def _check_torsion(size: int) -> None:
         raise ValueError(f"refusing torsion of order {size} > {MAX_TORSION}")
 
 
-def qz(x) -> Fraction:
-    """Reduce into [0, 1)."""
-    x = Fraction(x)
-    return x - floor(x)
-
-
 def sigma(n: int, x: Fraction) -> Fraction:
-    return qz(n * x)
+    return n * x % 1
 
 
 def section(n: int, x: Fraction) -> Fraction:
-    return qz(x / n)
+    return Fraction(x % 1, n)
 
 
 def torsion(n: int) -> list[Fraction]:
@@ -53,52 +50,43 @@ def torsion(n: int) -> list[Fraction]:
 
 
 def check_condition3(n: int) -> bool:
-    """Kernel of sigma_n is cyclic of order n."""
+    """Kernel of sigma_n is cyclic of order n; at level n, sigma_n is i -> n i mod n."""
     if n < 1:
         raise ValueError("need n >= 1")
     _check_torsion(n)
-    ker = [x for x in torsion(n) if sigma(n, x) == 0]
-    if len(ker) != n:
-        return False
-    gen = Fraction(1, n)  # x_{1,n}
-    cyc = set()
-    x = gen * 0
-    for _ in range(n):
-        cyc.add(qz(x))
-        x = x + gen
-    return cyc == set(ker)
+    ker = {i for i in range(n) if n * i % n == 0}
+    gen = 1  # x_{1,n}
+    return len(ker) == n and {k * gen % n for k in range(n)} == ker
 
 
 def check_condition4(n: int, m: int) -> bool:
     """Unique decomposition x = x_{k,n} + s_n(y) over the (1/(n*m))-torsion.
 
     Existence and uniqueness for every element amount to the n*m candidate
-    sums being pairwise distinct and exhausting the torsion level.
+    sums being pairwise distinct and exhausting the torsion level.  At level
+    L = n m, x_{k,n} is k m and s_n(x_{j,m}) is j: the sums are (k m + j) mod L.
     """
     if n < 1 or m < 1:
         raise ValueError("need n, m >= 1")
-    _check_torsion(n * m)
-    pieces = [section(n, y) for y in torsion(m)]
-    sums = [qz(k + s) for k in torsion(n) for s in pieces]
-    return len(set(sums)) == n * m and set(sums) == set(torsion(n * m))
+    level = n * m
+    _check_torsion(level)
+    return len({(k * m + j) % level for k in range(n) for j in range(m)}) == level
 
 
 def check_condition5(p: int, q: int) -> bool:
-    """Section/kernel compatibility mirroring the meta-commutation indices."""
-    _check_torsion(p * q)
+    """Section/kernel compatibility mirroring the meta-commutation indices.
+
+    At level L = p q, x_{i,p} is i q, x_{j,q} is j p, and s_p(x_{j,q}) is j.
+    """
+    level = p * q
+    _check_torsion(level)
     if p == q or not (is_prime(p) and is_prime(q)):
         raise ValueError("need distinct primes")
-    kp = torsion(p)
-    kq = torsion(q)
     for i in range(p):
         for j in range(q):
-            v = i * q + j
-            l, k = divmod(v, p)
-            lhs = qz(section(p, kq[j]) + kp[i])
-            rhs = qz(section(q, kp[k]) + kq[l])
-            if lhs != rhs:
-                return False
-            if sigma(p, kq[j]) != kq[p * j % q]:
+            l, k = divmod(i * q + j, p)
+            # s_p(x_{j,q}) + x_{i,p} = s_q(x_{k,p}) + x_{l,q}, and sigma_p(x_{j,q}) = x_{pj mod q, q}
+            if (j + i * q - k - l * p) % level or p * j * p % level != p * j % q * p:
                 return False
     return True
 
@@ -107,15 +95,20 @@ def operator(l: Letter, x: Fraction) -> Fraction:
     """The free-letter map s_p(x) + x_{i,p}; the power letter acts as sigma_p."""
     if l.is_power:
         return sigma(l.p, x)
-    return qz(section(l.p, x) + Fraction(l.i, l.p))
+    return Fraction(x % 1 + l.i, l.p)
 
 
 def rho(p: int, x: Fraction) -> set[Fraction]:
-    """The sigma_p-preimage set of x, as the orbit of the free-letter operators."""
+    """The sigma_p-preimage set of x, the orbit of the free-letter operators:
+    (y + i)/p for i < p, with y = x mod 1."""
     if p < 1:
         raise ValueError("need p >= 1")
     _check_torsion(p)
-    return {operator(Letter(p, i), x) for i in range(p)}
+    y = x % 1
+    bits = p * (p * y.denominator).bit_length()
+    if bits > MAX_PRESHEAF_BITS:
+        raise ValueError(f"refusing a rho value of {bits} bits > {MAX_PRESHEAF_BITS}")
+    return {Fraction(y + i, p) for i in range(p)}
 
 
 def presheaf_value(w: Word, level: int) -> set[Fraction]:

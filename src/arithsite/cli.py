@@ -24,8 +24,8 @@ MAX_ERROR_CHARS = 200  # error messages may echo a whole 128 KiB argument
 def _import(group: str) -> None:
     # bind the modules that the handlers of group read: a CLI call is mostly
     # start-up time, so a group imports only its own (numpy loads in ar tree/dot;
-    # the ds and bc handlers print json, and bc presheaf sorts by Fraction)
-    global arboreal, bc, belyi, bp, cw, ds, pt, sn, json, Fraction, format_poly, parse_poly, parse_rational
+    # the ds and bc handlers print json)
+    global arboreal, bc, belyi, bp, cw, ds, pt, sn, json, format_poly, parse_poly, parse_rational
     if group == "bp":
         from . import bigpicture as bp
     elif group == "cw":
@@ -41,7 +41,6 @@ def _import(group: str) -> None:
         from .ratpoly import format_poly, parse_poly
     elif group == "bc":
         import json
-        from fractions import Fraction
 
         from . import bostconnes as bc, conway as cw
         from .literals import parse_rational
@@ -120,12 +119,12 @@ GROUPS = {
             {"condition": 4, "n": a.n, "M": a.m, "ok": bc.check_condition4(a.n, a.m)})),
         "cond5": ("p:int q:int", lambda a: json.dumps(
             {"condition": 5, "p": a.p, "q": a.q, "ok": bc.check_condition5(a.p, a.q), "cells": a.p * a.q})),
-        # keyword arguments run in the order written: x is parsed before the letter is built
-        "op": ("p:int i:int x", lambda a: bc.operator(x=bc.qz(parse_rational(a.x)), l=cw.letter(a.p, a.i))),
-        "rho": ("p:int x", lambda a: json.dumps(
-            sorted(str(v) for v in bc.rho(a.p, bc.qz(parse_rational(a.x)))))),
+        # keyword arguments run in the order written: x is parsed before the letter is built;
+        # operator and rho read x mod 1 themselves
+        "op": ("p:int i:int x", lambda a: bc.operator(x=parse_rational(a.x), l=cw.Letter(a.p, a.i))),
+        "rho": ("p:int x", lambda a: json.dumps(sorted(str(v) for v in bc.rho(a.p, parse_rational(a.x))))),
         "presheaf": ("word level:int", lambda a: json.dumps(
-            sorted((str(v) for v in bc.presheaf_value(cw.parse_word(a.word), a.level)), key=Fraction))),
+            [str(v) for v in sorted(bc.presheaf_value(cw.parse_word(a.word), a.level))])),
     }),
     "ar": ("arboreal", "preimage trees", {
         "generic": ("polys+ --alpha!", lambda a: arboreal.genericity_check(*_generators(a))),

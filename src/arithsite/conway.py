@@ -36,19 +36,31 @@ Gamma_0(N), 1996).
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import prod
-from typing import NamedTuple
 
 from .bigpicture import PicClass
 from .literals import json_int
 from .primes import factorize, is_prime
 
 
-class Letter(NamedTuple):
-    p: int
-    i: int
+class Letter(namedtuple("Letter", "p i")):
+    """The letter P[p, i]: p prime and 0 <= i <= p, tested as it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, i: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if not 0 <= i <= p:
+            raise ValueError(f"letter index {i} out of range for prime {p}")
+        return tuple.__new__(cls, (p, i))
+
+    @classmethod
+    def _make(cls, pair):
+        """The letter of the pair (p, i), tested as Letter(p, i) is; _replace builds through it."""
+        return cls(*pair)
 
     @property
     def is_power(self) -> bool:
@@ -61,21 +73,18 @@ EMPTY: Word = ()
 
 def letters(pairs) -> Word:
     """The letters P[p, i] of the (p, i) pairs, testing each distinct prime once: the
-    test of a 12-digit prime takes 0.12 ms, and one argument can hold 7000 letters."""
+    test of a 12-digit prime takes 0.12 ms, and one argument can hold 7000 letters.
+    A letter over a tested prime is built by tuple.__new__ once its index is in range."""
+    new = tuple.__new__
     primes: set[int] = set()
     out = []
     for p, i in pairs:
-        if p not in primes and not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        primes.add(p)
-        if not 0 <= i <= p:
-            raise ValueError(f"letter index {i} out of range for prime {p}")
-        out.append(Letter(p, i))
+        if p in primes and 0 <= i <= p:
+            out.append(new(Letter, (p, i)))
+        else:
+            out.append(Letter(p, i))  # raises on a composite p or an index out of range
+            primes.add(p)
     return tuple(out)
-
-
-def letter(p: int, i: int) -> Letter:
-    return letters([(p, i)])[0]
 
 
 def is_free(w: Word) -> bool:
@@ -137,7 +146,7 @@ def _normal_word(r: int, free: list[int], power: list[int]) -> Word:
     mixed-radix digits of r modulo their product, then one power letter per
     prime of `power`.  Every p is prime and every free index a digit below
     its p, so the letters are valid as they stand and are built by
-    tuple.__new__, skipping the NamedTuple constructor."""
+    tuple.__new__, skipping Letter's test."""
     new = tuple.__new__
     out = []
     for p in reversed(free):

@@ -27,6 +27,8 @@
   probable-prime test.
 - bostconnes.presheaf_value as it was before the free letters composed to
   one affine map: the operators applied one letter at a time.
+- The Bost-Connes conditions 3, 4 and 5 as bostconnes checked them before it
+  worked in residues at one level: every torsion element a reduced Fraction.
 - The brute-force sigma_n fiber of Q/Z, random framed trees and a
   frame-anchored canonical relabeling of dessins.
 - dessins.anatomy as it was before one rooted pass replaced it, with the
@@ -68,8 +70,8 @@ from arithsite import dessins as ds
 from arithsite import points as pt
 from arithsite.belyi import BelyiPoly
 from arithsite.bigpicture import PIC_ONE, PicClass, neighbours
-from arithsite.bostconnes import operator, qz, torsion
-from arithsite.primes import factorize
+from arithsite.bostconnes import _check_torsion, operator, torsion
+from arithsite.primes import factorize, is_prime
 from arithsite.ratpoly import POLY_ONE, Mat2Q, PolyQ, poly_gcd, primitive_form
 from arithsite.supernatural import adele_class_equiv, from_chain
 
@@ -410,7 +412,51 @@ def operator_presheaf(w: cw.Word, level: int) -> set[Fraction]:
 def sigma_fiber(p: int, x: Fraction) -> set[Fraction]:
     """Brute-force preimages of x under multiplication by p inside (1/(p*b))Z/Z."""
     b = x.denominator
-    return {Fraction(a, p * b) for a in range(p * b) if qz(Fraction(a, p * b) * p) == x}
+    return {Fraction(a, p * b) for a in range(p * b) if Fraction(a, p * b) * p % 1 == x}
+
+
+def fraction_condition3(n: int) -> bool:
+    """Kernel of sigma_n is cyclic of order n, in reduced Fractions."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    _check_torsion(n)
+    ker = [x for x in torsion(n) if n * x % 1 == 0]
+    if len(ker) != n:
+        return False
+    gen = Fraction(1, n)  # x_{1,n}
+    cyc = set()
+    x = gen * 0
+    for _ in range(n):
+        cyc.add(x % 1)
+        x = x + gen
+    return cyc == set(ker)
+
+
+def fraction_condition4(n: int, m: int) -> bool:
+    """The n*m sums x_{k,n} + s_n(y), y in (1/m)Z/Z, exhaust (1/(n*m))Z/Z, in reduced Fractions."""
+    if n < 1 or m < 1:
+        raise ValueError("need n, m >= 1")
+    _check_torsion(n * m)
+    pieces = [y / n for y in torsion(m)]
+    sums = [(k + s) % 1 for k in torsion(n) for s in pieces]
+    return len(set(sums)) == n * m and set(sums) == set(torsion(n * m))
+
+
+def fraction_condition5(p: int, q: int) -> bool:
+    """Section/kernel compatibility of distinct primes p, q, in reduced Fractions."""
+    _check_torsion(p * q)
+    if p == q or not (is_prime(p) and is_prime(q)):
+        raise ValueError("need distinct primes")
+    kp = torsion(p)
+    kq = torsion(q)
+    for i in range(p):
+        for j in range(q):
+            l, k = divmod(i * q + j, p)
+            lhs = (kq[j] / p + kp[i]) % 1
+            rhs = (kp[k] / q + kq[l]) % 1
+            if lhs != rhs or p * kq[j] % 1 != kq[p * j % q]:
+                return False
+    return True
 
 
 def random_tree_dessin(n_edges: int, rng) -> ds.FramedDessin:

@@ -193,7 +193,7 @@ def test_classes_are_primitive_hermite_forms():
                 assert x.a * x.n == n
     for _ in range(300):
         ps = rng.choices((2, 3, 5, 7, 999983), k=rng.randint(0, 12))
-        w = tuple(cw.letter(p, rng.randint(0, p)) for p in ps)
+        w = tuple(cw.Letter(p, rng.randint(0, p)) for p in ps)
         matrix = Mat2Q(1, 0, 0, 1)
         for l in w:
             matrix = matrix * letter_matrix(l)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,13 @@ import pytest
 
 from arithsite import bostconnes as bc, conway as cw
 from arithsite.conway import Letter
-from oracles import operator_presheaf, sigma_fiber
+from oracles import (
+    fraction_condition3,
+    fraction_condition4,
+    fraction_condition5,
+    operator_presheaf,
+    sigma_fiber,
+)
 
 
 def F(a, b=1):
@@ -56,8 +63,75 @@ def test_torsion_cap():
             call()
 
 
+def _outcome(check, *args):
+    """check(*args), or the message of the ValueError it raises."""
+    try:
+        return check(*args)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def test_conditions_match_the_fraction_checks():
+    # the ranges of the CLI fuzz grammar with its hostile -1 and -7, and calls past
+    # the torsion cap, which is refused after n, m >= 1 and before the prime test
+    def grid(hi, k):
+        return list(itertools.product((-7, -1, *range(hi + 1)), repeat=k))
+
+    cases = (
+        (bc.check_condition3, fraction_condition3, [*grid(200, 1), (10001,)]),
+        (bc.check_condition4, fraction_condition4, [*grid(20, 2), (0, 10001), (101, 100)]),
+        (bc.check_condition5, fraction_condition5, [*grid(40, 2), (101, 103), (100, 102), (10007, 10007)]),
+    )
+    for check, oracle, calls in cases:
+        for args in calls:
+            assert _outcome(check, *args) == _outcome(oracle, *args), (check.__name__, args)
+    assert _outcome(bc.check_condition5, 100, 102) == "ValueError: refusing torsion of order 10200 > 10000"
+
+
+def test_conditions_build_no_fraction(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Fraction built")
+
+    monkeypatch.setattr(Fraction, "__new__", forbidden)
+    with pytest.raises(AssertionError, match="Fraction built"):
+        Fraction(1, 2)
+    assert bc.check_condition3(10**4)
+    assert bc.check_condition4(100, 100)
+    assert bc.check_condition5(97, 101)
+
+
+def test_rho_and_operator_read_x_mod_1():
+    # x outside [0, 1), negative included, stands for its class x mod 1; rho
+    # takes composite p too, whose fiber is no orbit of letters
+    fibers = {}
+    for b in range(1, 13):
+        for a in (*range(-2 * b, 0), *range(b, 2 * b + 1)):
+            x, y = F(a, b), F(a, b) % 1
+            for p in range(1, 13):
+                if (p, y) not in fibers:
+                    fibers[p, y] = sigma_fiber(p, y)
+                assert bc.rho(p, x) == fibers[p, y], (p, x)
+            for p in (2, 3, 5, 7, 11):
+                for i in range(p + 1):
+                    assert bc.operator(Letter(p, i), x) == bc.operator(Letter(p, i), x % 1), (p, i, x)
+
+
+def test_rho_bit_cap():
+    # a 30000-digit numerator over a 30000-digit denominator: 101 values of about
+    # 10^5 bits each took 2.9 s to print
+    y = F(10**29999 + 1, 10**29999 + 3)
+    bits = 101 * (101 * y.denominator).bit_length()
+    with pytest.raises(ValueError, match=f"refusing a rho value of {bits} bits > 524288"):
+        bc.rho(101, y)
+    # the rule is p * bits(p v), the one presheaf_value applies to level * bits(level P)
+    v = 2**262142 + 1  # bits(2 v) = 262144, so 2 * 262144 = 2^19 is at the cap
+    assert len(bc.rho(2, F(1, v))) == 2
+    with pytest.raises(ValueError, match="refusing a rho value of 524290 bits"):
+        bc.rho(2, F(1, 2 * v))
+
+
 def test_operator_does_not_enumerate_the_kernel(monkeypatch):
-    # one operator step costs O(1), not O(p): rho calls it once per element
+    # one operator step costs O(1), not O(p), and rho builds its p values directly
     def forbidden(*args):
         raise AssertionError("kernel enumerated")
 

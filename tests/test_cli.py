@@ -460,6 +460,8 @@ S, E, O = _dessin_arg(STAR), _dessin_arg(EDK), _dessin_arg(OVER)
 B512 = format_poly(belyi.b_dk(512, 256).poly)
 B16 = format_poly(belyi.b_dk(16, 8).poly)
 THIRD_POWER = f"1/{3**2000}"
+# a 30000-digit integer over another, 60 KB in all
+RHO_Y = f"1{'0' * 29998}1/1{'0' * 29998}3"
 ONES_CLASS = "1" * 100000 + "x:0"
 
 
@@ -487,6 +489,7 @@ ARG_IDS = {
     B512: "<B_512,256>",
     B16: "<B_16,8>",
     THIRD_POWER: "<1/3^2000>",
+    RHO_Y: "<(10^29999+1)/(10^29999+3)>",
     ONES_CLASS: "<10^5 ones>x:0",
     A_TWOS: "<A: 2 x 20000>",
     A_ONES: "<A: 1 x 19999, 2>",
@@ -562,6 +565,8 @@ BOUNDED = [
     # Fraction built 10^20000000 before any cap: 35 s to refuse
     ("bc op 2 1 1e-20000000", None),
     ("bc rho 2 1e-20000000", None),
+    # rho itself took 17 ms, but printing its 101 values of 10^5 bits each took 2.9 s
+    (f"bc rho 101 {RHO_Y}", None),
     ("bp distance 1e-20000000:0 1:0", None),
     ("ar generic x --alpha 1e-20000000", None),
     # the literal grammar is unambiguous, so a failed match takes linear time

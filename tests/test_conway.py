@@ -33,9 +33,25 @@ def test_letter_matrices():
 
 def test_letter_validation():
     with pytest.raises(ValueError):
-        cw.letter(4, 0)
+        Letter(4, 0)
     with pytest.raises(ValueError):
-        cw.letter(3, 4)
+        Letter(3, 4)
+    # the closed forms once answered for a word of non-letters
+    with pytest.raises(ValueError, match="4 is not prime"):
+        cw.normalize((Letter(4, 1), Letter(2, 7)))
+    with pytest.raises(ValueError, match="out of range"):
+        Letter(2, -1)
+
+
+def test_namedtuple_builders_check_letters():
+    assert Letter._make((3, 1)) == Letter(3, 1) and type(Letter._make((3, 1))) is Letter
+    assert Letter(3, 1)._replace(i=3) == Letter(3, 3)
+    for call in (lambda: Letter._make((4, 1)), lambda: Letter(3, 1)._replace(i=4),
+                 lambda: Letter(3, 1)._replace(p=9)):
+        with pytest.raises(ValueError):
+            call()
+    with pytest.raises(TypeError):
+        Letter._make((2, 1, 0))
 
 
 def test_each_prime_is_tested_once(monkeypatch):
@@ -251,7 +267,7 @@ def test_left_divides_matches_divide_left(z, x, w):
 
 def _assert_checked_letters(w):
     for l in w:
-        checked = cw.letter(l.p, l.i)
+        checked = Letter(l.p, l.i)
         assert type(l) is Letter and l.is_power == (l.i == l.p)
         assert l == checked and hash(l) == hash(checked)
 
@@ -260,7 +276,7 @@ def _assert_checked_letters(w):
 @given(_long_run_words(), _free_words(6), _free_words(6))
 def test_normal_words_hold_checked_letters(w, z, x):
     # normalize, class_to_word and divide_left build their letters by
-    # tuple.__new__: each must be the letter the checking conway.letter builds
+    # tuple.__new__: each must be the letter the checking Letter(p, i) builds
     _assert_checked_letters(cw.normalize(w))
     _assert_checked_letters(cw.class_to_word(cw.word_to_class(w)))
     _assert_checked_letters(cw.divide_left(cw.mul(z, x), x))

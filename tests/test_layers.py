@@ -113,6 +113,8 @@ UNCALLED = {
     # constructs of the paper that the tests and acceptance criteria check
     "belyi.degree_morphism": "the degree morphism to the multiplicative integers",
     "belyi.involution_poly": "the involution 1 - P(1 - x), which swaps 0 and 1",
+    "bostconnes.section": "the section s_n(x) = x/n of the Bost-Connes datum",
+    "bostconnes.torsion": "the n-torsion (1/n)Z/Z, the kernel of sigma_n, as Fractions",
     "dessins.UNIT": "the unit of dessin composition, the dessin of x",
     "points.chain_in_open": "localic open membership of a point",
     "points.chain_to_supernatural": "the supernatural limit of a site-A point",
