@@ -7,6 +7,11 @@ points, arboreal, kernels (numpy), cli.  Import them by name
 each CLI call loads only the modules its verb runs: no record is a
 dataclass, the `bp`, `cw`, `sn`, `ds`, `bc` and `pt` verbs never load the
 polynomial kernel, and only `ar tree` and `ar dot` load numpy.
+
+Records follow one rule: a record that checks its fields is built only by its
+__new__, which record() makes _make, _replace and copy call (PicClass defines
+its own _make), or, when a theorem proves the fields valid, by the one
+private builder _trusted of its module.
 """
 
 __version__ = "0.1.0"
@@ -28,3 +33,11 @@ MAX_INT_DIGITS = 131072
 # steeply with the degree.  The check of `by compose-count` took 0.06 s at
 # degree 512 (B_{32,16} and B_{16,8}) and 28 s at degree 4096 (B_{64,32} twice).
 MAX_EXACT_DEGREE = 512
+
+
+def record(name: str, fields: str):
+    """A namedtuple base whose _make, and so _replace, builds through the subclass's __new__."""
+    import collections  # the package imports nothing at load
+    base = collections.namedtuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base

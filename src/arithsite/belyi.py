@@ -18,7 +18,7 @@ alike at 1 (dessins.compose_passport); and the valencies multiply.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import count
 from math import comb
 
@@ -34,18 +34,19 @@ def _roots(f: PolyQ) -> int:
     return f.degree - poly_gcd(f, f.derivative()).degree
 
 
-@lru_cache(maxsize=1)  # BelyiPoly reads back the counts its predicate call just took
-def _root_counts(p: PolyQ) -> tuple[int, int]:
-    """(#roots(P), #roots(P - 1)), the black and white vertex counts of a Belyi P."""
-    return _roots(p), _roots(p - PolyQ.const(1))
-
-
-def is_dynamical_belyi(p: PolyQ) -> bool:
+def _belyi_counts(p: PolyQ) -> tuple[int, int] | None:
+    """(#roots(P), #roots(P - 1)), the black and white vertex counts, if P is
+    dynamical Belyi, else None."""
     if p.degree < 1:
         raise ValueError("need a nonconstant polynomial")
     if p(0) != 0 or p(1) != 1:
-        return False
-    return sum(_root_counts(p)) == p.degree + 1
+        return None
+    counts = _roots(p), _roots(p - PolyQ.const(1))
+    return counts if sum(counts) == p.degree + 1 else None
+
+
+def is_dynamical_belyi(p: PolyQ) -> bool:
+    return _belyi_counts(p) is not None
 
 
 class BelyiPoly:
@@ -53,10 +54,11 @@ class BelyiPoly:
     its root counts, and _trusted ones carry their passport and valencies."""
 
     def __init__(self, poly: PolyQ):
-        if not is_dynamical_belyi(poly):
+        counts = _belyi_counts(poly)
+        if counts is None:
             raise ValueError("not a dynamical Belyi polynomial")
         self.poly = poly
-        self.counts = _root_counts(poly)
+        self.counts = counts
 
     def __eq__(self, other):
         return self.poly == other.poly if isinstance(other, BelyiPoly) else NotImplemented

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 from .literals import frac, parse_rational
@@ -59,9 +60,10 @@ class PicClass(namedtuple("PicClass", "a b n")):
 def _primitive(a: int, b: int, n: int) -> PicClass:
     """The class of the integral form [[a, b], [0, n]], a, n > 0."""
     g = gcd(a, b, n)
-    return tuple.__new__(PicClass, (a // g, b // g % (n // g), n // g))
+    return _trusted((a // g, b // g % (n // g), n // g))
 
 
+_trusted = partial(tuple.__new__, PicClass)  # a triple (a, b, n) proved a primitive Hermite form
 PIC_ONE = PicClass(1, 0)
 
 
@@ -119,7 +121,7 @@ def fiber(n: int) -> set[PicClass]:
         raise ValueError("need n >= 1")
     if psi(n) > MAX_FIBER:
         raise ValueError(f"refusing psi({n}) = {psi(n)} > {MAX_FIBER} classes")
-    return {tuple.__new__(PicClass, (n // d, b, d))
+    return {_trusted((n // d, b, d))
             for d in range(1, n + 1) if n % d == 0
             for b in range(d) if gcd(n // d, b, d) == 1}
 

@@ -36,16 +36,18 @@ Gamma_0(N), 1996).
 from __future__ import annotations
 
 import json
-from collections import Counter, namedtuple
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 from math import prod
 
+from . import record
 from .bigpicture import PicClass
 from .literals import json_int
 from .primes import factorize, is_prime
 
 
-class Letter(namedtuple("Letter", "p i")):
+class Letter(record("Letter", "p i")):
     """The letter P[p, i]: p prime and 0 <= i <= p, tested as it is built."""
 
     __slots__ = ()
@@ -57,11 +59,6 @@ class Letter(namedtuple("Letter", "p i")):
             raise ValueError(f"letter index {i} out of range for prime {p}")
         return tuple.__new__(cls, (p, i))
 
-    @classmethod
-    def _make(cls, pair):
-        """The letter of the pair (p, i), tested as Letter(p, i) is; _replace builds through it."""
-        return cls(*pair)
-
     @property
     def is_power(self) -> bool:
         return self.i == self.p
@@ -69,18 +66,18 @@ class Letter(namedtuple("Letter", "p i")):
 
 Word = tuple[Letter, ...]
 EMPTY: Word = ()
+_trusted = partial(tuple.__new__, Letter)  # a pair (p, i) proved valid: p prime, 0 <= i <= p
 
 
 def letters(pairs) -> Word:
     """The letters P[p, i] of the (p, i) pairs, testing each distinct prime once: the
     test of a 12-digit prime takes 0.12 ms, and one argument can hold 7000 letters.
-    A letter over a tested prime is built by tuple.__new__ once its index is in range."""
-    new = tuple.__new__
+    A letter over a tested prime is built by _trusted once its index is in range."""
     primes: set[int] = set()
     out = []
     for p, i in pairs:
         if p in primes and 0 <= i <= p:
-            out.append(new(Letter, (p, i)))
+            out.append(_trusted((p, i)))
         else:
             out.append(Letter(p, i))  # raises on a composite p or an index out of range
             primes.add(p)
@@ -146,14 +143,13 @@ def _normal_word(r: int, free: list[int], power: list[int]) -> Word:
     mixed-radix digits of r modulo their product, then one power letter per
     prime of `power`.  Every p is prime and every free index a digit below
     its p, so the letters are valid as they stand and are built by
-    tuple.__new__, skipping Letter's test."""
-    new = tuple.__new__
+    _trusted, skipping Letter's test."""
     out = []
     for p in reversed(free):
         r, i = divmod(r, p)
-        out.append(new(Letter, (p, i)))
+        out.append(_trusted((p, i)))
     out.reverse()
-    out += [new(Letter, (p, p)) for p in power]
+    out += [_trusted((p, p)) for p in power]
     return tuple(out)
 
 

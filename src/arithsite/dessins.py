@@ -8,9 +8,10 @@ Zvonkin, Graphs on Surfaces and Their Applications, 2004, ch. 1).  The
 framing marks one black vertex 0 and one white vertex 1 by naming an edge of
 each cycle.
 
-A FramedDessin is valid by construction: its constructor runs validate, so
-the functions below take validity as given and never re-check it.  Three
-results are valid by theorem and skip validate:
+A FramedDessin is valid by construction: its constructor runs validate, and
+_make, _replace and copy build through it, so the functions below take
+validity as given and never re-check it.  Three results are valid by theorem
+and are built by _trusted, which skips validate:
 - compose(t, t2), of t with n edges, nb black and nw white vertices and t2
   with m edges, nb2 black and nw2 white vertices, is the dessin of the
   composite covering: (nb - 1) m + nb2 black and (nw - 1) m + nw2 white
@@ -51,9 +52,8 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from typing import NamedTuple
 
-from . import MAX_EXACT_DEGREE
+from . import MAX_EXACT_DEGREE, record
 from .literals import json_int
 
 Perm = tuple[int, ...]
@@ -75,24 +75,28 @@ def perm_cycles(p: Perm) -> list[tuple[int, ...]]:
     return out
 
 
-class Passport(NamedTuple):
-    black: tuple[int, ...]
-    white: tuple[int, ...]
+# the black and white vertex valencies, each a descending tuple
+Passport = namedtuple("Passport", "black white")
 
 
 def _parts(vals) -> tuple[int, ...]:
     return tuple(sorted(vals, reverse=True))
 
 
-class FramedDessin(namedtuple("FramedDessin", "n alpha beta frame_black frame_white")):
-    """Its constructor runs validate; _make(values) builds one without it."""
+class FramedDessin(record("FramedDessin", "n alpha beta frame_black frame_white")):
+    """Its constructor, and so _make, _replace and copy, runs validate."""
 
     __slots__ = ()
 
     def __new__(cls, n, alpha, beta, frame_black, frame_white):
-        out = tuple.__new__(cls, (n, alpha, beta, frame_black, frame_white))
+        out = _trusted(n, alpha, beta, frame_black, frame_white)
         validate(out)
         return out
+
+
+def _trusted(*fields) -> FramedDessin:
+    """The dessin of the fields without validate, for a result valid by theorem."""
+    return tuple.__new__(FramedDessin, fields)
 
 
 def _face_walk(d: FramedDessin) -> tuple[list[int], list[int]]:
@@ -159,7 +163,7 @@ def e_dessin(d: int, k: int) -> FramedDessin:
     white_cycle = [0, *range(d - k, d)]
     for e, nxt in zip(white_cycle, white_cycle[1:] + [0]):
         beta[e] = nxt
-    return FramedDessin._make((d, alpha, tuple(beta), 0, 0))
+    return _trusted(d, alpha, tuple(beta), 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +171,8 @@ def e_dessin(d: int, k: int) -> FramedDessin:
 # ---------------------------------------------------------------------------
 
 
-class Anatomy(NamedTuple):
-    spine0: int  # the spine edge at vertex 0
-    spine1: int  # the spine edge at vertex 1
-    valency0: int
-    valency1: int
+# the spine edges at vertex 0 and vertex 1, and the valencies of the two vertices
+Anatomy = namedtuple("Anatomy", "spine0 spine1 valency0 valency1")
 
 
 def anatomy(d: FramedDessin) -> Anatomy:
@@ -235,7 +236,7 @@ def compose(t: FramedDessin, t2: FramedDessin) -> FramedDessin:
         a, b = t.alpha[e] * m, t.beta[e] * m
         alpha += [a + f for f in t2.alpha] if e == e0 else range(a, a + m)
         beta += [b + f for f in t2.beta] if e == e1 else range(b, b + m)
-    return FramedDessin._make((t.n * m, tuple(alpha), tuple(beta), e0 * m + f0, e1 * m + f1))
+    return _trusted(t.n * m, tuple(alpha), tuple(beta), e0 * m + f0, e1 * m + f1)
 
 
 def compose_passport(p: Passport, v0: int, v1: int, p2: Passport, d2: int) -> Passport:
@@ -252,7 +253,7 @@ def compose_passport(p: Passport, v0: int, v1: int, p2: Passport, d2: int) -> Pa
 
 def involution(d: FramedDessin) -> FramedDessin:
     """Swap colours and the 0/1 marks; the 180-degree turn keeps orientations."""
-    return FramedDessin._make((d.n, d.beta, d.alpha, d.frame_white, d.frame_black))
+    return _trusted(d.n, d.beta, d.alpha, d.frame_white, d.frame_black)
 
 
 # MAX_MONODROMY_ENTRIES bounds the entries that monodromy_order stores, n for

@@ -35,11 +35,12 @@ def dk_batch(coeffs: np.ndarray) -> np.ndarray:
     finite raises LinAlgError, a ValueError.  A degree-2 row z^2 + p z + r
     is solved in closed form without cancellation: q = -(p + s sqrt(p^2 - 4r)) / 2,
     the sign s making Re(conj(p) s sqrt(p^2 - 4r)) >= 0, and the roots q and
-    r / q.  Other degrees, and the degree-2 rows where that is not finite
-    (q = 0, the double root 0, or p^2 or 4r overflowing), take the eigenvalues
-    of the stacked companion matrices (Edelman and Murakami, Math. Comp. 64,
-    1995), which LAPACK finds or raises LinAlgError.  The name is the
-    Durand-Kerner solver's that this replaced; perfbench traces it by name.
+    r / q, or conj(q) when the row is real and q is not.  Other degrees, and
+    the degree-2 rows where that is not finite (q = 0, the double root 0, or
+    p^2 or 4r overflowing), take the eigenvalues of the stacked companion
+    matrices (Edelman and Murakami, Math. Comp. 64, 1995), which LAPACK finds
+    or raises LinAlgError.  The name is the Durand-Kerner solver's that this
+    replaced; perfbench traces it by name.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     with np.errstate(all="ignore"):
@@ -52,7 +53,7 @@ def dk_batch(coeffs: np.ndarray) -> np.ndarray:
         root = np.sqrt(p * p - 4 * r)
         roots = np.empty_like(monic)
         roots[:, 0] = q = -0.5 * p - np.copysign(0.5, (p.conjugate() * root).real) * root
-        roots[:, 1] = r / q
+        roots[:, 1] = np.where((monic.imag == 0).all(axis=1) & (q.imag != 0), q.conjugate(), r / q)
     if not np.isfinite(roots).all():
         wide = ~np.isfinite(roots).all(axis=1)
         roots[wide] = _companion_eigvals(monic[wide])

@@ -33,17 +33,16 @@ its tails have its limit, and two tails interleave iff:
 from __future__ import annotations
 
 import json
-from collections import namedtuple
 from math import prod
 
-from . import conway
+from . import conway, record
 from .literals import json_bool, json_int
 from .supernatural import Supernatural, adele_class_equiv, from_chain
 
 SITES = ("A", "C", "B")
 
 
-class TruncatedChain(namedtuple("TruncatedChain", "site entries extend gen_degrees")):
+class TruncatedChain(record("TruncatedChain", "site entries extend gen_degrees")):
     __slots__ = ()
 
     def __new__(cls, site: str, entries, extend: bool = False, gen_degrees=()):

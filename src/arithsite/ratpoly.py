@@ -19,12 +19,11 @@ PolyQ.compose.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 
-from . import MAX_EXACT_DEGREE
+from . import MAX_EXACT_DEGREE, record
 from .literals import frac
 
 
@@ -33,7 +32,7 @@ from .literals import frac
 # ---------------------------------------------------------------------------
 
 
-class Mat2Q(namedtuple("Mat2Q", "a b c d")):
+class Mat2Q(record("Mat2Q", "a b c d")):
     """Row-major 2x2 rational matrix [[a, b], [c, d]]."""
 
     __slots__ = ()

@@ -10,8 +10,8 @@ uncountable; everything else is out of reach by construction.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 
+from . import record
 from .primes import factorize, is_prime
 
 INF = float("inf")
@@ -21,7 +21,7 @@ def _exp_ok(e) -> bool:
     return e == INF or (isinstance(e, int) and e >= 0)
 
 
-class Supernatural(namedtuple("Supernatural", "exceptions default")):
+class Supernatural(record("Supernatural", "exceptions default")):
     """exceptions: sorted tuple of (prime, exponent); default applies elsewhere."""
 
     __slots__ = ()

@@ -270,6 +270,21 @@ def test_degree_two_conjugate_siblings_print_in_one_order():
     assert pairs > 1000
 
 
+def test_degree_two_conjugate_siblings_are_exact_mirrors():
+    # a real row's roots are exact conjugates, and the Newton step keeps them
+    # so: B_{2,1} at depth 8, every reduced alpha = a/b with b < 40
+    pairs = 0
+    for b in range(2, 40):
+        for a in (a for a in range(1, b) if gcd(a, b) == 1):
+            levels = arboreal.build_tree([b_dk(2, 1)], Fraction(a, b), 8).levels
+            for k in range(1, len(levels)):
+                for (re0, im0, parent), (re1, im1, _) in zip(levels[k][::2], levels[k][1::2]):
+                    if levels[k - 1][parent][1] == 0.0 and im0 != 0.0:
+                        pairs += 1
+                        assert (re0, im0) == (re1, -im1), (a, b, k)
+    assert pairs > 3000
+
+
 def test_build_tree_depth_four():
     t = arboreal.build_tree([B31], HALF, 4)
     assert [len(lv) for lv in t.levels] == [1, 3, 9, 27, 81]

@@ -87,7 +87,7 @@ def test_b_dk_skips_the_predicate(monkeypatch):
     def refuse(p):
         raise AssertionError("b_dk ran the dynamical-Belyi predicate")
 
-    monkeypatch.setattr(belyi, "is_dynamical_belyi", refuse)
+    monkeypatch.setattr(belyi, "_belyi_counts", refuse)  # BelyiPoly and is_dynamical_belyi run it
     assert b_dk(512, 256).degree == 512
     with pytest.raises(AssertionError):
         BelyiPoly(b_dk(3, 1).poly)  # a parsed polynomial is still checked
@@ -374,7 +374,7 @@ def test_closed_operations_skip_the_predicate(monkeypatch):
     def refuse(poly):
         raise AssertionError("a closed operation re-ran the Belyi predicate")
 
-    monkeypatch.setattr(belyi, "is_dynamical_belyi", refuse)
+    monkeypatch.setattr(belyi, "_belyi_counts", refuse)  # BelyiPoly and is_dynamical_belyi run it
     comp = belyi.compose(gens[1], gens[2])
     inv = belyi.involution_poly(gens[1])
     assert belyi.free_check(gens, 3)

@@ -1,5 +1,6 @@
 """The functions perfbench traces must exist under the names it looks up,
-and every other public name of src/ must have a caller.
+every other public name of src/ must have a caller, and every record is
+built through its constructor or its module's one trusted builder.
 
 perfbench/tracing.py wraps each (module, qualified name) in its LAYERS, and
 BENCHMARK.json defines a per-layer metric on each.  A renamed or deleted
@@ -8,14 +9,16 @@ tests read both files without changing them.
 """
 
 import ast
+import copy
 import importlib
 import importlib.util
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from arithsite import belyi, ratpoly
+from arithsite import belyi, bigpicture, conway, dessins, points, ratpoly, supernatural
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -187,3 +190,90 @@ def test_every_src_name_has_a_caller():
     uncalled = {f"{p.stem}.{n}" for p in src for n in _public_names(p) if (p.stem, n) not in refs}
     assert not uncalled - set(UNCALLED), "no caller: move these to tests/oracles.py or delete them"
     assert not set(UNCALLED) - uncalled, "these have callers now: drop them from UNCALLED"
+
+
+# The record rule (arithsite/__init__.py): each checking record, with field
+# replacements that its constructor refuses or canonicalises
+RECORD_PROBES = [
+    (dessins.UNIT, {"n": 0}),
+    (dessins.e_dessin(3, 1), {"alpha": (0, 1, 2), "beta": (0, 1, 2)}),  # not a tree
+    (points.TruncatedChain("A", [2, 4]), {"entries": (-2,)}),
+    (supernatural.Supernatural(((2, 1),)), {"default": -1}),
+    (conway.Letter(3, 1), {"i": 4}),
+    (conway.Letter(3, 1), {"p": 4}),
+    (bigpicture.PicClass(3, Fraction(1, 2)), {"a": 0}),
+    (bigpicture.PIC_ONE, {"b": 3}),  # not canonical: the class 1:0 again
+    (ratpoly.Mat2Q(1, 2, 3, 4), {"b": "x"}),
+]
+
+
+def _constructor(cls):
+    """The constructor on the record's fields; PicClass's fields (a, b, n) are the class (a/n, b/n)."""
+    if cls is bigpicture.PicClass:
+        return lambda a, b, n: cls(Fraction(a, n), Fraction(b, n))
+    return cls
+
+
+def _outcome(cls, build):
+    """The record build() gives, or the type and message of its refusal; PicClass's
+    _make words its refusals in terms of (a, b, n), so only their type is compared."""
+    try:
+        out = build()
+    except ValueError as e:
+        return ValueError, str(e) if cls is not bigpicture.PicClass else None
+    assert type(out) is cls
+    return out
+
+
+@pytest.mark.parametrize("record, changes", RECORD_PROBES, ids=[f"{type(r).__name__}-{'-'.join(c)}" for r, c in RECORD_PROBES])
+def test_records_build_through_their_constructor(record, changes):
+    # _make, _replace and copy give what the constructor gives, or refuse what it refuses
+    cls = type(record)
+    changed = tuple(changes.get(f, v) for f, v in zip(cls._fields, record))
+    assert _outcome(cls, lambda: cls._make(record)) == record == _outcome(cls, lambda: _constructor(cls)(*record))
+    assert _outcome(cls, lambda: copy.copy(record)) == record
+    expected = _outcome(cls, lambda: _constructor(cls)(*changed))
+    assert _outcome(cls, lambda: cls._make(changed)) == expected
+    assert _outcome(cls, lambda: record._replace(**changes)) == expected
+
+
+def _rule_breaks(path: Path) -> tuple[list[str], int]:
+    """Each use of tuple.__new__ outside a __new__ or a _trusted and each ._make( call
+    in the module at path, and how many top-level _trusted builders it defines."""
+    tree = ast.parse(path.read_text())
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def owner(node) -> str:
+        """The name of the function around node, or the targets of its top-level assignment."""
+        while parent[node] is not tree:
+            node = parent[node]
+            if isinstance(node, ast.FunctionDef):
+                return node.name
+        return ",".join(ast.unparse(t) for t in node.targets) if isinstance(node, ast.Assign) else ""
+
+    breaks = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "tuple.__new__":
+            if owner(node) not in ("__new__", "_trusted"):
+                breaks.append(f"{path.name}:{node.lineno}: tuple.__new__ in {owner(node) or 'module'}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "_make":
+            breaks.append(f"{path.name}:{node.lineno}: {ast.unparse(node.func)}(")
+    trusted = sum(
+        isinstance(stmt, ast.FunctionDef) and stmt.name == "_trusted"
+        or isinstance(stmt, ast.Assign) and [ast.unparse(t) for t in stmt.targets] == ["_trusted"]
+        for stmt in tree.body
+    )
+    return breaks, trusted
+
+
+def test_records_have_one_trusted_builder_per_module():
+    # a record is built by its constructor, which _make and _replace call, or by
+    # its module's one _trusted builder; nothing else reaches tuple.__new__
+    breaks, trusted = [], {}
+    for path in sorted((ROOT / "src" / "arithsite").glob("*.py")):
+        found, count = _rule_breaks(path)
+        breaks += found
+        if count:
+            trusted[path.stem] = count
+    assert breaks == []
+    assert trusted == {"belyi": 1, "bigpicture": 1, "conway": 1, "dessins": 1}
