@@ -36,6 +36,11 @@ exactly one true preimage of the true parent, so parenthood is exact by
 construction.  R_i is the rho of z_i's children; rho = |alpha - float(alpha)|
 at level 0, exact through Fraction and rounded up.  Siblings sort in complex
 order, (re, im), per group; ArborealTree.tol = max(1e-9, largest radius).
+
+build_tree makes one kernels.Row per generator per tree, which every level of
+that generator reads, and runs the levels and the residual pass under one
+np.errstate that ignores every float error: what overflows or turns NaN is
+refused by the finiteness tests above.  The kernels enter no errstate of their own.
 """
 
 from __future__ import annotations
@@ -127,23 +132,23 @@ class ArborealTree(namedtuple("ArborealTree", "degree alpha tol levels max_resid
 U = 2.0**-53  # unit roundoff of float64
 
 
-def _disk_radii(row: np.ndarray, z: np.ndarray, w: np.ndarray, rho: np.ndarray) -> np.ndarray | None:
-    """Radii of the sibling groups z (shape (P, d)) of roots of row - w, each w within rho
-    of its true parent; None unless all are finite and each group's disks disjoint."""
+def _disk_radii(g: kernels.Row, z: np.ndarray, w: np.ndarray, rho: np.ndarray) -> np.ndarray | None:
+    """Radii of the sibling groups z (shape (P, d)) of roots of g.row - w, each w within rho
+    of its true parent; None unless all are finite and each group's disks disjoint.  The
+    caller owns np.errstate: overflow and NaN make a radius that is not finite."""
     import numpy as np  # only the numeric trees load numpy
 
     from . import kernels
 
     d = z.shape[1]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        resid = np.abs(kernels.horner(row, z) - w[:, None])
-        size = kernels.horner(np.abs(row), np.abs(z)) + np.abs(w)[:, None]
-        gaps = np.abs(z[:, :, None] - z[:, None, :])
-        gaps.reshape(-1, d * d)[:, :: d + 1] = 1.0  # the diagonal, out of the product
-        den = np.abs(row[-1]) * np.prod(gaps, axis=2) * (1 - 4 * (d + 3) * U)
-        radii = d * (resid + 8 * (d + 2) * U * size + rho[:, None]) / den
-        gaps.reshape(-1, d * d)[:, :: d + 1] = np.inf  # and out of the apartness test
-        apart = (gaps > radii[:, :, None] + radii[:, None, :]).all()
+    resid = np.abs(kernels.horner(g.row, z) - w[:, None])
+    size = kernels.horner(g.abs_row, np.abs(z)) + np.abs(w)[:, None]
+    gaps = np.abs(z[:, :, None] - z[:, None, :])
+    gaps.reshape(-1, d * d)[:, :: d + 1] = 1.0  # the diagonal, out of the product
+    den = g.abs_lead * np.prod(gaps, axis=2) * (1 - 4 * (d + 3) * U)
+    radii = d * (resid + 8 * (d + 2) * U * size + rho[:, None]) / den
+    gaps.reshape(-1, d * d)[:, :: d + 1] = np.inf  # and out of the apartness test
+    apart = (gaps > radii[:, :, None] + radii[:, None, :]).all()
     if not (np.isfinite(den).all() and np.isfinite(radii).all() and apart):
         return None
     return radii
@@ -168,28 +173,28 @@ def build_tree(gens: list[BelyiPoly], alpha, n: int) -> ArborealTree:
     rho = np.array([float(err) if float(err) >= err else np.nextafter(float(err), 1.0)])
     levels = [((w, 0.0, -1),)]
     radii_out = [tuple(rho.tolist())]
-    rows = [np.array([c / g.poly.den for c in g.poly.num], dtype=np.complex128) for g in gens]
-    chain = [rows[(k - 1) % len(rows)] for k in range(1, n + 1)]  # row k-1 is B_{i_k}
     nodes: list[np.ndarray] = []
-    for k, row in enumerate(chain, 1):
-        batch = row[None].repeat(len(values), axis=0)
-        batch[:, 0] -= values
-        # each child is solved under its own parent, so parenthood is exact
-        roots = kernels.newton_chain(row, kernels.dk_batch(batch), values[:, None])
-        if not np.isfinite(roots).all():
-            raise ValueError(f"polish failed at level {k}: non-finite root")
-        roots = np.sort(roots, axis=1)  # complex order: (re, im)
-        radii = _disk_radii(row, roots, values, rho)
-        if radii is None:
-            raise ValueError(f"sibling disks overlap at level {k}")
-        rho, values = radii.reshape(-1), roots.reshape(-1)
-        nodes.append(values)
-        radii_out.append(tuple(rho.tolist()))
-        parent_of = np.arange(len(roots)).repeat(d)
-        # + 0.0 makes a signed zero, such as the imaginary part of -(-1/3 + 0j), read 0.0
-        re, im = (values.real + 0.0).tolist(), (values.imag + 0.0).tolist()
-        levels.append(tuple(zip(re, im, parent_of.tolist())))
-    residuals = np.abs(kernels.chain_values(chain, nodes) - complex(alpha))
+    # one error state for the whole tree: what overflows or turns NaN is refused below
+    with np.errstate(all="ignore"):
+        rows = [kernels.Row([c / g.poly.den for c in g.poly.num]) for g in gens]
+        chain = [rows[(k - 1) % len(rows)] for k in range(1, n + 1)]  # chain[k-1] is B_{i_k}
+        for k, row in enumerate(chain, 1):
+            # each child is solved under its own parent, so parenthood is exact
+            roots = kernels.newton_chain(row, kernels.dk_batch(row, values), values[:, None])
+            if not np.isfinite(roots).all():
+                raise ValueError(f"polish failed at level {k}: non-finite root")
+            roots = np.sort(roots, axis=1)  # complex order: (re, im)
+            radii = _disk_radii(row, roots, values, rho)
+            if radii is None:
+                raise ValueError(f"sibling disks overlap at level {k}")
+            rho, values = radii.reshape(-1), roots.reshape(-1)
+            nodes.append(values)
+            radii_out.append(tuple(rho.tolist()))
+            parent_of = np.arange(len(roots)).repeat(d)
+            # + 0.0 makes a signed zero, such as the imaginary part of -(-1/3 + 0j), read 0.0
+            re, im = (values.real + 0.0).tolist(), (values.imag + 0.0).tolist()
+            levels.append(tuple(zip(re, im, parent_of.tolist())))
+        residuals = np.abs(kernels.chain_values([row.row for row in chain], nodes) - complex(alpha))
     tol = max(1e-9, max(max(r) for r in radii_out))
     return ArborealTree(d, alpha, tol, tuple(levels), float(residuals.max(initial=0.0)), tuple(radii_out))
 

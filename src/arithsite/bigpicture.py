@@ -86,10 +86,18 @@ def neighbours(x: PicClass, p: int) -> list[PicClass]:
         raise ValueError(f"refusing p = {p} > {MAX_NEIGHBOUR_PRIME}: it has p + 1 neighbours")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    # X_k = (M/p, (rho + k)/p) and X_p = (p M, p rho), as integral forms
+    # X_k = (M/p, (rho + k)/p) is the form (a, b + kn, pn) and X_p = (p M, p rho) is
+    # (pa, pb, n).  Since gcd(a, b, n) = 1, either form's content is 1 or p: X_k has
+    # content p iff p | a and p | b + kn, which holds for one k when p | a and not
+    # p | n, and for none otherwise; X_p iff p | n.  As 0 <= b + kn < pn, each X_k
+    # is then a primitive Hermite form as it stands, or divided by p.
     a, b, n = x
-    out = [_primitive(a, b + k * n, p * n) for k in range(p)]
-    out.append(_primitive(p * a, p * b, n))
+    pn = p * n
+    out = [_trusted((a, b + k * n, pn)) for k in range(p)]
+    if a % p == 0 and n % p:
+        k = -(b % p) * pow(n, -1, p) % p  # p | b + kn
+        out[k] = _trusted((a // p, (b + k * n) // p, n))
+    out.append(_trusted((a, b % (n // p), n // p) if n % p == 0 else (p * a, p * b % n, n)))
     return out
 
 

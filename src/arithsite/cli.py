@@ -141,6 +141,11 @@ GROUPS = {
 }
 
 
+def _literal(text: str) -> str:
+    """A string argument as typed: main marks a leading-minus literal with a space."""
+    return text[1:] if text[:1] == " " and _is_literal(text[1:]) else text
+
+
 def _add_arguments(p: argparse.ArgumentParser, spec: str) -> None:
     """Add the arguments of one usage-line string of GROUPS to p."""
     for token in spec.split():
@@ -148,15 +153,16 @@ def _add_arguments(p: argparse.ArgumentParser, spec: str) -> None:
         name, required = name.removesuffix("!"), name.endswith("!")
         name, many = name.removesuffix("+"), name.endswith("+")
         name, _, kind = name.partition(":")
-        kw = {"type": int} if kind == "int" else {}
+        if name.startswith("--") and not (kind or many or required or default):
+            p.add_argument(name, action="store_true")
+            continue
+        kw = {"type": int if kind == "int" else _literal}
         if many:
             kw["nargs"] = "+"
         if required:
             kw["required"] = True
         if default:
-            kw["default"] = kw.get("type", str)(default)
-        if name.startswith("--") and not kw:
-            kw["action"] = "store_true"
+            kw["default"] = kw["type"](default)
         p.add_argument(name, **kw)
 
 
@@ -188,8 +194,9 @@ def _print(result) -> None:
         print(line)
 
 
-def _looks_like_poly(tok: str) -> bool:
-    return len(tok) > 1 and tok[0] == "-" and tok[1] in "x0123456789" and "x" in tok
+def _is_literal(tok: str) -> bool:
+    """A minus, then a digit, "." or x: a negative number, fraction, class or polynomial."""
+    return len(tok) > 1 and tok[0] == "-" and tok[1] in ".0123456789x"
 
 
 def main(argv=None) -> int:
@@ -197,8 +204,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     if hasattr(sys, "set_int_max_str_digits"):  # absent before Python 3.10.7
         sys.set_int_max_str_digits(MAX_INT_DIGITS)
-    # keep argparse from reading leading-minus polynomials as options
-    argv = [(" " + a) if _looks_like_poly(a) else a for a in argv]
+    # argparse reads -1/3 or -x as an option, but never a token with a space;
+    # _literal takes the space off again, and int() ignores it
+    argv = [(" " + a) if _is_literal(a) else a for a in argv]
     # argv[0] names the group only when it is one; otherwise build every verb
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:

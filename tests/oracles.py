@@ -6,6 +6,8 @@
   matrix hyper-distance through Mat2Q.inv and primitive_form, a breadth-first
   fiber over neighbours, and a greedy descent towards (1, 0) that normalizes
   after each step.  They share no code with the Hermite-coordinate versions.
+- bigpicture.neighbours as it was before remainders mod p gave each
+  neighbour's content: every integral form divided by a three-way gcd.
 - The orbit count of P^1(Z/n), which `bp psi --proj` ran before psi(n)
   answered it.
 - The Conway monoid's rewriting presentation, which conway.normalize ran
@@ -96,6 +98,13 @@ def matrix_distance(x: PicClass, y: PicClass) -> int:
     """det of the primitive integral form of alpha_x . alpha_y^-1."""
     _, ((p, q), (r, s)) = primitive_form(alpha(x) * alpha(y).inv())
     return p * s - q * r
+
+
+def gcd_neighbours(x: PicClass, p: int) -> list[PicClass]:
+    """bigpicture.neighbours as it was before remainders mod p gave each content:
+    X_k = (a, b + kn, pn) and X_p = (pa, pb, n), each divided by its three-way gcd."""
+    a, b, n = x
+    return [PicClass._make((a, b + k * n, p * n)) for k in range(p)] + [PicClass._make((p * a, p * b, n))]
 
 
 def bfs_fiber(n: int) -> set[PicClass]:
@@ -657,9 +666,9 @@ def eight_step_tree(gens, alpha, n: int) -> arboreal.ArborealTree:
     """build_tree with each level polished by eight Newton steps, not one."""
     one_step = kernels.newton_chain
 
-    def eight_steps(row, xs, targets):
+    def eight_steps(g, xs, targets):
         for _ in range(8):
-            xs = one_step(row, xs, targets)
+            xs = one_step(g, xs, targets)
         return xs
 
     kernels.newton_chain = eight_steps
@@ -669,10 +678,11 @@ def eight_step_tree(gens, alpha, n: int) -> arboreal.ArborealTree:
         kernels.newton_chain = one_step
 
 
-def companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of each row polynomial (ascending coefficients): the eigenvalues
-    of the stacked companion matrices, degree 2 included."""
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
+def companion_roots(g: kernels.Row, values: np.ndarray) -> np.ndarray:
+    """Roots of g.row - w for each w of values: the eigenvalues of the stacked
+    companion matrices of the batch of rows, degree 2 included."""
+    coeffs = np.tile(g.row, (len(values), 1))
+    coeffs[:, 0] -= values
     m, d = coeffs.shape[0], coeffs.shape[1] - 1
     companion = np.zeros((m, d, d), dtype=np.complex128)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
@@ -681,16 +691,16 @@ def companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(companion)
 
 
-def _masked_disk_radii(row, z, w, rho):
+def _masked_disk_radii(g, z, w, rho):
     """arboreal._disk_radii with the diagonal of the gaps masked by np.eye."""
     d = z.shape[1]
     eye = np.eye(d, dtype=bool)
     u = arboreal.U
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        resid = np.abs(kernels.horner(row, z) - w[:, None])
-        size = kernels.horner(np.abs(row), np.abs(z)) + np.abs(w)[:, None]
+        resid = np.abs(kernels.horner(g.row, z) - w[:, None])
+        size = kernels.horner(g.abs_row, np.abs(z)) + np.abs(w)[:, None]
         gaps = np.where(eye, 1.0, np.abs(z[:, :, None] - z[:, None, :]))
-        den = np.abs(row[-1]) * np.prod(gaps, axis=2) * (1 - 4 * (d + 3) * u)
+        den = g.abs_lead * np.prod(gaps, axis=2) * (1 - 4 * (d + 3) * u)
         radii = d * (resid + 8 * (d + 2) * u * size + rho[:, None]) / den
         apart = (gaps > radii[:, :, None] + radii[:, None, :]) | eye
     if not (np.all(np.isfinite(den)) and np.all(np.isfinite(radii)) and np.all(apart)):
@@ -700,7 +710,8 @@ def _masked_disk_radii(row, z, w, rho):
 
 def per_level_tree(gens, alpha, n: int) -> arboreal.ArborealTree:
     """build_tree one flat level at a time: siblings sorted by lexsort under
-    their parent, and each level's residual from the whole chain so far."""
+    their parent, and each level's residual from the whole chain so far.  Each
+    level builds its own kernels.Row and error state."""
     d = gens[0].degree
     alpha = Fraction(alpha)
     w = float(alpha)
@@ -715,15 +726,15 @@ def per_level_tree(gens, alpha, n: int) -> arboreal.ArborealTree:
         fk = arboreal._factor(gens, k).poly
         row = np.array([c / fk.den for c in fk.num], dtype=np.complex128)
         chain_rows.append(row)
-        batch = np.tile(row, (len(values), 1))
-        batch[:, 0] -= values
+        g = kernels.Row(row)
         parent_of = np.repeat(np.arange(len(values)), d)
-        roots = kernels.dk_batch(batch).reshape(-1)
-        roots = kernels.newton_chain(row, roots, values[parent_of])
+        with np.errstate(all="ignore"):
+            roots = kernels.dk_batch(g, values).reshape(-1)
+            roots = kernels.newton_chain(g, roots, values[parent_of])
         if not np.all(np.isfinite(roots)):
             raise ValueError(f"polish failed at level {k}: non-finite root")
         roots = roots[np.lexsort((roots.imag, roots.real, parent_of))]
-        radii = _masked_disk_radii(row, roots.reshape(-1, d), values, rho)
+        radii = _masked_disk_radii(g, roots.reshape(-1, d), values, rho)
         if radii is None:
             raise ValueError(f"sibling disks overlap at level {k}")
         rho = radii.reshape(-1)

@@ -388,7 +388,8 @@ def test_disk_radii_cover_residual_and_parent_error():
     exact = np.sort_complex(np.array([0.5, (1 + 3**0.5) / 2, (1 - 3**0.5) / 2], dtype=np.complex128))
     w = np.array([0.5 + 0j])
     for z, rho, w_true in ((exact + 1e-6, 0.0, 0.5), (exact, 1e-6, 0.5 + 1e-6j)):
-        radii = arboreal._disk_radii(row, z[None, :], w, np.array([rho]))
+        with np.errstate(all="ignore"):  # build_tree's, which _disk_radii's caller owns
+            radii = arboreal._disk_radii(kernels.Row(row), z[None, :], w, np.array([rho]))
         roots = np.roots([-2, 3, 0, -w_true])
         dist = np.abs(z[:, None] - roots[None, :]).min(axis=1)
         assert radii is not None and np.all(dist > 3e-7) and np.all(dist <= radii[0])
@@ -396,9 +397,9 @@ def test_disk_radii_cover_residual_and_parent_error():
 
 def test_coincident_siblings_are_refused(monkeypatch):
     # two equal siblings make a Weierstrass denominator 0: no disk separates them
-    def coincident_roots(coeffs):
+    def coincident_roots(g, values):
         # 1/2 is a true root of B31 - 1/2, so the Newton step leaves both copies
-        return np.tile(np.array([0.5, 0.5, 2.0], dtype=np.complex128), (coeffs.shape[0], 1))
+        return np.tile(np.array([0.5, 0.5, 2.0], dtype=np.complex128), (len(values), 1))
 
     monkeypatch.setattr(kernels, "dk_batch", coincident_roots)
     with pytest.raises(ValueError, match="sibling disks overlap at level 1"):
@@ -421,9 +422,29 @@ def test_rejects_mixed_degrees():
 
 def test_non_finite_root_is_refused(monkeypatch):
     # NaN trips none of build_tree's comparisons, so it is refused outright
-    def nan_roots(coeffs):
-        return np.full((coeffs.shape[0], coeffs.shape[1] - 1), np.nan, dtype=np.complex128)
+    def nan_roots(g, values):
+        return np.full((len(values), len(g.monic)), np.nan, dtype=np.complex128)
 
     monkeypatch.setattr(kernels, "dk_batch", nan_roots)
     with pytest.raises(ValueError, match="polish failed at level 1: non-finite root"):
         arboreal.build_tree([B31], HALF, 1)
+
+
+def test_each_generator_row_is_built_once_per_tree(monkeypatch):
+    # two generators over six levels: one Row per generator, and at each level
+    # one dk_batch and one newton_chain, both on the Row of that level's generator
+    seen = {"Row": [], "dk_batch": [], "newton_chain": []}
+    for name in seen:
+
+        def spy(g, *args, name=name, real=getattr(kernels, name)):
+            out = real(g, *args)
+            seen[name].append(out if name == "Row" else g)
+            return out
+
+        monkeypatch.setattr(kernels, name, spy)
+    gens = [b_dk(2, 1), b_dk(2, 0)]
+    assert arboreal.build_tree(gens, Fraction(1, 3), 6).leaves() == 64
+    rows = seen["Row"]
+    assert len(rows) == 2 and rows[0] is not rows[1]
+    per_level = [id(rows[k % 2]) for k in range(6)]
+    assert [id(g) for g in seen["dk_batch"]] == [id(g) for g in seen["newton_chain"]] == per_level

@@ -23,7 +23,7 @@ from arithsite.bigpicture import (
     psi,
 )
 from arithsite.ratpoly import Mat2Q, primitive_form
-from oracles import alpha, bfs_fiber, letter_matrix, matrix_distance, proj_line_count
+from oracles import alpha, bfs_fiber, gcd_neighbours, letter_matrix, matrix_distance, proj_line_count
 
 C = parse_class
 
@@ -113,6 +113,27 @@ def test_neighbour_distance_and_consistency():
             for y in ns:
                 assert hyperdistance(x, y) == p
                 assert x in neighbours(y, p)
+
+
+def test_neighbours_match_the_gcd_route():
+    # the content of each neighbour from remainders mod p, against a three-way gcd:
+    # every class with a, n <= 24, and classes of 60-digit parts, some divisible by p
+    pairs = 0
+    for p in (2, 3, 5, 7):
+        for n in range(1, 25):
+            for a in range(1, 25):
+                for b in range(n):
+                    if gcd(a, b, n) == 1:
+                        x = PicClass._make((a, b, n))
+                        assert neighbours(x, p) == gcd_neighbours(x, p), (x, p)
+                        pairs += 1
+    assert pairs == 23832
+    rng = random.Random(29)
+    for _ in range(200):
+        p = rng.choice((2, 3, 5, 7, 9973))
+        a, b, n = (rng.randrange(1, 10**60) * rng.choice((1, p)) for _ in range(3))
+        x = PicClass._make((a, b, n))
+        assert neighbours(x, p) == gcd_neighbours(x, p), (x, p)
 
 
 def test_tree_multiplicativity():

@@ -154,6 +154,20 @@ def test_bc_verbs(run):
     assert code == 1 and out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
+def test_negative_literals_are_arguments(run):
+    # argparse reads -1/3 as an option, -0.5 as a number; every leading-minus
+    # literal is an argument, so x = -1/3 reads as 2/3 mod 1
+    assert run("bc", "op", "2", "1", "-1/3") == run("bc", "op", "2", "1", "2/3") == (0, "5/6\n", "")
+    assert run("bc", "rho", "3", "-1/3") == run("bc", "rho", "3", "2/3")
+    assert run("bc", "op", "2", "1", "-.5") == run("bc", "op", "2", "1", "-0.5") == (0, "3/4\n", "")
+    for argv in (("bp", "distance", "-1/2:0", "1:0"), ("ar", "generic", "x", "--alpha", "-1/3")):
+        code, out, err = run(*argv)
+        assert code == 1 and out == "" and err.startswith("error: "), argv
+    assert run("ar", "generic", "x", "--alpha", "-1/3")[2] == "error: alpha must lie in (0, 1)\n"
+    # the marking space is taken off again: the literal reads as typed
+    assert run("bp", "distance", "-1/2:0", "1:0")[2].startswith("error: bad class literal '-1/2:0'")
+
+
 def test_ar_verbs(run):
     assert run("ar", "generic", "-2*x^3+3*x^2", "--alpha", "1/2")[1].strip() == "true"
     assert run("ar", "squarefree", "-2*x^3+3*x^2", "--alpha", "1/2", "--depth", "2")[1].strip() == "true"
@@ -800,11 +814,11 @@ def _ints(lo: int, hi: int):
 
 _FRACS = _mostly(
     st.builds(lambda a, b: f"{a}/{b}", st.integers(-9, 30), st.integers(1, 30)),
-    st.sampled_from(["x", "1/0", "1e-3", "-", "1", f"1/{10**60 + 7}", "7" * 2000, "1e-20000000"]),
+    st.sampled_from(["x", "1/0", "1e-3", "-", "-1/3", "1", f"1/{10**60 + 7}", "7" * 2000, "1e-20000000"]),
 )
 _CLASSES = _mostly(
     st.builds(lambda a, b, r: f"{a}/{b}:{r}", st.integers(1, 30), st.integers(1, 30), _FRACS),
-    st.sampled_from(["junk", "1:", ":0", "0:0", "-1:0", "1/0:0", "1:2:3", f"{10**30}:1/{10**30 + 1}"]),
+    st.sampled_from(["junk", "1:", ":0", "0:0", "-1:0", "-1/2:0", "1/0:0", "1:2:3", f"{10**30}:1/{10**30 + 1}"]),
 )
 _LETTER = st.sampled_from((2, 3, 5, 7, 11)).flatmap(lambda p: st.integers(0, p).map(lambda i: f"P[{p},{i}]"))
 _WORDS = _mostly(
@@ -947,10 +961,11 @@ def test_fuzz_grammar_covers_every_verb():
 
 
 # the argparse tree of `arithsite`, in order: per group its aliases and help,
-# per verb each argument's option strings (or dest), nargs, type, required and default
-STR, INT, FLAG = (None, None, True, None), (None, int, True, None), (0, None, False, False)
-MANY, MANY_INT = ("+", None, True, None), ("+", int, True, None)
-_AR_SURFACE = [("polys", *MANY), (("--alpha",), None, None, True, None), (("--depth",), None, int, True, None)]
+# per verb each argument's option strings (or dest), nargs, type, required and default;
+# a string argument's type takes off the space that marks a leading-minus literal
+STR, INT, FLAG = (None, cli._literal, True, None), (None, int, True, None), (0, None, False, False)
+MANY, MANY_INT = ("+", cli._literal, True, None), ("+", int, True, None)
+_AR_SURFACE = [("polys", *MANY), (("--alpha",), None, cli._literal, True, None), (("--depth",), None, int, True, None)]
 SURFACE = {
     "bp": (["bigpicture"], "big picture classes", {
         "distance": [("x", *STR), ("y", *STR)],
