@@ -34,6 +34,21 @@ MAX_INT_DIGITS = 131072
 # degree 512 (B_{32,16} and B_{16,8}) and 28 s at degree 4096 (B_{64,32} twice).
 MAX_EXACT_DEGREE = 512
 
+# MAX_BITS caps the bits that one `bp` or `bc` listing builds.  Each such verb
+# states its count of items times a bound on the bits of each, before it builds
+# any, and check_bits refuses the product past the cap; the bounds are in the
+# bigpicture and bostconnes docstrings.  On a 2-core Xeon host a call near the
+# cap took 0.05-0.3 s in process, mostly printing (`bp neighbours 1:0 16381`,
+# `bp fiber 5040`, `bc rho 32749 1/2`, `bc presheaf P[2,1] 32767`); with no
+# bound on bits, the 8 neighbours of a class of four 30000-digit parts took 2.1 s.
+MAX_BITS = 2**19
+
+
+def check_bits(count: int, bits: int, what: str) -> None:
+    """Refuse `count` items of at most `bits` bits each when they pass MAX_BITS in all."""
+    if count * bits > MAX_BITS:
+        raise ValueError(f"refusing {what} of {count * bits} bits > {MAX_BITS}")
+
 
 def record(name: str, fields: str):
     """A namedtuple base whose _make, and so _replace, builds through the subclass's __new__."""

@@ -16,6 +16,13 @@ A PicClass stores that unique form as the integers (a, b, n): a, n > 0,
 0 <= b < n and gcd(a, b, n) = 1, so equality and hashing are structural.
 _primitive brings any integral form [[a, b], [0, n]] of the lattice to it:
 divide by the content, then take b mod n.
+
+A listing states, by arithsite.check_bits, its count of classes times a bound
+on bits(a) + 2 bits(n) >= bits(a) + bits(b) + bits(n) of each, before it
+builds any.  Around x = (a, b, n) that is (p + 1) (bits(a) + 2 bits(n) +
+2 bits(p)) for neighbours(x, p), the size of the ball times bits(a) +
+2 bits(n) + 2 r bits(max p) for ball_dot at radius r, and psi(n) (2 bits(n) + 1)
+for fiber(n).
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd
 
+from . import MAX_BITS, check_bits
 from .literals import frac, parse_rational
 from .primes import factorize, is_prime
 
@@ -75,15 +83,11 @@ def hyperdistance(x: PicClass, y: PicClass) -> int:
     return top // g * (bottom // g)
 
 
-# MAX_NEIGHBOUR_PRIME caps the prime p of neighbours, whose result has p + 1
-# classes; on a 2-core Xeon host p = 10007 took 0.009 s and p = 100003 0.13 s.
-MAX_NEIGHBOUR_PRIME = 10**4
-
-
 def neighbours(x: PicClass, p: int) -> list[PicClass]:
     """The p+1 classes at hyper-distance p from x, in the order X_0..X_{p-1}, X_p."""
-    if p > MAX_NEIGHBOUR_PRIME:
-        raise ValueError(f"refusing p = {p} > {MAX_NEIGHBOUR_PRIME}: it has p + 1 neighbours")
+    a, b, n = x
+    # X_k has a' <= a and n' <= p n, and X_p has a' <= p a and n' <= n (see below)
+    check_bits(p + 1, a.bit_length() + 2 * (n.bit_length() + p.bit_length()), "a neighbour list")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     # X_k = (M/p, (rho + k)/p) is the form (a, b + kn, pn) and X_p = (p M, p rho) is
@@ -91,7 +95,6 @@ def neighbours(x: PicClass, p: int) -> list[PicClass]:
     # content p iff p | a and p | b + kn, which holds for one k when p | a and not
     # p | n, and for none otherwise; X_p iff p | n.  As 0 <= b + kn < pn, each X_k
     # is then a primitive Hermite form as it stands, or divided by p.
-    a, b, n = x
     pn = p * n
     out = [_trusted((a, b + k * n, pn)) for k in range(p)]
     if a % p == 0 and n % p:
@@ -111,13 +114,6 @@ def psi(n: int) -> int:
     return out
 
 
-# MAX_FIBER caps the size psi(n) of a fiber that fiber(n) will enumerate, and
-# so the lines that `bp fiber n` lists; `bp fiber n --count` prints psi(n)
-# without building the fiber.  On a 2-core Xeon host the closed form below
-# built 864 classes (n = 360) in 0.4 ms and 13824 (n = 5040) in 8 ms.
-MAX_FIBER = 1000
-
-
 def fiber(n: int) -> set[PicClass]:
     """All classes at hyper-distance exactly n from the identity class.
 
@@ -125,27 +121,20 @@ def fiber(n: int) -> set[PicClass]:
     (a/d, b/d) with a d = n, 0 <= b < d and gcd(a, b, d) = 1, psi(n) of them,
     built as the triples (a, b, d) they are.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if psi(n) > MAX_FIBER:
-        raise ValueError(f"refusing psi({n}) = {psi(n)} > {MAX_FIBER} classes")
+    check_bits(psi(n), 2 * n.bit_length() + 1, "a fiber")  # bits(a) + bits(d) <= bits(n) + 1
     return {_trusted((n // d, b, d))
             for d in range(1, n + 1) if n % d == 0
             for b in range(d) if gcd(n // d, b, d) == 1}
 
 
-# MAX_BALL caps the classes of a ball_dot ball, counted before any is built.
-# Along the primes S the big picture is the product of the (p+1)-regular
-# trees of the p in S, so the ball of radius r has sum prod_p s_p(k_p)
-# classes, over the (k_p) with sum k_p <= r, where s_p(0) = 1 and
-# s_p(k) = (p+1) p^(k-1) count the tree's spheres.  On a 2-core Xeon host a
-# ball of 12286 classes (prime 2, radius 12) took 0.12 s and one of 25312
-# (primes 2, 3, 5, 7, radius 4) took 0.33 s.
-MAX_BALL = 10**4
+def _ball_size(primes: list[int], radius: int) -> int:
+    """Classes within `radius` steps along the distinct `primes`.
 
-
-def _ball_size(primes: set[int], radius: int) -> int:
-    """Classes within `radius` steps along `primes` (see MAX_BALL)."""
+    Along the primes S the big picture is the product of the (p+1)-regular
+    trees of the p in S, so the ball of radius r has sum prod_p s_p(k_p)
+    classes, over the (k_p) with sum k_p <= r, where s_p(0) = 1 and
+    s_p(k) = (p+1) p^(k-1) count the tree's spheres.
+    """
     spheres = [1] + [0] * radius  # spheres[k]: classes at exactly k steps
     for p in primes:
         tree = [1] + [(p + 1) * p ** (k - 1) for k in range(1, radius + 1)]
@@ -157,14 +146,16 @@ def ball_dot(x: PicClass, primes: list[int], radius: int) -> str:
     """DOT graph of the ball around x: `radius` neighbour steps along `primes`."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    primes = list(dict.fromkeys(primes))  # each prime walked once
+    top = max((p.bit_length() for p in primes), default=0)
+    # along a prime p the ball of radius r has over p^r >= 2^((bits(p) - 1) r)
+    # classes, so counting up to the radius where that passes MAX_BITS decides
+    # the budget; each step multiplies or divides a or n by a prime
+    counted = min(radius, -(-MAX_BITS.bit_length() // max(top - 1, 1)))
+    check_bits(_ball_size(primes, counted), x.a.bit_length() + 2 * (x.n.bit_length() + radius * top), "a ball")
     for p in primes:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-    # a ball of radius r along any prime has over 2^r classes, so counting up
-    # to radius MAX_BALL.bit_length() decides the cap
-    size = _ball_size(set(primes), min(radius, MAX_BALL.bit_length()))
-    if size > MAX_BALL:
-        raise ValueError(f"refusing a ball of more than {MAX_BALL} classes")
     name = {x: str(x)}  # each class of the ball, formatted once
     frontier = [x]
     edges = set()

@@ -5,36 +5,21 @@ the kernel of sigma_n is the n-torsion (1/n)Z/Z, whose element x_{i,n} is i/n.
 The checks read a torsion level (1/L)Z/Z as the residues Z/L, a standing for
 a/L, and build no Fraction.  sigma, operator and rho read a rational x as
 x mod 1; they and presheaf_value return reduced Fractions in [0, 1).
+
+Each check, rho and presheaf_value state, by arithsite.check_bits, the bits
+they build before they build any: L bits(L) for the residues of level L,
+p bits(p v) for rho(p, u/v), whose values have denominators dividing p v, and
+level bits(level P) for presheaf_value, with P the product of the word's free
+primes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from . import check_bits
 from .conway import Letter, Word, free_value, split_normal
 from .primes import is_prime
-
-# MAX_TORSION caps the torsion a check enumerates: n for condition 3, n*m
-# for condition 4, p*q for condition 5, p for rho and the level of
-# presheaf_value.  On a 2-core Xeon host condition 3 took 0.23 s at
-# n = 10^4 and 2.5 s at n = 10^5, and condition 5 took 0.43 s at p q = 9797,
-# both in Fractions; in residues each takes under 5 ms at the cap.
-MAX_TORSION = 10**4
-
-# MAX_PRESHEAF_BITS caps level * bits(level P), the size of a presheaf value:
-# its `level` elements have denominators dividing level P, with P the product
-# of the word's free primes.  On a 2-core Xeon host the closed form below took
-# 0.8 s in the CLI at level 2 on 6500 letters P[999999999989,1], near the cap;
-# applying the letters one by one took over 60 s on 1000 letters P[2,1] at
-# level 10^4, a value of 10^7 bits.  rho(p, u/v) is capped by the same rule,
-# at p * bits(p v): printing its 101 values took 2.9 s at 10^7 bits.
-MAX_PRESHEAF_BITS = 2**19
-
-
-def _check_torsion(size: int) -> None:
-    if size > MAX_TORSION:
-        raise ValueError(f"refusing torsion of order {size} > {MAX_TORSION}")
-
 
 def sigma(n: int, x: Fraction) -> Fraction:
     return n * x % 1
@@ -53,7 +38,7 @@ def check_condition3(n: int) -> bool:
     """Kernel of sigma_n is cyclic of order n; at level n, sigma_n is i -> n i mod n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    _check_torsion(n)
+    check_bits(n, n.bit_length(), "a torsion level")
     ker = {i for i in range(n) if n * i % n == 0}
     gen = 1  # x_{1,n}
     return len(ker) == n and {k * gen % n for k in range(n)} == ker
@@ -69,7 +54,7 @@ def check_condition4(n: int, m: int) -> bool:
     if n < 1 or m < 1:
         raise ValueError("need n, m >= 1")
     level = n * m
-    _check_torsion(level)
+    check_bits(level, level.bit_length(), "a torsion level")
     return len({(k * m + j) % level for k in range(n) for j in range(m)}) == level
 
 
@@ -79,7 +64,7 @@ def check_condition5(p: int, q: int) -> bool:
     At level L = p q, x_{i,p} is i q, x_{j,q} is j p, and s_p(x_{j,q}) is j.
     """
     level = p * q
-    _check_torsion(level)
+    check_bits(level, level.bit_length(), "a torsion level")
     if p == q or not (is_prime(p) and is_prime(q)):
         raise ValueError("need distinct primes")
     for i in range(p):
@@ -103,11 +88,8 @@ def rho(p: int, x: Fraction) -> set[Fraction]:
     (y + i)/p for i < p, with y = x mod 1."""
     if p < 1:
         raise ValueError("need p >= 1")
-    _check_torsion(p)
+    check_bits(p, (p * x.denominator).bit_length(), "a rho value")  # x mod 1 keeps x's denominator
     y = x % 1
-    bits = p * (p * y.denominator).bit_length()
-    if bits > MAX_PRESHEAF_BITS:
-        raise ValueError(f"refusing a rho value of {bits} bits > {MAX_PRESHEAF_BITS}")
     return {Fraction(y + i, p) for i in range(p)}
 
 
@@ -123,9 +105,6 @@ def presheaf_value(w: Word, level: int) -> set[Fraction]:
     """
     if level < 1:
         raise ValueError("need level >= 1")
-    _check_torsion(level)
     a, big_p = free_value(split_normal(w)[0])
-    bits = level * (level * big_p).bit_length()
-    if bits > MAX_PRESHEAF_BITS:
-        raise ValueError(f"refusing a presheaf value of {bits} bits > {MAX_PRESHEAF_BITS}")
+    check_bits(level, (level * big_p).bit_length(), "a presheaf value")
     return {Fraction(k + a * level, level * big_p) for k in range(level)}

@@ -66,13 +66,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from arithsite import arboreal, kernels
+from arithsite import arboreal, check_bits, kernels
 from arithsite import conway as cw
 from arithsite import dessins as ds
 from arithsite import points as pt
 from arithsite.belyi import BelyiPoly
 from arithsite.bigpicture import PIC_ONE, PicClass, neighbours
-from arithsite.bostconnes import _check_torsion, operator, torsion
+from arithsite.bostconnes import operator, torsion
 from arithsite.primes import factorize, is_prime
 from arithsite.ratpoly import POLY_ONE, Mat2Q, PolyQ, poly_gcd, primitive_form
 from arithsite.supernatural import adele_class_equiv, from_chain
@@ -428,7 +428,7 @@ def fraction_condition3(n: int) -> bool:
     """Kernel of sigma_n is cyclic of order n, in reduced Fractions."""
     if n < 1:
         raise ValueError("need n >= 1")
-    _check_torsion(n)
+    check_bits(n, n.bit_length(), "a torsion level")
     ker = [x for x in torsion(n) if n * x % 1 == 0]
     if len(ker) != n:
         return False
@@ -445,7 +445,7 @@ def fraction_condition4(n: int, m: int) -> bool:
     """The n*m sums x_{k,n} + s_n(y), y in (1/m)Z/Z, exhaust (1/(n*m))Z/Z, in reduced Fractions."""
     if n < 1 or m < 1:
         raise ValueError("need n, m >= 1")
-    _check_torsion(n * m)
+    check_bits(n * m, (n * m).bit_length(), "a torsion level")
     pieces = [y / n for y in torsion(m)]
     sums = [(k + s) % 1 for k in torsion(n) for s in pieces]
     return len(set(sums)) == n * m and set(sums) == set(torsion(n * m))
@@ -453,7 +453,7 @@ def fraction_condition4(n: int, m: int) -> bool:
 
 def fraction_condition5(p: int, q: int) -> bool:
     """Section/kernel compatibility of distinct primes p, q, in reduced Fractions."""
-    _check_torsion(p * q)
+    check_bits(p * q, (p * q).bit_length(), "a torsion level")
     if p == q or not (is_prime(p) and is_prime(q)):
         raise ValueError("need distinct primes")
     kp = torsion(p)

@@ -1,16 +1,14 @@
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
 from math import floor, gcd, lcm
 
 import pytest
 
-from arithsite import conway as cw
+from arithsite import MAX_BITS, bigpicture, check_bits, conway as cw
 from arithsite.bigpicture import (
-    MAX_BALL,
-    MAX_FIBER,
-    MAX_NEIGHBOUR_PRIME,
     PIC_ONE,
     PicClass,
     _ball_size,
@@ -98,9 +96,10 @@ def test_neighbours_walk_back():
 def test_neighbours_reject_composite():
     with pytest.raises(ValueError, match="not prime"):
         neighbours(PIC_ONE, 4)
-    assert len(neighbours(PIC_ONE, 9973)) == 9974 and MAX_NEIGHBOUR_PRIME < 10007
-    with pytest.raises(ValueError, match="refusing p = 10007"):
-        neighbours(PIC_ONE, 10007)
+    # a neighbour of 1:0 has at most 3 + 2 bits(p) bits: 16382 * 31 <= 2^19 < 20012 * 33
+    assert len(neighbours(PIC_ONE, 16381)) == 16382
+    with pytest.raises(ValueError, match="refusing a neighbour list of 660396 bits > 524288"):
+        neighbours(PIC_ONE, 20011)
 
 
 def test_neighbour_distance_and_consistency():
@@ -130,7 +129,7 @@ def test_neighbours_match_the_gcd_route():
     assert pairs == 23832
     rng = random.Random(29)
     for _ in range(200):
-        p = rng.choice((2, 3, 5, 7, 9973))
+        p = rng.choice((2, 3, 5, 7, 509))
         a, b, n = (rng.randrange(1, 10**60) * rng.choice((1, p)) for _ in range(3))
         x = PicClass._make((a, b, n))
         assert neighbours(x, p) == gcd_neighbours(x, p), (x, p)
@@ -157,8 +156,9 @@ def test_fiber_two():
 
 def test_fiber_twelve():
     assert len(fiber(12)) == 24 == psi(12)
-    with pytest.raises(ValueError, match="refusing psi"):
-        fiber(5040)
+    assert len(fiber(5040)) == 13824 == psi(5040)
+    with pytest.raises(ValueError, match="refusing a fiber of 801792 bits > 524288"):
+        fiber(10080)
 
 
 def test_fiber_matches_breadth_first_search():
@@ -176,8 +176,7 @@ def test_fiber_classes_are_checked_classes():
     # fiber builds its classes without PicClass's checks, by the Hermite
     # theorem: each must be the class the checked constructor builds
     for n in range(1, 201):
-        if psi(n) <= MAX_FIBER:
-            _assert_checked_classes(fiber(n))
+        _assert_checked_classes(fiber(n))
 
 
 def test_neighbour_classes_are_checked_classes():
@@ -208,10 +207,9 @@ def test_classes_are_primitive_hermite_forms():
             for y, (m_y, rho_y) in zip(neighbours(x, p), expected, strict=True):
                 _assert_hermite(y, m_y, rho_y)
     for n in range(1, 201):
-        if psi(n) <= MAX_FIBER:
-            for x in fiber(n):
-                _assert_hermite(x, x.m, x.rho)
-                assert x.a * x.n == n
+        for x in fiber(n):
+            _assert_hermite(x, x.m, x.rho)
+            assert x.a * x.n == n
     for _ in range(300):
         ps = rng.choices((2, 3, 5, 7, 999983), k=rng.randint(0, 12))
         w = tuple(cw.Letter(p, rng.randint(0, p)) for p in ps)
@@ -247,13 +245,69 @@ def test_ball_dot_two_primes():
 
 
 def test_ball_dot_cap_counts_the_ball():
-    # the count that ball_dot checks against MAX_BALL is the size it builds
+    # the count of classes that ball_dot states to the bit budget is the size it builds
     for primes, radius in (([2], 11), ([3, 2, 3], 3), ([2, 3, 5, 7], 2), ([13], 3)):
         dot = ball_dot(C("3/2:1/4"), primes, radius)
-        assert dot.count(";") - dot.count("--") == _ball_size(set(primes), radius) <= MAX_BALL
-    assert _ball_size({2}, 12) == 12286 > MAX_BALL
-    with pytest.raises(ValueError, match="refusing a ball"):
+        assert dot.count(";") - dot.count("--") == _ball_size(set(primes), radius)
+    # 12286 classes along 2 at radius 12, of 1 + 2 * (1 + 12 * 2) bits each around 1:0
+    assert _ball_size({2}, 12) * 51 == 626586 > MAX_BITS
+    with pytest.raises(ValueError, match="refusing a ball of 626586 bits > 524288"):
         ball_dot(PIC_ONE, [2], 12)
+
+
+def _class_bits(x: PicClass) -> int:
+    return x.a.bit_length() + 2 * x.n.bit_length()
+
+
+def _ball_classes(x: PicClass, primes: list[int], radius: int) -> list[PicClass]:
+    return [C(v) for v in re.findall(r'^  "(.*)";$', ball_dot(x, primes, radius), re.M)]
+
+
+def test_listing_bit_bounds_hold(monkeypatch):
+    # the count * bits that each listing states to check_bits is at least the
+    # bits(a) + 2 bits(n) of the classes it builds
+    stated = []
+
+    def record(count, bits, what):
+        stated.append(count * bits)
+        check_bits(count, bits, what)
+
+    def check(listing, *args):
+        stated.clear()
+        classes = listing(*args)
+        assert stated[0] >= sum(map(_class_bits, classes)), (listing.__name__, args)
+
+    monkeypatch.setattr(bigpicture, "check_bits", record)
+    rng = random.Random(30)
+    primes = [p for p in range(2, 50) if all(p % q for q in range(2, p))]
+    for _ in range(300):
+        check(neighbours, _random_class(rng, 60), rng.choice(primes))
+    for n in range(1, 201):
+        check(fiber, n)
+    balls = 0
+    for _ in range(100):
+        try:
+            check(_ball_classes, _random_class(rng, 60), rng.sample(primes, rng.randint(1, 3)), rng.randint(0, 4))
+            balls += 1
+        except ValueError:  # past the budget
+            assert stated[0] > MAX_BITS
+    assert balls > 30
+
+
+def test_refused_listings_build_nothing(monkeypatch):
+    # the budget is checked before any class is built: no _trusted, no Fraction
+    rng = random.Random(120)
+    big = PicClass._make(tuple(rng.randrange(10**29999, 10**30000) for _ in range(3)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(bigpicture, "_trusted", forbidden)
+    monkeypatch.setattr(Fraction, "__new__", forbidden)
+    for call in (lambda: neighbours(big, 7), lambda: ball_dot(big, [2], 5), lambda: neighbours(PIC_ONE, 20011),
+                 lambda: fiber(10080), lambda: ball_dot(PIC_ONE, [2, 3, 5, 7], 50)):
+        with pytest.raises(ValueError, match="refusing a .* bits > 524288"):
+            call()
 
 
 def test_namedtuple_builders_canonicalise():

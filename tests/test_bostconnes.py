@@ -1,10 +1,11 @@
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from arithsite import bostconnes as bc, conway as cw
+from arithsite import MAX_BITS, bostconnes as bc, check_bits, conway as cw
 from arithsite.conway import Letter
 from oracles import (
     fraction_condition3,
@@ -48,18 +49,19 @@ def test_condition5_examples():
 
 
 def test_torsion_cap():
-    # each check refuses torsion above MAX_TORSION before enumerating any
-    assert bc.MAX_TORSION == 10**4
+    # each check refuses a level L of L * bits(L) > MAX_BITS before enumerating any;
+    # rho and presheaf_value refuse by their value's bits at the same budget
+    assert bc.check_condition3(32768) and 32768 * 16 == MAX_BITS
     assert bc.check_condition4(100, 100)
     assert len(bc.rho(9973, F(1, 3))) == 9973
-    for call in (
-        lambda: bc.check_condition3(10001),
-        lambda: bc.check_condition4(101, 100),
-        lambda: bc.check_condition5(101, 103),
-        lambda: bc.rho(10007, F(1, 3)),
-        lambda: bc.presheaf_value((Letter(2, 1),), 10001),
+    for call, what, bits in (
+        (lambda: bc.check_condition3(32769), "a torsion level", 32769 * 16),
+        (lambda: bc.check_condition4(201, 200), "a torsion level", 40200 * 16),
+        (lambda: bc.check_condition5(199, 211), "a torsion level", 41989 * 16),
+        (lambda: bc.rho(40009, F(1, 3)), "a rho value", 40009 * 17),
+        (lambda: bc.presheaf_value((Letter(2, 1),), 40000), "a presheaf value", 40000 * 17),
     ):
-        with pytest.raises(ValueError, match="refusing torsion of order"):
+        with pytest.raises(ValueError, match=f"^refusing {what} of {bits} bits > 524288$"):
             call()
 
 
@@ -73,19 +75,20 @@ def _outcome(check, *args):
 
 def test_conditions_match_the_fraction_checks():
     # the ranges of the CLI fuzz grammar with its hostile -1 and -7, and calls past
-    # the torsion cap, which is refused after n, m >= 1 and before the prime test
+    # the bit budget, which is refused after n, m >= 1 and before the prime test
     def grid(hi, k):
         return list(itertools.product((-7, -1, *range(hi + 1)), repeat=k))
 
     cases = (
-        (bc.check_condition3, fraction_condition3, [*grid(200, 1), (10001,)]),
-        (bc.check_condition4, fraction_condition4, [*grid(20, 2), (0, 10001), (101, 100)]),
-        (bc.check_condition5, fraction_condition5, [*grid(40, 2), (101, 103), (100, 102), (10007, 10007)]),
+        (bc.check_condition3, fraction_condition3, [*grid(200, 1), (32769,)]),
+        (bc.check_condition4, fraction_condition4, [*grid(20, 2), (0, 40001), (201, 200)]),
+        (bc.check_condition5, fraction_condition5, [*grid(40, 2), (199, 211), (100, 102), (200, 202), (10007, 10007)]),
     )
     for check, oracle, calls in cases:
         for args in calls:
             assert _outcome(check, *args) == _outcome(oracle, *args), (check.__name__, args)
-    assert _outcome(bc.check_condition5, 100, 102) == "ValueError: refusing torsion of order 10200 > 10000"
+    assert _outcome(bc.check_condition5, 100, 102) == "ValueError: need distinct primes"
+    assert _outcome(bc.check_condition5, 200, 202) == "ValueError: refusing a torsion level of 646400 bits > 524288"
 
 
 def test_conditions_build_no_fraction(monkeypatch):
@@ -236,3 +239,52 @@ def test_operator_meta_commutation_compat():
                         lhs = bc.operator(Letter(p, i), bc.operator(Letter(q, j), x))
                         rhs = bc.operator(Letter(q, l), bc.operator(Letter(p, k), x))
                         assert lhs == rhs
+
+
+def test_bit_bounds_hold(monkeypatch):
+    # the count * bits that each call states to check_bits is at least the bits it
+    # builds: L * bits(L) covers the residues of level L, and a value in [0, 1) has a
+    # numerator below its denominator, so its bits are at most twice the denominator's
+    stated = []
+
+    def record(count, bits, what):
+        stated.append(count * bits)
+        check_bits(count, bits, what)
+
+    def check_level(check, *args):
+        # each check builds residues of the level n, n m or p q, its arguments' product
+        stated.clear()
+        check(*args)
+        level = prod(args)
+        assert stated == [level * level.bit_length()] >= [sum(r.bit_length() for r in range(level))]
+
+    monkeypatch.setattr(bc, "check_bits", record)
+    rng = random.Random(30)
+    primes = [p for p in range(2, 50) if all(p % q for q in range(2, p))]
+    for n in range(1, 201):
+        check_level(bc.check_condition3, n)
+    for n, m in itertools.product(range(1, 15), repeat=2):
+        check_level(bc.check_condition4, n, m)
+    for p, q in itertools.permutations(primes[:6], 2):
+        check_level(bc.check_condition5, p, q)
+    for _ in range(300):
+        x = F(rng.randint(-200, 200), rng.randint(1, 200))
+        w = cw.normalize(tuple(Letter(p, rng.randrange(p + 1)) for p in rng.choices(primes, k=rng.randint(0, 4))))
+        for call in (lambda: bc.rho(rng.randint(1, 50), x), lambda: bc.presheaf_value(w, rng.randint(1, 200))):
+            values = call()
+            assert stated[-1] >= sum(v.denominator.bit_length() for v in values)
+            assert 2 * stated[-1] >= sum(v.numerator.bit_length() + v.denominator.bit_length() for v in values)
+
+
+def test_refused_calls_build_nothing(monkeypatch):
+    # the budget is checked before any value is built: no Fraction
+    x, word = F(1, 3), (Letter(2, 1),) * 1000
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Fraction built")
+
+    monkeypatch.setattr(Fraction, "__new__", forbidden)
+    for call in (lambda: bc.rho(40009, x), lambda: bc.presheaf_value(word, 10**4),
+                 lambda: bc.check_condition3(10**8), lambda: bc.check_condition5(999983, 1000003)):
+        with pytest.raises(ValueError, match="^refusing a .* bits > 524288$"):
+            call()

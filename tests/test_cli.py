@@ -3,6 +3,7 @@ import ast
 import functools
 import hashlib
 import importlib
+import itertools
 import json
 import os
 import random
@@ -44,10 +45,10 @@ def test_distance(run):
 def test_fiber_count(run):
     code, out, _ = run("bp", "fiber", "12", "--count")
     assert code == 0 and out.strip() == "24"
-    # the count is psi(n), so MAX_FIBER caps only the listing
-    assert run("bp", "fiber", "5040", "--count") == (0, "13824\n", "")
-    code, out, err = run("bp", "fiber", "5040")
-    assert code == 1 and out == "" and err == "error: refusing psi(5040) = 13824 > 1000 classes\n"
+    # the count is psi(n), so the bit budget caps only the listing
+    assert run("bp", "fiber", "10080", "--count") == (0, "27648\n", "")
+    code, out, err = run("bp", "fiber", "10080")
+    assert code == 1 and out == "" and err == "error: refusing a fiber of 801792 bits > 524288\n"
 
 
 def test_bdk(run):
@@ -242,12 +243,14 @@ def test_int_digit_cap(run):
     # both directions of int <-> str stop at the cap, named in plain words
     sevens = "7" * 70000
     for argv in (("bp", "distance", f"{sevens}:0", f"1/{sevens}:0"),
-                 ("ar", "generic", "x", "--alpha", "1" * (MAX_INT_DIGITS + 1)),
-                 # the last neighbour, 2M, has one digit past the cap: no line of the list is printed
-                 ("bp", "neighbours", "9" * MAX_INT_DIGITS + ":0", "2")):
+                 ("ar", "generic", "x", "--alpha", "1" * (MAX_INT_DIGITS + 1))):
         code, out, err = run(*argv)
         assert (code, out) == (1, "")
         assert err == f"error: refusing an integer of more than {MAX_INT_DIGITS} decimal digits\n"
+    # the last neighbour, 2M, would have one digit past the cap; the bit budget
+    # refuses the list before any line of it is printed
+    code, out, err = run("bp", "neighbours", "9" * MAX_INT_DIGITS + ":0", "2")
+    assert (code, out, err) == (1, "", "error: refusing a neighbour list of 1306254 bits > 524288\n")
 
 
 def test_class_literal_refusals_keep_their_cause(run):
@@ -398,6 +401,18 @@ def test_ball_dot(run):
     assert code == 0 and out.count("--") == 3
 
 
+def test_bit_budget_precedes_the_primality_test(run, monkeypatch):
+    # a 4000-bit odd p is refused by the bit budget, with no primality test
+    def forbidden(n):
+        raise AssertionError("primality tested")
+
+    monkeypatch.setattr(bp, "is_prime", forbidden)
+    p = str(2**3999 + 1)
+    for argv in (("bp", "neighbours", "1:0", p), ("bp", "ball-dot", "1:0", p, "--radius", "30")):
+        code, out, err = run(*argv)
+        assert (code, out) == (1, "") and err.startswith("error: refusing a ") and err.count("\n") == 1
+
+
 def _long_word() -> str:
     """15 000 letters over {2, 3, 5, 7} from a fixed seed: a 105 KB argument."""
     rng = random.Random(15000)
@@ -477,6 +492,9 @@ THIRD_POWER = f"1/{3**2000}"
 # a 30000-digit integer over another, 60 KB in all
 RHO_Y = f"1{'0' * 29998}1/1{'0' * 29998}3"
 ONES_CLASS = "1" * 100000 + "x:0"
+# a class literal A/B:C/D of four random 30000-digit integers, 120 KB
+_rng = random.Random(120)
+BIG_CLASS = "{}/{}:{}/{}".format(*(_digits(_rng.randrange(10**29999, 10**30000)) for _ in range(4)))
 
 
 def _chain_arg(site: str, entries, **fields) -> str:
@@ -505,6 +523,8 @@ ARG_IDS = {
     THIRD_POWER: "<1/3^2000>",
     RHO_Y: "<(10^29999+1)/(10^29999+3)>",
     ONES_CLASS: "<10^5 ones>x:0",
+    BIG_CLASS: "<A/B:C/D of 30000 digits each>",
+    "9" * 50000: "<50000 nines>",
     A_TWOS: "<A: 2 x 20000>",
     A_ONES: "<A: 1 x 19999, 2>",
     C_TWOS: "<C: P[2,1] x 40, P[2,1]^2, extended>",
@@ -533,6 +553,14 @@ BOUNDED = [
     ("bc presheaf P[2,1] 100000000", None),
     ("bp neighbours 1:0 1000003", None),
     ("bp ball-dot 1:0 2 3 5 7 --radius 50", None),
+    # the count caps let these through: formatting 8 neighbours of 30000-digit
+    # parts took 2.2 s, and a ball of 94 such classes 21 s and 34 MB
+    (f"bp neighbours {BIG_CLASS} 7", None),
+    (f"bp ball-dot {BIG_CLASS} 2 --radius 5", None),
+    # counting the ball to radius 20 along a 50000-digit p took 2.8 s
+    (f"bp ball-dot 1:0 {'9' * 50000} --radius 20", None),
+    # the walk took each of the 2000 repeats of 2 in turn: 2.8 s
+    (f"bp ball-dot 1:0 {' '.join(['2'] * 2000)} --radius 8", lambda: bp.ball_dot(bp.PIC_ONE, [2], 8) + "\n"),
     ("cw class2word 1/1000000007:0", "P[1000000007,0]\n"),
     # a composite past 10^12 with no prime factor up to 10^6 was refused;
     # Pollard-Brent rho splits it
@@ -604,7 +632,8 @@ def _bounded_id(argv: str) -> str:
         return argv
     group, verb, rest = argv.split(" ", 2)
     args = (a if len(a) < 100 else ARG_IDS.get(a, f"<{a.count('*') + 1} letters>") for a in rest.split())
-    return f"{group} {verb} {' '.join(args)}"
+    runs = ((a, len(list(same))) for a, same in itertools.groupby(args))
+    return f"{group} {verb} {' '.join(f'<{a} x {k}>' if k > 2 else ' '.join([a] * k) for a, k in runs)}"
 
 
 def _within_budget(run, argv: list[str], label: str):
@@ -694,7 +723,7 @@ def test_readme_lists_every_cap():
             for t in stmt.targets if isinstance(stmt, ast.Assign) else ():
                 if isinstance(t, ast.Name) and CAP.fullmatch(t.id):
                     src[t.id] = getattr(importlib.import_module(f"arithsite.{path.stem}"), t.id)
-    assert len(src) >= 17
+    assert len(src) >= 13
     assert _readme_caps() == src
 
 
