@@ -45,9 +45,15 @@ MAX_BITS = 2**19
 
 
 def check_bits(count: int, bits: int, what: str) -> None:
-    """Refuse `count` items of at most `bits` bits each when they pass MAX_BITS in all."""
-    if count * bits > MAX_BITS:
-        raise ValueError(f"refusing {what} of {count * bits} bits > {MAX_BITS}")
+    """Refuse `count` items of at most `bits` bits each when they pass MAX_BITS in all.
+
+    A total of 2^64 bits or more is stated by its bit length: its digits could
+    pass Python's int-to-str limit, or MAX_INT_DIGITS.
+    """
+    total = count * bits
+    if total > MAX_BITS:
+        size = total if total < 2**64 else f"at least 2^{total.bit_length() - 1}"
+        raise ValueError(f"refusing {what} of {size} bits > {MAX_BITS}")
 
 
 def record(name: str, fields: str):

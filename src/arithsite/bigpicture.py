@@ -147,6 +147,7 @@ def ball_dot(x: PicClass, primes: list[int], radius: int) -> str:
     if radius < 0:
         raise ValueError("radius must be >= 0")
     primes = list(dict.fromkeys(primes))  # each prime walked once
+    radius = radius if primes else 0  # with no prime, no step leaves x
     top = max((p.bit_length() for p in primes), default=0)
     # along a prime p the ball of radius r has over p^r >= 2^((bits(p) - 1) r)
     # classes, so counting up to the radius where that passes MAX_BITS decides

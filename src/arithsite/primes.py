@@ -106,13 +106,13 @@ def _small_prime_factors(n: int) -> list[int]:
     return [levels[0][i] for i, _ in nodes]
 
 
-def _remove(n: int, p: int) -> tuple[int, int]:
+def split_power(n: int, p: int) -> tuple[int, int]:
     """(e, m) with n = p^e m and p not dividing m, by dividing out p, p^2,
     p^4, ...: O(log e) divisions where one p at a time takes e."""
     q, r = divmod(n, p)
     if r:
         return 0, n
-    e, m = _remove(q, p * p)  # q = p^(2e) m with p^2 not dividing m
+    e, m = split_power(q, p * p)  # q = p^(2e) m with p^2 not dividing m
     q, r = divmod(m, p)
     return (2 * e + 2, q) if not r else (2 * e + 1, m)
 
@@ -171,7 +171,7 @@ def factorize(n: int) -> dict[int, int]:
             out[n] = out.get(n, 0) + 1
         return out
     for p in _small_prime_factors(n):
-        out[p], n = _remove(n, p)
+        out[p], n = split_power(n, p)
     # n and every part split from it have no prime factor up to TRIAL_BOUND,
     # so a part below TRIAL_BOUND^2 is 1 or a prime
     steps, parts = 0, [n]

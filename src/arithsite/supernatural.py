@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 
 from . import record
-from .primes import factorize, is_prime
+from .primes import factorize, is_prime, split_power
 
 INF = float("inf")
 
@@ -80,19 +80,38 @@ def lcm(s: Supernatural, t: Supernatural) -> Supernatural:
 
 
 def divides(n, s: Supernatural) -> bool:
-    """n | s exponent-wise; n may be a positive int or a Supernatural."""
+    """n | s exponent-wise; n may be a positive int or a Supernatural.
+
+    An int n is factored only when s's default exponent is finite and positive.
+    Otherwise n | s exactly when n's power of each exceptional prime p of s is
+    at most e_p, and what those powers leave of n is 1 (default 0) or anything
+    (default inf).
+    """
     if isinstance(n, int):
+        if s.default in (0, INF):
+            return _int_divides(n, s)
         n = Supernatural.from_int(n)
     if n.default > s.default:
         return False
     return all(a <= b for a, b in _exponent_pairs(n, s).values())
 
 
+def _int_divides(n: int, s: Supernatural) -> bool:
+    """divides(n, s) for an int n and a default of 0 or inf, without factoring n."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    for p, e in s.exceptions:
+        v, n = split_power(n, p)
+        if v > e:
+            return False
+    return n == 1 or s.default == INF
+
+
 def in_open(s: Supernatural, generators: list[int]) -> bool:
-    """Membership in the basic localic open spanned by the generators."""
+    """Membership in the basic localic open spanned by the generators, each tested once."""
     if not generators:
         raise ValueError("need at least one generator")
-    return any(divides(n, s) for n in generators)
+    return any(divides(n, s) for n in dict.fromkeys(generators))
 
 
 def adele_class_equiv(s: Supernatural, t: Supernatural) -> bool:
@@ -146,6 +165,15 @@ def format_supernatural(s: Supernatural) -> str:
     d = "inf" if s.default == INF else str(s.default)
     parts.append(f"[default={d}]")
     return "*".join(parts)
+
+
+def parse_divisor(text: str):
+    """A positive integer literal as an int, which divides reads without factoring
+    it when it can; any other literal as parse_supernatural reads it."""
+    s = text.replace(" ", "")
+    if re.fullmatch(r"\d+", s) and (n := int(s)) >= 1:
+        return n
+    return parse_supernatural(s)
 
 
 def parse_supernatural(text: str) -> Supernatural:

@@ -29,8 +29,8 @@
   probable-prime test.
 - bostconnes.presheaf_value as it was before the free letters composed to
   one affine map: the operators applied one letter at a time.
-- The Bost-Connes conditions 3, 4 and 5 as bostconnes checked them before it
-  worked in residues at one level: every torsion element a reduced Fraction.
+- The Bost-Connes conditions 3, 4 and 5 by enumeration, every torsion element
+  a reduced Fraction; bostconnes answers them by theorem.
 - The brute-force sigma_n fiber of Q/Z, random framed trees and a
   frame-anchored canonical relabeling of dessins.
 - dessins.anatomy as it was before one rooted pass replaced it, with the
@@ -66,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from arithsite import arboreal, check_bits, kernels
+from arithsite import arboreal, kernels
 from arithsite import conway as cw
 from arithsite import dessins as ds
 from arithsite import points as pt
@@ -428,7 +428,6 @@ def fraction_condition3(n: int) -> bool:
     """Kernel of sigma_n is cyclic of order n, in reduced Fractions."""
     if n < 1:
         raise ValueError("need n >= 1")
-    check_bits(n, n.bit_length(), "a torsion level")
     ker = [x for x in torsion(n) if n * x % 1 == 0]
     if len(ker) != n:
         return False
@@ -445,7 +444,6 @@ def fraction_condition4(n: int, m: int) -> bool:
     """The n*m sums x_{k,n} + s_n(y), y in (1/m)Z/Z, exhaust (1/(n*m))Z/Z, in reduced Fractions."""
     if n < 1 or m < 1:
         raise ValueError("need n, m >= 1")
-    check_bits(n * m, (n * m).bit_length(), "a torsion level")
     pieces = [y / n for y in torsion(m)]
     sums = [(k + s) % 1 for k in torsion(n) for s in pieces]
     return len(set(sums)) == n * m and set(sums) == set(torsion(n * m))
@@ -453,7 +451,6 @@ def fraction_condition4(n: int, m: int) -> bool:
 
 def fraction_condition5(p: int, q: int) -> bool:
     """Section/kernel compatibility of distinct primes p, q, in reduced Fractions."""
-    check_bits(p * q, (p * q).bit_length(), "a torsion level")
     if p == q or not (is_prime(p) and is_prime(q)):
         raise ValueError("need distinct primes")
     kp = torsion(p)

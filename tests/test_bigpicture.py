@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import re
+import sys
 from fractions import Fraction
 from math import floor, gcd, lcm
 
@@ -253,6 +254,29 @@ def test_ball_dot_cap_counts_the_ball():
     assert _ball_size({2}, 12) * 51 == 626586 > MAX_BITS
     with pytest.raises(ValueError, match="refusing a ball of 626586 bits > 524288"):
         ball_dot(PIC_ONE, [2], 12)
+
+
+def test_ball_dot_without_primes():
+    # with no prime no step leaves x, so any radius draws x alone, at once
+    assert ball_dot(PIC_ONE, [], 10**6) == ball_dot(PIC_ONE, [], 0) == ball_dot(PIC_ONE, [2], 0)
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        ball_dot(PIC_ONE, [], -1)
+
+
+def test_huge_bit_totals_are_stated_by_bit_length():
+    # a total below 2^64 prints in full; from 2^64 on by its bit length, so the
+    # refusal formats no integer past Python's default int-to-str limit
+    with pytest.raises(ValueError, match=f"^refusing a ball of {2**64 - 1} bits > 524288$"):
+        check_bits(1, 2**64 - 1, "a ball")
+    with pytest.raises(ValueError, match=r"^refusing a ball of at least 2\^64 bits > 524288$"):
+        check_bits(2, 2**63, "a ball")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError, match=r"^refusing a neighbour list of at least 2\^16624 bits > 524288$"):
+            neighbours(PIC_ONE, 10**5000 + 1)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def _class_bits(x: PicClass) -> int:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from arithsite import supernatural as sn
 from arithsite.supernatural import (
     INF,
     Supernatural,
@@ -12,6 +13,7 @@ from arithsite.supernatural import (
     in_open,
     lcm,
     mul,
+    parse_divisor,
     parse_supernatural,
 )
 
@@ -57,6 +59,52 @@ def test_in_open():
     assert in_open(S("2^inf"), [6, 4])
     assert not in_open(S("3^inf"), [2])
     assert in_open(Supernatural(), [1])
+
+
+def test_in_open_tests_each_generator_once(monkeypatch):
+    # repeats are tested once, in first-seen order, so the first error is the same
+    tested = []
+
+    def record(n, s):
+        tested.append(n)
+        return divides(n, s)
+
+    monkeypatch.setattr(sn, "divides", record)
+    assert not in_open(S("3"), [2, 2, 5, 2, 5])
+    assert tested == [2, 5]
+    with pytest.raises(ValueError, match="need n >= 1"):
+        in_open(S("3"), [2, 0, -1, 0])
+
+
+def test_int_divides_matches_the_factored_divides():
+    # an int is read against s's exceptions without factoring when s's default is
+    # 0 or inf; a finite positive default factors it
+    rng = random.Random(31)
+    factored = {n: Supernatural.from_int(n) for n in range(1, 2001)}
+    for default in (0, 1, 2, INF):
+        for _ in range(12):
+            primes = rng.sample((2, 3, 5, 7, 11, 13, 997), rng.randint(0, 4))
+            s = Supernatural.from_factors({p: rng.choice((0, 1, 2, 3, 10, INF)) for p in primes}, default)
+            for n, t in factored.items():
+                assert divides(n, s) == divides(t, s), (n, s)
+    for n in (0, -4):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            divides(n, S("2"))
+
+
+def test_int_divides_factors_nothing(monkeypatch):
+    # a 4000-bit n = 3 * 2^3998, and a 12-digit prime, which sn divides reads as an int
+    assert parse_divisor("999999999989") == 999999999989
+    assert parse_divisor("2^2") == S("2^2")
+    with pytest.raises(ValueError, match="need n >= 1"):
+        parse_divisor("0")
+    n = 3 * 2**3998
+    pairs = [(S("2^inf*3"), True), (S("2^inf"), False), (S("2^3998*[default=inf]"), True),
+             (S("2^3997*[default=inf]"), False)]
+    two = S("2")
+    monkeypatch.setattr(sn, "factorize", None)
+    assert [divides(n, s) for s, _ in pairs] == [want for _, want in pairs]
+    assert not in_open(two, [999999999989] * 100)
 
 
 def test_adele_class_examples():
