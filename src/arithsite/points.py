@@ -15,7 +15,10 @@ Limits.  A nontrivial extension of prev >= L continues L, L s, L s s, ... on
 site B (s = L[len(prev):]) and L, u L, u u L, ... on site C (L = u prev).  All
 its tails have its limit, and two tails interleave iff:
 - site A: the limits, supernatural numbers, agree modulo the monoid, as adele
-  classes (n s = m s'), so 2^inf and 3 * 2^inf are equivalent;
+  classes (n s = m s'), so 2^inf and 3 * 2^inf are equivalent.  The limit of
+  L, L r, L r r, ... is L r^inf, whose infinite exponents sit at the primes
+  of r, and n s = m s' is solvable iff those agree: iff the ratios r and r'
+  of the last two entries have the same primes;
 - site B: the limit words L s s s ... are equal, since x >= y iff x is a prefix
   of y.  Past m = max(|L1|, |L2|) letters they have periods |s1| and |s2|, so
   they are equal iff their first m + |s1| + |s2| letters agree (Fine and Wilf,
@@ -37,7 +40,7 @@ from math import prod
 
 from . import conway, record
 from .literals import json_bool, json_int
-from .supernatural import Supernatural, adele_class_equiv, from_chain
+from .supernatural import Supernatural, from_chain
 
 SITES = ("A", "C", "B")
 
@@ -107,9 +110,8 @@ def tail_equiv(c1: TruncatedChain, c2: TruncatedChain) -> bool:
     if e1 != e2:
         return False
     if c1.site == "A":
-        s1 = from_chain(list(c1.entries), limit=True)
-        s2 = from_chain(list(c2.entries), limit=True)
-        return adele_class_equiv(s1, s2)
+        r1, r2 = (c.entries[-1] // c.entries[-2] for c in (c1, c2))
+        return _primes_divide(r1, r2) and _primes_divide(r2, r1)
     if c1.site == "B":
         (prev1, l1), (prev2, l2) = c1.entries[-2:], c2.entries[-2:]
         s1, s2 = l1[len(prev1) :], l2[len(prev2) :]
@@ -117,6 +119,12 @@ def tail_equiv(c1: TruncatedChain, c2: TruncatedChain) -> bool:
         return (l1 + s1 * (n // len(s1)))[:n] == (l2 + s2 * (n // len(s2)))[:n]
     (key1, num1, den1), (key2, num2, den2) = _class_limit(c1), _class_limit(c2)
     return key1 == key2 and num1 * den2 == num2 * den1
+
+
+def _primes_divide(a: int, b: int) -> bool:
+    """Whether every prime of a divides b: a | b^k for k = bits(a), which
+    passes every exponent in a.  One pow mod a; nothing is factored."""
+    return pow(b, a.bit_length(), a) == 0
 
 
 def _class_limit(c: TruncatedChain) -> tuple:

@@ -53,10 +53,16 @@ class Supernatural(record("Supernatural", "exceptions default")):
     def from_int(cls, n: int) -> "Supernatural":
         if n < 1:
             raise ValueError("need n >= 1")
-        return cls.from_factors({p: e for p, e in factorize(n).items()})
+        return _trusted(factorize(n))
 
     def __str__(self) -> str:
         return format_supernatural(self)
+
+
+def _trusted(factors: dict[int, object], default=0) -> Supernatural:
+    """A Supernatural without __new__'s tests, from exponents that a theorem
+    proves valid at keys already proved prime; those equal to the default drop."""
+    return tuple.__new__(Supernatural, (tuple(sorted((p, e) for p, e in factors.items() if e != default)), default))
 
 
 def _exponent_pairs(s: Supernatural, t: Supernatural) -> dict[int, tuple]:
@@ -67,7 +73,7 @@ def _exponent_pairs(s: Supernatural, t: Supernatural) -> dict[int, tuple]:
 
 def _merge(s: Supernatural, t: Supernatural, op) -> Supernatural:
     factors = {p: op(a, b) for p, (a, b) in _exponent_pairs(s, t).items()}
-    return Supernatural.from_factors(factors, op(s.default, t.default))
+    return _trusted(factors, op(s.default, t.default))
 
 
 def mul(s: Supernatural, t: Supernatural) -> Supernatural:
@@ -79,32 +85,28 @@ def lcm(s: Supernatural, t: Supernatural) -> Supernatural:
     return _merge(s, t, max)
 
 
-def divides(n, s: Supernatural) -> bool:
+def divides(n, s: Supernatural, named=()) -> bool:
     """n | s exponent-wise; n may be a positive int or a Supernatural.
 
-    An int n is factored only when s's default exponent is finite and positive.
-    Otherwise n | s exactly when n's power of each exceptional prime p of s is
-    at most e_p, and what those powers leave of n is 1 (default 0) or anything
-    (default inf).
+    An int n gives up its power of each exceptional prime of s, and of each
+    prime in named, which a literal of s names at the default exponent, by
+    split_power; each power must be at most s's exponent there.  What is left
+    divides s if it is 1 or the default is inf; for a finite positive default
+    e, if no prime divides it more than e times, which only factoring it tells.
     """
-    if isinstance(n, int):
-        if s.default in (0, INF):
-            return _int_divides(n, s)
-        n = Supernatural.from_int(n)
-    if n.default > s.default:
-        return False
-    return all(a <= b for a, b in _exponent_pairs(n, s).values())
-
-
-def _int_divides(n: int, s: Supernatural) -> bool:
-    """divides(n, s) for an int n and a default of 0 or inf, without factoring n."""
+    if not isinstance(n, int):
+        if n.default > s.default:
+            return False
+        return all(a <= b for a, b in _exponent_pairs(n, s).values())
     if n < 1:
         raise ValueError("need n >= 1")
-    for p, e in s.exceptions:
+    for p, e in (*s.exceptions, *((q, s.default) for q in named)):
         v, n = split_power(n, p)
         if v > e:
             return False
-    return n == 1 or s.default == INF
+    if n == 1 or s.default == INF:
+        return True
+    return 0 < s.default and max(factorize(n).values()) <= s.default
 
 
 def in_open(s: Supernatural, generators: list[int]) -> bool:
@@ -142,7 +144,7 @@ def from_chain(chain: list[int], limit: bool = False) -> Supernatural:
         ratio = chain[-1] // chain[-2]
         for p in factorize(ratio):
             factors[p] = INF
-    return Supernatural.from_factors(factors)
+    return _trusted(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +179,16 @@ def parse_divisor(text: str):
 
 
 def parse_supernatural(text: str) -> Supernatural:
+    return parse_named(text)[0]
+
+
+def parse_named(text: str) -> tuple[Supernatural, tuple[int, ...]]:
+    """A literal's value, and the primes it names at the default exponent, which
+    the value drops and divides may strip from n.  Every named key is tested
+    prime: __new__ tests the exceptional ones, and this the rest."""
     s = text.replace(" ", "")
     if re.fullmatch(r"\d+", s):
-        return Supernatural.from_int(int(s))
+        return Supernatural.from_int(int(s)), ()
     factors: dict[int, object] = {}
     default: object = 0
     for tok in s.split("*"):
@@ -196,4 +205,8 @@ def parse_supernatural(text: str) -> Supernatural:
         e = m.group(2)
         exp = INF if e == "inf" else (int(e) if e else 1)
         factors[p] = exp
-    return Supernatural.from_factors(factors, default)
+    named = tuple(p for p, e in factors.items() if e == default)
+    for p in named:
+        if not is_prime(p):
+            raise ValueError(f"key {p} is not prime")
+    return Supernatural.from_factors(factors, default), named

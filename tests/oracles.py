@@ -22,7 +22,9 @@
   exact divisibility; and the root multiplicity by repeated division by
   (x - r), which belyi's valencies ran before they read a coefficient index.
 - belyi.poly_passport as it was before Riemann-Hurwitz let it take one gcd:
-  a full multiplicity chain of P and another of P - 1, each to its end.
+  a full multiplicity chain of P and another of P - 1, each to its end.  And
+  the dynamical-Belyi predicate as it was before W = P'/gcd(P, P') dividing
+  P - 1 decided it: the root counts of P and of P - 1, one gcd each.
 - belyi.free_check as it was before one rational value per word decided it:
   every composite built, level by level, and compared.
 - Primality by trial division, which primes.is_prime ran before the strong
@@ -366,6 +368,15 @@ def chain_multiplicity_counts(f: PolyQ) -> dict[int, int]:
         if cnt:
             out[m] = cnt
     return out
+
+
+def two_gcd_belyi_counts(p: PolyQ) -> tuple[int, int] | None:
+    """(#roots(P), #roots(P - 1)), one gcd each, if they sum to deg P + 1 and
+    P fixes 0 and 1, so P is dynamical Belyi by Riemann-Hurwitz; else None."""
+    if p(0) != 0 or p(1) != 1:
+        return None
+    counts = tuple(f.degree - poly_gcd(f, f.derivative()).degree for f in (p, p - POLY_ONE))
+    return counts if sum(counts) == p.degree + 1 else None
 
 
 def two_chain_poly_passport(p: BelyiPoly) -> ds.Passport:

@@ -87,7 +87,7 @@ def test_b_dk_skips_the_predicate(monkeypatch):
     def refuse(p):
         raise AssertionError("b_dk ran the dynamical-Belyi predicate")
 
-    monkeypatch.setattr(belyi, "_belyi_counts", refuse)  # BelyiPoly and is_dynamical_belyi run it
+    monkeypatch.setattr(belyi, "_belyi_split", refuse)  # BelyiPoly and is_dynamical_belyi run it
     assert b_dk(512, 256).degree == 512
     with pytest.raises(AssertionError):
         BelyiPoly(b_dk(3, 1).poly)  # a parsed polynomial is still checked
@@ -133,7 +133,7 @@ def test_poly_passport_matches_two_chain_oracle():
 
 def test_poly_passport_takes_one_large_gcd(monkeypatch):
     # b_dk(7, 0) = x^7 and its composite x^49 carry their passports by
-    # theorem and take no gcd.  The passport of a parsed x^49 takes one:
+    # theorem and take no gcd.  A parsed x^49 takes one, in its predicate:
     # B = x^48 drops the degree by 1, so one black root of multiplicity 49,
     # and W = 49 is constant, so 49 simple white roots.  The two full chains
     # of the old passport took 50 gcds, two of them of degree 49.
@@ -143,16 +143,65 @@ def test_poly_passport_takes_one_large_gcd(monkeypatch):
         degrees.append(max(f.degree, g.degree))
         return poly_gcd(f, g)
 
-    parsed = BelyiPoly(PolyQ.monomial(1, 49))  # the predicate takes its own gcds
     monkeypatch.setattr(belyi, "poly_gcd", counted)
     monkeypatch.setattr(ratpoly, "poly_gcd", counted)
     passport = belyi.poly_passport(belyi.compose(b_dk(7, 0), b_dk(7, 0)))
     assert passport == ds.Passport((49,), (1,) * 49)
     assert degrees == []
-    assert belyi.poly_passport(parsed) == passport
+    parsed = BelyiPoly(PolyQ.monomial(1, 49))
     assert degrees == [49]
+    assert belyi.poly_passport(parsed) == passport
     assert belyi.black_count(parsed) == 1 and belyi.white_count(parsed) == 49
-    assert degrees == [49]  # the counts are the predicate's
+    assert degrees == [49]  # the passport and the counts read the predicate's B and W
+
+
+def test_parsed_polynomial_takes_one_gcd_of_p_and_its_derivative(monkeypatch):
+    # the predicate takes gcd(P, P') and no other gcd; the passport starts
+    # its two chains from B and W, so it takes no second gcd(P, P')
+    polys = [b_dk(d, k).poly for d, k in ((3, 1), (8, 3), (12, 0), (12, 11))]
+    # and a P fixing 0 and 1 whose critical value -1/8 is not 0 or 1
+    polys += [belyi.compose(b_dk(4, 1), belyi.involution_poly(b_dk(5, 2))).poly, parse_poly("2*x^2-x")]
+    calls = []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return poly_gcd(f, g)
+
+    monkeypatch.setattr(belyi, "poly_gcd", counted)
+    monkeypatch.setattr(ratpoly, "poly_gcd", counted)
+    for p in polys:
+        calls.clear()
+        if not belyi.is_dynamical_belyi(p):
+            assert p == polys[-1] and calls == [(p, p.derivative())]
+            continue
+        parsed = BelyiPoly(p)
+        passport = parsed.passport
+        assert calls[:2] == [(p, p.derivative())] * 2 and (p, p.derivative()) not in calls[2:], p
+        assert passport == oracles.two_chain_poly_passport(parsed)
+
+
+def test_parsed_counts_match_the_two_gcd_oracle():
+    # the two-gcd root count the predicate ran before W | P - 1 replaced it:
+    # B_dk with d <= 8, seeded composites and involutions, and random P with
+    # P(0) = 0 and P(1) = 1, most of them not Belyi
+    rng = random.Random(32)
+    members = [b_dk(d, k) for d in range(2, 9) for k in range(d)]
+    polys = [p.poly for p in members]
+    for _ in range(60):
+        p, q = rng.choice(members), rng.choice(members)
+        comp = belyi.compose(p, q)
+        polys += [comp.poly, belyi.involution_poly(comp).poly]
+    for _ in range(200):
+        cs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(0, 5))]
+        polys.append(PolyQ.x() + PolyQ.x() * PolyQ((-1, 1)) * PolyQ(cs))
+    belyi_count = 0
+    for p in polys:
+        want = oracles.two_gcd_belyi_counts(p)
+        assert belyi.is_dynamical_belyi(p) == (want is not None), p
+        if want is not None:
+            belyi_count += 1
+            assert BelyiPoly(p).counts == want, p
+    assert belyi_count > len(members) + 120
 
 
 def test_parsed_counts_are_the_predicates(monkeypatch):
@@ -374,7 +423,7 @@ def test_closed_operations_skip_the_predicate(monkeypatch):
     def refuse(poly):
         raise AssertionError("a closed operation re-ran the Belyi predicate")
 
-    monkeypatch.setattr(belyi, "_belyi_counts", refuse)  # BelyiPoly and is_dynamical_belyi run it
+    monkeypatch.setattr(belyi, "_belyi_split", refuse)  # BelyiPoly and is_dynamical_belyi run it
     comp = belyi.compose(gens[1], gens[2])
     inv = belyi.involution_poly(gens[1])
     assert belyi.free_check(gens, 3)

@@ -516,6 +516,11 @@ A_ONES = _chain_arg("A", [1] * 19999 + [2])
 C_TWOS = _chain_arg("C", [[[2, 1]]] * 40 + [[[2, 1], [2, 1]]], extend=True)
 C_THREES = _chain_arg("C", [[[3, 1]]] * 40 + [[[3, 1], [3, 1]]], extend=True)
 C_LONG_STEP = _chain_arg("C", [[], [[999999999989, 1]] * 500], extend=True)
+# a 610-bit semiprime, past rho's bit cap
+SEMIPRIME = (2**89 - 1) * (2**521 - 1)
+A_SEMI_DOUBLE = _chain_arg("A", [SEMIPRIME, 2 * SEMIPRIME], extend=True)
+A_SEMI = _chain_arg("A", [1, SEMIPRIME], extend=True)
+A_SEMI_SQUARE = _chain_arg("A", [1, SEMIPRIME**2], extend=True)
 B_ZEROS = _chain_arg("B", [[0]] * 19999 + [[0, 1]], gen_degrees=[2, 3], extend=True)
 B_ONES = _chain_arg("B", [[1]] * 19999 + [[1, 0]], gen_degrees=[2, 3], extend=True)
 B_STEP_ONE = _chain_arg("B", [[0]] * 19999 + [[0, 0]], gen_degrees=[2, 3], extend=True)
@@ -539,6 +544,9 @@ ARG_IDS = {
     C_TWOS: "<C: P[2,1] x 40, P[2,1]^2, extended>",
     C_THREES: "<C: P[3,1] x 40, P[3,1]^2, extended>",
     C_LONG_STEP: "<C: e, 500 letters, extended>",
+    A_SEMI_DOUBLE: "<A: N, 2N, extended>",
+    A_SEMI: "<A: 1, N, extended>",
+    A_SEMI_SQUARE: "<A: 1, N^2, extended>",
     B_ZEROS: "<B: [0] x 19999, [0,1], extended>",
     B_ONES: "<B: [1] x 19999, [1,0], extended>",
     B_STEP_ONE: "<B: [0] x 19999, [0,0], extended>",
@@ -604,6 +612,10 @@ BOUNDED = [
     (f"sn open 2*{PRIMES_12[-1]} {' '.join(map(str, PRIMES_12[-100:]))}", "true\n"),
     # factoring n was refused, its cofactor past the primality test's bit cap
     (f"sn divides {ROUGH} 2^inf*3", "false\n"),
+    # a finite positive default factored all of n, two 12-digit primes that rho
+    # cannot split; the literal names them, and the cofactor is 1 or a prime
+    (f"sn divides {PRIMES_12[-1] * PRIMES_12[-2]} {PRIMES_12[-1]}*{PRIMES_12[-2]}*[default=1]", "true\n"),
+    (f"sn divides {PRIMES_12[-1] * PRIMES_12[-2]} {PRIMES_12[-1]}^2*[default=1]", "true\n"),
     # applying the letters one by one took over 60 s; the value has 10^7 bits
     (f"bc presheaf {'*'.join(['P[2,1]'] * 1000)} 10000", None),
     # the count is psi(n), with no fiber built
@@ -638,6 +650,10 @@ BOUNDED = [
     # indices; the limits decide them, and steps [0] and [0,0] have one limit
     (f"pt tail {C_LONG_STEP} {C_LONG_STEP}", "true\n"),
     (f"pt tail {B_ZEROS} {B_ONES}", "false\n"),
+    # the limits' supernatural numbers factored the 610-bit semiprime N; the
+    # ratios' primes decide the tails
+    (f'pt tail {A_SEMI_DOUBLE} {_chain_arg("A", [1, 2], extend=True)}', "true\n"),
+    (f"pt tail {A_SEMI} {A_SEMI_SQUARE}", "true\n"),
     (f"pt tail {B_STEP_ONE} {B_STEP_TWO}", "true\n"),
 ]
 

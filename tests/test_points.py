@@ -114,13 +114,35 @@ def test_tail_equiv_reads_the_whole_limit():
 
 
 def test_tail_equiv_matches_adele_classes():
+    # small random chains, and extended ones whose ratios are high prime
+    # powers, where a prime of one ratio can be missing from the other
     rng = random.Random(51)
-    for _ in range(60):
-        c1 = _random_a_chain(rng)
-        c2 = _random_a_chain(rng)
+    pairs = [(_random_a_chain(rng), _random_a_chain(rng)) for _ in range(60)]
+    pairs += [(_prime_power_chain(rng), _prime_power_chain(rng)) for _ in range(200)]
+    for c1, c2 in pairs:
         s1 = from_chain(list(c1.entries), limit=c1.extend)
         s2 = from_chain(list(c2.entries), limit=c2.extend)
         assert pt.tail_equiv(c1, c2) == adele_class_equiv(s1, s2)
+
+
+def test_site_a_tails_factor_nothing(monkeypatch):
+    # the ratios' primes decide site-A tails, by one pow each way: a 610-bit
+    # semiprime N, past rho's bit cap, is never factored
+    n = (2**89 - 1) * (2**521 - 1)
+    monkeypatch.setattr(pt, "from_chain", None)
+    assert pt.tail_equiv(A(n, 2 * n, extend=True), A(1, 2, extend=True))
+    assert pt.tail_equiv(A(1, n, extend=True), A(1, n * n, extend=True))
+    assert not pt.tail_equiv(A(1, n, extend=True), A(1, 2**89 - 1, extend=True))
+    assert not pt.tail_equiv(A(1, 6, extend=True), A(1, 2 * n, extend=True))
+
+
+def _prime_power_chain(rng):
+    """An extended site-A chain whose ratio takes up to three primes to exponents up to 40."""
+    ratio = 1
+    for p in rng.sample((2, 3, 5, 7), rng.randint(1, 3)):
+        ratio *= p ** rng.randint(1, 40)
+    base = rng.randint(1, 30)
+    return A(base, base * ratio, extend=True)
 
 
 def _random_a_chain(rng, extend=None):

@@ -14,6 +14,7 @@ from arithsite.supernatural import (
     lcm,
     mul,
     parse_divisor,
+    parse_named,
     parse_supernatural,
 )
 
@@ -85,8 +86,9 @@ def test_int_divides_matches_the_factored_divides():
         for _ in range(12):
             primes = rng.sample((2, 3, 5, 7, 11, 13, 997), rng.randint(0, 4))
             s = Supernatural.from_factors({p: rng.choice((0, 1, 2, 3, 10, INF)) for p in primes}, default)
+            named = [p for p in (2, 3, 5, 7) if p not in dict(s.exceptions) and rng.random() < 0.5]
             for n, t in factored.items():
-                assert divides(n, s) == divides(t, s), (n, s)
+                assert divides(n, s) == divides(t, s) == divides(n, s, named), (n, s, named)
     for n in (0, -4):
         with pytest.raises(ValueError, match="need n >= 1"):
             divides(n, S("2"))
@@ -105,6 +107,45 @@ def test_int_divides_factors_nothing(monkeypatch):
     monkeypatch.setattr(sn, "factorize", None)
     assert [divides(n, s) for s, _ in pairs] == [want for _, want in pairs]
     assert not in_open(two, [999999999989] * 100)
+
+
+def test_divides_strips_the_named_primes(monkeypatch):
+    # [default=1] holds N = p q, two 12-digit primes, iff N is squarefree: rho
+    # cannot split N, but the literal names p and q, and stripping them leaves 1
+    p, q = 999999999989, 999999999961
+    s, named = parse_named(f"{p}*{q}*[default=1]")
+    assert (s, named) == (S("[default=1]"), (p, q))
+    assert parse_named(f"{p}^2*[default=1]") == (S(f"{p}^2*[default=1]"), ())
+    assert parse_named("12") == (S("2^2*3"), ())
+    with pytest.raises(ValueError, match="key 4 is not prime"):
+        parse_supernatural("4*[default=1]")
+    with pytest.raises(ValueError, match="key 9 is not prime"):
+        parse_supernatural("9^0*2")
+    monkeypatch.setattr(sn, "factorize", None)
+    assert divides(p * q, s, named)
+    assert not divides(p * p * q, s, named)
+    assert divides(p * q, *parse_named(f"{p}*{q}^inf*[default=2]"))
+    monkeypatch.undo()
+    # a finite positive default factors only the cofactor, here q < 10^12
+    assert divides(p * p * q, S(f"{p}^2*[default=1]"))
+    assert not divides(p * 4 * q, S(f"{p}^2*[default=1]"))
+
+
+def test_built_results_test_no_prime(monkeypatch):
+    # the results of _merge, from_int and from_chain have keys already proved
+    # prime, by the parse or by factorize, and are built with no second test
+    primes = [999999999989, 999999999961, 999999999959]
+    s, t = S("*".join(map(str, primes[:2])) + "^inf"), S(f"{primes[2]}^3*{primes[0]}^2")
+    tail = f"{primes[2]}^3*{primes[1]}^inf*{primes[0]}"
+    want = S(f"{tail}^2"), S(f"{tail}^3"), S("2^2*3"), S("2^inf*3")
+
+    def refuse(p):
+        raise AssertionError(f"{p} was tested again")
+
+    monkeypatch.setattr(sn, "is_prime", refuse)
+    assert (lcm(s, t), mul(t, s)) == want[:2]
+    assert Supernatural.from_int(12) == from_chain([2, 12]) == want[2]
+    assert from_chain([3, 6], limit=True) == want[3]
 
 
 def test_adele_class_examples():
