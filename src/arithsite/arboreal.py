@@ -37,10 +37,22 @@ construction.  R_i is the rho of z_i's children; rho = |alpha - float(alpha)|
 at level 0, exact through Fraction and rounded up.  Siblings sort in complex
 order, (re, im), per group; ArborealTree.tol = max(1e-9, largest radius).
 
+The radii never feed the roots: level k is solved from the float parent
+values alone, and a radius enters only the next level's radii, as its rho.  So
+build_tree solves every level first and certifies the whole tree after, in one
+_disk_radii pass: the residual and H_i of each generator's levels are one
+Horner pass, the gap products and denominators one pass over all levels, and
+only R_i's recurrence through rho runs level by level.  A refusal keeps its
+level: the first level whose disks fail is named.  A level solved under one
+that would have been refused may fail to polish or to solve (LAPACK raises
+LinAlgError, a ValueError); the levels below it are then certified first, and
+their first overlap is the refusal, ahead of that failure.
+
 build_tree makes one kernels.Row per generator per tree, which every level of
-that generator reads, and runs the levels and the residual pass under one
-np.errstate that ignores every float error: what overflows or turns NaN is
-refused by the finiteness tests above.  The kernels enter no errstate of their own.
+that generator reads, and runs the levels, the certificate and the residual
+pass under one np.errstate that ignores every float error: what overflows or
+turns NaN is refused by the finiteness tests above.  The kernels enter no
+errstate of their own.
 """
 
 from __future__ import annotations
@@ -132,26 +144,51 @@ class ArborealTree(namedtuple("ArborealTree", "degree alpha tol levels max_resid
 U = 2.0**-53  # unit roundoff of float64
 
 
-def _disk_radii(g: kernels.Row, z: np.ndarray, w: np.ndarray, rho: np.ndarray) -> np.ndarray | None:
-    """Radii of the sibling groups z (shape (P, d)) of roots of g.row - w, each w within rho
-    of its true parent; None unless all are finite and each group's disks disjoint.  The
-    caller owns np.errstate: overflow and NaN make a radius that is not finite."""
+def _disk_radii(
+    rows: list[kernels.Row], groups: list[np.ndarray], values: list[np.ndarray], rho: np.ndarray
+) -> list[np.ndarray]:
+    """The radii of every level's sibling groups, one flat array per level.  groups[k-1], of
+    shape (P, d), holds the roots of rows[(k-1) % len(rows)].row - w for each w of
+    values[k-1], and rho is the radius of values[0].  Raises "sibling disks overlap at level
+    k" for the first level with a radius that is not finite or two sibling disks that meet.
+    The caller owns np.errstate: overflow and NaN make a radius that is not finite."""
     import numpy as np  # only the numeric trees load numpy
 
     from . import kernels
 
-    d = z.shape[1]
-    resid = np.abs(kernels.horner(g.row, z) - w[:, None])
-    size = kernels.horner(g.abs_row, np.abs(z)) + np.abs(w)[:, None]
+    n, m = len(groups), len(rows)
+    if n == 0:
+        return []
+    d = groups[0].shape[1]
+    # the groups of all levels in one stack, by generator and then level: each generator's
+    # residual and size are one Horner pass over its own contiguous slice
+    stack, parts, spans, pos = [], [], [None] * n, 0
+    for j, g in enumerate(rows[:n]):
+        z = np.concatenate(groups[j::m])
+        w = np.concatenate(values[j:n:m])[:, None]
+        resid = np.abs(kernels.horner(g.row, z) - w)
+        size = kernels.horner(g.abs_row, np.abs(z)) + np.abs(w)
+        stack.append(z)
+        parts.append(resid + 8 * (d + 2) * U * size)
+        for k in range(j, n, m):
+            spans[k] = slice(pos, pos + len(groups[k]))
+            pos = spans[k].stop
+    z, s = np.concatenate(stack), np.concatenate(parts)
+    lead = np.repeat([g.abs_lead for g in rows[:n]], [len(b) for b in stack])[:, None]
     gaps = np.abs(z[:, :, None] - z[:, None, :])
     gaps.reshape(-1, d * d)[:, :: d + 1] = 1.0  # the diagonal, out of the product
-    den = g.abs_lead * np.prod(gaps, axis=2) * (1 - 4 * (d + 3) * U)
-    radii = d * (resid + 8 * (d + 2) * U * size + rho[:, None]) / den
+    den = lead * np.prod(gaps, axis=2) * (1 - 4 * (d + 3) * U)
+    radii = np.empty_like(s)
+    for span in spans:  # a level's radii enter only the next level's, as its rho
+        radii[span] = d * (s[span] + rho[:, None]) / den[span]
+        rho = radii[span].reshape(-1)
     gaps.reshape(-1, d * d)[:, :: d + 1] = np.inf  # and out of the apartness test
-    apart = (gaps > radii[:, :, None] + radii[:, None, :]).all()
-    if not (np.isfinite(den).all() and np.isfinite(radii).all() and apart):
-        return None
-    return radii
+    ok = (gaps > radii[:, :, None] + radii[:, None, :]).all(axis=(1, 2))
+    ok &= np.isfinite(den).all(axis=1) & np.isfinite(radii).all(axis=1)
+    if not ok.all():
+        k = next(k for k, span in enumerate(spans, 1) if not ok[span].all())
+        raise ValueError(f"sibling disks overlap at level {k}")
+    return [radii[span].reshape(-1) for span in spans]
 
 
 def build_tree(gens: list[BelyiPoly], alpha, n: int) -> ArborealTree:
@@ -168,33 +205,34 @@ def build_tree(gens: list[BelyiPoly], alpha, n: int) -> ArborealTree:
         raise ValueError("alpha is not generic for the generators")
 
     w = float(alpha)
-    values = np.array([complex(w)])
     err = abs(alpha - Fraction(w))
     rho = np.array([float(err) if float(err) >= err else np.nextafter(float(err), 1.0)])
-    levels = [((w, 0.0, -1),)]
-    radii_out = [tuple(rho.tolist())]
-    nodes: list[np.ndarray] = []
+    values = [np.array([complex(w)])]  # values[k] holds level k's nodes, in order
+    groups: list[np.ndarray] = []  # groups[k-1] holds level k's siblings, shape (P, d)
     # one error state for the whole tree: what overflows or turns NaN is refused below
     with np.errstate(all="ignore"):
         rows = [kernels.Row([c / g.poly.den for c in g.poly.num]) for g in gens]
         chain = [rows[(k - 1) % len(rows)] for k in range(1, n + 1)]  # chain[k-1] is B_{i_k}
-        for k, row in enumerate(chain, 1):
-            # each child is solved under its own parent, so parenthood is exact
-            roots = kernels.newton_chain(row, kernels.dk_batch(row, values), values[:, None])
-            if not np.isfinite(roots).all():
-                raise ValueError(f"polish failed at level {k}: non-finite root")
-            roots = np.sort(roots, axis=1)  # complex order: (re, im)
-            radii = _disk_radii(row, roots, values, rho)
-            if radii is None:
-                raise ValueError(f"sibling disks overlap at level {k}")
-            rho, values = radii.reshape(-1), roots.reshape(-1)
-            nodes.append(values)
-            radii_out.append(tuple(rho.tolist()))
-            parent_of = np.arange(len(roots)).repeat(d)
-            # + 0.0 makes a signed zero, such as the imaginary part of -(-1/3 + 0j), read 0.0
-            re, im = (values.real + 0.0).tolist(), (values.imag + 0.0).tolist()
-            levels.append(tuple(zip(re, im, parent_of.tolist())))
-        residuals = np.abs(kernels.chain_values([row.row for row in chain], nodes) - complex(alpha))
+        try:
+            for k, row in enumerate(chain, 1):
+                # each child is solved under its own parent, so parenthood is exact
+                roots = kernels.newton_chain(row, kernels.dk_batch(row, values[-1]), values[-1][:, None])
+                if not np.isfinite(roots).all():
+                    raise ValueError(f"polish failed at level {k}: non-finite root")
+                groups.append(np.sort(roots, axis=1))  # complex order: (re, im)
+                values.append(groups[-1].reshape(-1))
+        except ValueError:  # LinAlgError too: an overlap below the failed level comes first
+            _disk_radii(rows, groups, values, rho)
+            raise
+        radii = _disk_radii(rows, groups, values, rho)
+        residuals = np.abs(kernels.chain_values([row.row for row in chain], values[1:]) - complex(alpha))
+    levels = [((w, 0.0, -1),)]
+    for nodes in values[1:]:
+        parent_of = np.arange(len(nodes)) // d
+        # + 0.0 makes a signed zero, such as the imaginary part of -(-1/3 + 0j), read 0.0
+        re, im = (nodes.real + 0.0).tolist(), (nodes.imag + 0.0).tolist()
+        levels.append(tuple(zip(re, im, parent_of.tolist())))
+    radii_out = [tuple(r.tolist()) for r in (rho, *radii)]
     tol = max(1e-9, max(max(r) for r in radii_out))
     return ArborealTree(d, alpha, tol, tuple(levels), float(residuals.max(initial=0.0)), tuple(radii_out))
 

@@ -90,7 +90,8 @@ GROUPS = {
         "divides": ("n s", lambda a: sn.divides(sn.parse_divisor(a.n), *sn.parse_named(a.s))),
         "lcm": ("s t", lambda a: sn.format_supernatural(
             sn.lcm(sn.parse_supernatural(a.s), sn.parse_supernatural(a.t)))),
-        "open": ("s generators:int+", lambda a: sn.in_open(sn.parse_supernatural(a.s), a.generators)),
+        "open": ("s generators:int+", lambda a: sn.in_open(
+            (s := sn.parse_named(a.s))[0], a.generators, s[1])),
     }),
     "ds": ("dessins", "framed tree dessins", {
         "passport": ("d", lambda a: json.dumps(ds.passport(ds.from_json(a.d))._asdict())),

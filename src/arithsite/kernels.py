@@ -8,9 +8,10 @@ the derivative row, ``|row|``, ``|lead|`` and whether the monic row is real.
 The tree builder makes one per generator per tree, so no level rebuilds
 them.  Degree-2 rows are solved by the quadratic formula in its
 cancellation-free form; every other degree by the eigenvalues of the stacked
-companion matrices.  The tree builder polishes the roots with one Newton step
-per level (``newton_chain``) and finds every residual in one pass per tree
-(``chain_values``).  ``min_pairwise_gap`` stays only as a traced name.
+companion matrices.  Per level, the tree builder solves and polishes the
+roots with one Newton step (``newton_chain``); per tree, it finds every
+residual in one pass (``chain_values``) and certifies every level with one
+``horner`` pass per generator.  ``min_pairwise_gap`` stays only as a traced name.
 
 The caller owns ``np.errstate``: no kernel enters one, and build_tree ignores
 every float error for a whole tree, since it refuses what overflows or turns

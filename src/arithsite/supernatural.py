@@ -109,11 +109,12 @@ def divides(n, s: Supernatural, named=()) -> bool:
     return 0 < s.default and max(factorize(n).values()) <= s.default
 
 
-def in_open(s: Supernatural, generators: list[int]) -> bool:
-    """Membership in the basic localic open spanned by the generators, each tested once."""
+def in_open(s: Supernatural, generators: list[int], named=()) -> bool:
+    """Membership in the basic localic open spanned by the generators, each tested once
+    by divides, which strips the primes in named as it strips s's exceptional ones."""
     if not generators:
         raise ValueError("need at least one generator")
-    return any(divides(n, s) for n in dict.fromkeys(generators))
+    return any(divides(n, s, named) for n in dict.fromkeys(generators))
 
 
 def adele_class_equiv(s: Supernatural, t: Supernatural) -> bool:

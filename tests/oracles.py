@@ -700,7 +700,8 @@ def companion_roots(g: kernels.Row, values: np.ndarray) -> np.ndarray:
 
 
 def _masked_disk_radii(g, z, w, rho):
-    """arboreal._disk_radii with the diagonal of the gaps masked by np.eye."""
+    """One level of arboreal._disk_radii, the diagonal of the gaps masked by np.eye;
+    None where it refuses."""
     d = z.shape[1]
     eye = np.eye(d, dtype=bool)
     u = arboreal.U

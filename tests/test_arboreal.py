@@ -214,15 +214,63 @@ def test_build_tree_equals_the_per_level_loop():
         shapes.append((d, n))
     assert len(set(shapes)) > 40 and max(d**n for d, n in shapes) > 1000
     refusals = {
-        (128, 127, Fraction(1, 3)): "sibling disks overlap at level 1",
-        (100, 50, Fraction(1, 3)): "sibling disks overlap at level 1",
-        (72, 36, Fraction(2, 7)): "sibling disks overlap at level 1",
-        (72, 71, Fraction(2, 7)): "sibling disks overlap at level 1",
-        (512, 256, Fraction(1, 3)): "polish failed at level 1: non-finite root",
+        (128, 127, Fraction(1, 3), 1): "sibling disks overlap at level 1",
+        (100, 50, Fraction(1, 3), 1): "sibling disks overlap at level 1",
+        (72, 36, Fraction(2, 7), 1): "sibling disks overlap at level 1",
+        (72, 71, Fraction(2, 7), 1): "sibling disks overlap at level 1",
+        (512, 256, Fraction(1, 3), 1): "polish failed at level 1: non-finite root",
+        (25, 12, Fraction(1, 2), 2): "sibling disks overlap at level 2",
+        (25, 23, Fraction(1, 3), 2): "sibling disks overlap at level 2",
+        (26, 25, Fraction(2, 7), 2): "sibling disks overlap at level 2",
+        (36, 9, Fraction(1, 3), 2): "sibling disks overlap at level 2",
     }
-    for (d, k, alpha), message in refusals.items():
+    for (d, k, alpha, n), message in refusals.items():
         for build in (arboreal.build_tree, per_level_tree):
-            assert _tree_or_refusal(build, [b_dk(d, k)], alpha, 1) == message
+            assert _tree_or_refusal(build, [b_dk(d, k)], alpha, n) == message
+
+
+@pytest.mark.parametrize("failure", ["nan", "raise"])
+def test_an_overlap_is_named_before_a_later_failure(monkeypatch, failure):
+    # the levels are certified after they are all solved, so a level solved
+    # under one that overlaps must not hide that overlap: B_{25,12} at 1/2
+    # overlaps at level 2, whatever happens to level 3's solve
+    solve = kernels.dk_batch
+
+    def fail_at_level_three(g, values):
+        if len(values) != (len(g.row) - 1) ** 2:  # level 3 has d^2 parents
+            return solve(g, values)
+        if failure == "raise":
+            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+        return np.full((len(values), len(g.row) - 1), np.nan, dtype=np.complex128)
+
+    monkeypatch.setattr(kernels, "dk_batch", fail_at_level_three)
+    monkeypatch.setattr(arboreal, "MAX_LEAVES", 25**3)  # three levels of degree 25
+    with pytest.raises(ValueError, match="^sibling disks overlap at level 2$"):
+        arboreal.build_tree([b_dk(25, 12)], HALF, 3)
+    # with no overlap below it, the failure itself is the refusal
+    b = b_dk(5, 2)
+    assert arboreal.build_tree([b], HALF, 2).leaves() == 25
+    expected = "polish failed at level 3: non-finite root" if failure == "nan" else "must not contain"
+    with pytest.raises(ValueError, match=expected):
+        arboreal.build_tree([b], HALF, 3)
+
+
+def test_one_certificate_per_tree(monkeypatch):
+    # every level is certified in one _disk_radii call, at most one per
+    # generator whatever the depth
+    calls = []
+    certify = arboreal._disk_radii
+
+    def counted(rows, *args):
+        calls.append(len(rows))
+        return certify(rows, *args)
+
+    monkeypatch.setattr(arboreal, "_disk_radii", counted)
+    for gens in ([b_dk(2, 1)], [b_dk(2, 0), b_dk(2, 1)], [b_dk(3, 1), b_dk(3, 2), b_dk(3, 0)]):
+        for n in range(1, 7):
+            calls.clear()
+            assert arboreal.build_tree(gens, Fraction(1, 3), n).leaves() == gens[0].degree**n
+            assert 1 <= len(calls) <= len(gens) and calls[0] == len(gens), (gens, n)
 
 
 def _degree_two_sweep(count, seed):
@@ -389,10 +437,10 @@ def test_disk_radii_cover_residual_and_parent_error():
     w = np.array([0.5 + 0j])
     for z, rho, w_true in ((exact + 1e-6, 0.0, 0.5), (exact, 1e-6, 0.5 + 1e-6j)):
         with np.errstate(all="ignore"):  # build_tree's, which _disk_radii's caller owns
-            radii = arboreal._disk_radii(kernels.Row(row), z[None, :], w, np.array([rho]))
+            (radii,) = arboreal._disk_radii([kernels.Row(row)], [z[None, :]], [w], np.array([rho]))
         roots = np.roots([-2, 3, 0, -w_true])
         dist = np.abs(z[:, None] - roots[None, :]).min(axis=1)
-        assert radii is not None and np.all(dist > 3e-7) and np.all(dist <= radii[0])
+        assert np.all(dist > 3e-7) and np.all(dist <= radii)
 
 
 def test_coincident_siblings_are_refused(monkeypatch):

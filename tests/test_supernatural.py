@@ -66,9 +66,9 @@ def test_in_open_tests_each_generator_once(monkeypatch):
     # repeats are tested once, in first-seen order, so the first error is the same
     tested = []
 
-    def record(n, s):
+    def record(n, s, named):
         tested.append(n)
-        return divides(n, s)
+        return divides(n, s, named)
 
     monkeypatch.setattr(sn, "divides", record)
     assert not in_open(S("3"), [2, 2, 5, 2, 5])
@@ -125,6 +125,7 @@ def test_divides_strips_the_named_primes(monkeypatch):
     assert divides(p * q, s, named)
     assert not divides(p * p * q, s, named)
     assert divides(p * q, *parse_named(f"{p}*{q}^inf*[default=2]"))
+    assert in_open(s, [p * p * q, p * q], named) and not in_open(s, [p * p * q], named)
     monkeypatch.undo()
     # a finite positive default factors only the cofactor, here q < 10^12
     assert divides(p * p * q, S(f"{p}^2*[default=1]"))
