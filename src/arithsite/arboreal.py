@@ -40,13 +40,14 @@ order, (re, im), per group; ArborealTree.tol = max(1e-9, largest radius).
 The radii never feed the roots: level k is solved from the float parent
 values alone, and a radius enters only the next level's radii, as its rho.  So
 build_tree solves every level first and certifies the whole tree after, in one
-_disk_radii pass: the residual and H_i of each generator's levels are one
-Horner pass, the gap products and denominators one pass over all levels, and
-only R_i's recurrence through rho runs level by level.  A refusal keeps its
-level: the first level whose disks fail is named.  A level solved under one
-that would have been refused may fail to polish or to solve (LAPACK raises
-LinAlgError, a ValueError); the levels below it are then certified first, and
-their first overlap is the refusal, ahead of that failure.
+_disk_radii pass over the sibling groups of all levels, stacked in level order
+with each group's own coefficient row: the residuals and H_i are one Horner
+pass, the gap products and denominators one pass, and only R_i's recurrence
+through rho runs level by level.  A refusal keeps its level: the first level
+whose disks fail is named.  A level solved under one that would have been
+refused may fail to polish or to solve (LAPACK raises LinAlgError, a
+ValueError); the levels below it are then certified first, and their first
+overlap is the refusal, ahead of that failure.
 
 build_tree makes one kernels.Row per generator per tree, which every level of
 that generator reads, and runs the levels, the certificate and the residual
@@ -145,50 +146,45 @@ U = 2.0**-53  # unit roundoff of float64
 
 
 def _disk_radii(
-    rows: list[kernels.Row], groups: list[np.ndarray], values: list[np.ndarray], rho: np.ndarray
+    chain: list[kernels.Row], groups: list[np.ndarray], values: list[np.ndarray], rho: np.ndarray
 ) -> list[np.ndarray]:
     """The radii of every level's sibling groups, one flat array per level.  groups[k-1], of
-    shape (P, d), holds the roots of rows[(k-1) % len(rows)].row - w for each w of
-    values[k-1], and rho is the radius of values[0].  Raises "sibling disks overlap at level
-    k" for the first level with a radius that is not finite or two sibling disks that meet.
-    The caller owns np.errstate: overflow and NaN make a radius that is not finite."""
+    shape (P, d), holds the roots of chain[k-1].row - w for each w of values[k-1], and rho is
+    the radius of values[0].  Raises "sibling disks overlap at level k" for the first level
+    with a radius that is not finite or two sibling disks that meet.  The caller owns
+    np.errstate: overflow and NaN make a radius that is not finite."""
     import numpy as np  # only the numeric trees load numpy
 
     from . import kernels
 
-    n, m = len(groups), len(rows)
+    n = len(groups)
     if n == 0:
         return []
     d = groups[0].shape[1]
-    # the groups of all levels in one stack, by generator and then level: each generator's
-    # residual and size are one Horner pass over its own contiguous slice
-    stack, parts, spans, pos = [], [], [None] * n, 0
-    for j, g in enumerate(rows[:n]):
-        z = np.concatenate(groups[j::m])
-        w = np.concatenate(values[j:n:m])[:, None]
-        resid = np.abs(kernels.horner(g.row, z) - w)
-        size = kernels.horner(g.abs_row, np.abs(z)) + np.abs(w)
-        stack.append(z)
-        parts.append(resid + 8 * (d + 2) * U * size)
-        for k in range(j, n, m):
-            spans[k] = slice(pos, pos + len(groups[k]))
-            pos = spans[k].stop
-    z, s = np.concatenate(stack), np.concatenate(parts)
-    lead = np.repeat([g.abs_lead for g in rows[:n]], [len(b) for b in stack])[:, None]
+    sizes = [len(g) for g in groups]
+    cuts = np.cumsum(sizes)[:-1]  # where each level after the first starts in the stack
+    # the groups of all levels in level order, each beside its own coefficient row, of shape
+    # (d + 1, G, 1): the residuals and sizes of the whole tree are one Horner pass each
+    z, w = np.concatenate(groups), np.concatenate(values[:n])[:, None]
+    coef = np.repeat([row.row for row in chain[:n]], sizes, axis=0).T[:, :, None]
+    resid = np.abs(kernels.horner(coef, z) - w)
+    size = kernels.horner(np.abs(coef), np.abs(z)) + np.abs(w)
+    s = resid + 8 * (d + 2) * U * size
     gaps = np.abs(z[:, :, None] - z[:, None, :])
     gaps.reshape(-1, d * d)[:, :: d + 1] = 1.0  # the diagonal, out of the product
-    den = lead * np.prod(gaps, axis=2) * (1 - 4 * (d + 3) * U)
+    den = np.abs(coef[-1]) * np.prod(gaps, axis=2) * (1 - 4 * (d + 3) * U)
     radii = np.empty_like(s)
-    for span in spans:  # a level's radii enter only the next level's, as its rho
-        radii[span] = d * (s[span] + rho[:, None]) / den[span]
-        rho = radii[span].reshape(-1)
+    levels = np.split(radii, cuts)  # views: each level's radii, filled in place
+    for r, s_k, den_k in zip(levels, np.split(s, cuts), np.split(den, cuts)):
+        r[:] = d * (s_k + rho[:, None]) / den_k  # a level's radii enter the next's, as its rho
+        rho = r.reshape(-1)
     gaps.reshape(-1, d * d)[:, :: d + 1] = np.inf  # and out of the apartness test
     ok = (gaps > radii[:, :, None] + radii[:, None, :]).all(axis=(1, 2))
     ok &= np.isfinite(den).all(axis=1) & np.isfinite(radii).all(axis=1)
     if not ok.all():
-        k = next(k for k, span in enumerate(spans, 1) if not ok[span].all())
+        k = np.searchsorted(cuts, np.argmin(ok), side="right") + 1
         raise ValueError(f"sibling disks overlap at level {k}")
-    return [radii[span].reshape(-1) for span in spans]
+    return [r.reshape(-1) for r in levels]
 
 
 def build_tree(gens: list[BelyiPoly], alpha, n: int) -> ArborealTree:
@@ -222,9 +218,9 @@ def build_tree(gens: list[BelyiPoly], alpha, n: int) -> ArborealTree:
                 groups.append(np.sort(roots, axis=1))  # complex order: (re, im)
                 values.append(groups[-1].reshape(-1))
         except ValueError:  # LinAlgError too: an overlap below the failed level comes first
-            _disk_radii(rows, groups, values, rho)
+            _disk_radii(chain, groups, values, rho)
             raise
-        radii = _disk_radii(rows, groups, values, rho)
+        radii = _disk_radii(chain, groups, values, rho)
         residuals = np.abs(kernels.chain_values([row.row for row in chain], values[1:]) - complex(alpha))
     levels = [((w, 0.0, -1),)]
     for nodes in values[1:]:

@@ -4,14 +4,15 @@ The only hot loops in this package are numeric: batched root solves under
 one generator and one Horner rule for the Newton step and chain values, each
 vectorised over its batch.  A ``Row`` holds what the kernels read of one
 generator: its ascending float row, that row over its leading coefficient,
-the derivative row, ``|row|``, ``|lead|`` and whether the monic row is real.
-The tree builder makes one per generator per tree, so no level rebuilds
-them.  Degree-2 rows are solved by the quadratic formula in its
-cancellation-free form; every other degree by the eigenvalues of the stacked
-companion matrices.  Per level, the tree builder solves and polishes the
-roots with one Newton step (``newton_chain``); per tree, it finds every
-residual in one pass (``chain_values``) and certifies every level with one
-``horner`` pass per generator.  ``min_pairwise_gap`` stays only as a traced name.
+the derivative row and whether the monic row is real.  The tree builder makes
+one per generator per tree, so no level rebuilds them.  Degree-2 rows are
+solved by the quadratic formula in its cancellation-free form; every other
+degree by the eigenvalues of the stacked companion matrices.  Per level, the
+tree builder solves and polishes the roots with one Newton step
+(``newton_chain``); per tree, it finds every residual in one pass
+(``chain_values``) and certifies every level with one ``horner`` pass over a
+stack of each sibling group's coefficient row.  ``min_pairwise_gap`` stays
+only as a traced name.
 
 The caller owns ``np.errstate``: no kernel enters one, and build_tree ignores
 every float error for a whole tree, since it refuses what overflows or turns
@@ -33,19 +34,19 @@ class Row:
     whether monic is real above its constant term, which each parent replaces.
     """
 
-    __slots__ = ("row", "monic", "drow", "abs_row", "abs_lead", "real")
+    __slots__ = ("row", "monic", "drow", "real")
 
     def __init__(self, row) -> None:
         self.row = row = np.asarray(row, dtype=np.complex128)
         self.monic = row[:-1] / row[-1]
         self.drow = row[1:] * np.arange(1, len(row))
-        self.abs_row = np.abs(row)
-        self.abs_lead = np.abs(row[-1])
         self.real = bool((self.monic[1:].imag == 0).all())
 
 
 def horner(row: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The polynomial with ascending coefficients row, evaluated at each of v."""
+    """The polynomial with ascending coefficients row, evaluated at each of v.  row may be a
+    coefficient stack, row[j] broadcasting against v: of shape (d + 1, G, 1), it evaluates
+    each of the G rows of v under its own coefficients."""
     if len(row) == 1:
         return np.full_like(v, row[0])
     acc = v * row[-1] + row[-2]

@@ -707,9 +707,9 @@ def _masked_disk_radii(g, z, w, rho):
     u = arboreal.U
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         resid = np.abs(kernels.horner(g.row, z) - w[:, None])
-        size = kernels.horner(g.abs_row, np.abs(z)) + np.abs(w)[:, None]
+        size = kernels.horner(np.abs(g.row), np.abs(z)) + np.abs(w)[:, None]
         gaps = np.where(eye, 1.0, np.abs(z[:, :, None] - z[:, None, :]))
-        den = g.abs_lead * np.prod(gaps, axis=2) * (1 - 4 * (d + 3) * u)
+        den = np.abs(g.row[-1]) * np.prod(gaps, axis=2) * (1 - 4 * (d + 3) * u)
         radii = d * (resid + 8 * (d + 2) * u * size + rho[:, None]) / den
         apart = (gaps > radii[:, :, None] + radii[:, None, :]) | eye
     if not (np.all(np.isfinite(den)) and np.all(np.isfinite(radii)) and np.all(apart)):

@@ -256,21 +256,21 @@ def test_an_overlap_is_named_before_a_later_failure(monkeypatch, failure):
 
 
 def test_one_certificate_per_tree(monkeypatch):
-    # every level is certified in one _disk_radii call, at most one per
-    # generator whatever the depth
+    # every level is certified in exactly one _disk_radii call, whatever the
+    # depth and the number of generators
     calls = []
     certify = arboreal._disk_radii
 
-    def counted(rows, *args):
-        calls.append(len(rows))
-        return certify(rows, *args)
+    def counted(*args):
+        calls.append(args)
+        return certify(*args)
 
     monkeypatch.setattr(arboreal, "_disk_radii", counted)
     for gens in ([b_dk(2, 1)], [b_dk(2, 0), b_dk(2, 1)], [b_dk(3, 1), b_dk(3, 2), b_dk(3, 0)]):
         for n in range(1, 7):
             calls.clear()
             assert arboreal.build_tree(gens, Fraction(1, 3), n).leaves() == gens[0].degree**n
-            assert 1 <= len(calls) <= len(gens) and calls[0] == len(gens), (gens, n)
+            assert len(calls) == 1, (gens, n)
 
 
 def _degree_two_sweep(count, seed):
@@ -452,6 +452,22 @@ def test_coincident_siblings_are_refused(monkeypatch):
     monkeypatch.setattr(kernels, "dk_batch", coincident_roots)
     with pytest.raises(ValueError, match="sibling disks overlap at level 1"):
         arboreal.build_tree([B31], HALF, 1)
+
+
+def test_an_overlap_in_the_first_group_of_a_level_names_that_level(monkeypatch):
+    # the first group of level 2 starts where level 1 ends in the certificate's
+    # stack: coincident siblings under the first parent of level 2 name level 2
+    solve = kernels.dk_batch
+
+    def first_group_coincident(g, values):
+        roots = solve(g, values)
+        if len(values) > 1:
+            roots[0] = roots[0, 0]
+        return roots
+
+    monkeypatch.setattr(kernels, "dk_batch", first_group_coincident)
+    with pytest.raises(ValueError, match="^sibling disks overlap at level 2$"):
+        arboreal.build_tree([B31], HALF, 2)
 
 
 def test_huge_error_scales_are_refused():

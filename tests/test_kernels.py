@@ -188,6 +188,22 @@ def test_chain_values_levels_join_at_their_row():
     assert kernels.chain_values(chain, [np.empty(0), np.empty(0)]).shape == (0,)
 
 
+def test_horner_reads_one_row_per_group():
+    # a coefficient stack of shape (d + 1, G, 1) evaluates each of the G groups of
+    # points under its own row, bit for bit as horner on that row alone: the tree
+    # certificate evaluates every sibling group of a tree so, complex and absolute
+    rng = np.random.default_rng(3)
+    for d in range(1, 13):
+        for count in (1, 5, 64, 729):
+            rows = _random_coeffs(rng, count, d) * 10.0 ** rng.integers(-3, 4, size=(count, 1))
+            points = 2 * (rng.normal(size=(count, d)) + 1j * rng.normal(size=(count, d)))
+            stack = rows.T[:, :, None]
+            for coef, v in ((stack, points), (np.abs(stack), np.abs(points))):
+                got = kernels.horner(coef, v)
+                want = np.vstack([kernels.horner(c, z) for c, z in zip(coef[:, :, 0].T, v)])
+                assert got.shape == (count, d) and np.array_equal(got, want), (d, count)
+
+
 def test_min_pairwise_gap():
     xs = np.array([0.0, 1.0, 1.5 + 2j], dtype=np.complex128)
     assert abs(kernels.min_pairwise_gap(xs) - 1.0) < 1e-15
