@@ -8,7 +8,8 @@ critical values of F_k; and genericity_check demands 0 < alpha < 1.
 
 Each level is certified.  Under a float parent w within rho of the true
 parent w*, the siblings z_1..z_d are the roots kernels.dk_batch finds for the
-float row of B_k - w, after one Newton step on that row.  With f = B_k - w*,
+float row of B_k - w: by the quadratic formula at degree 2, and otherwise by
+the companion eigenvalues after one Newton step on that row.  With f = B_k - w*,
 c its leading coefficient and the Weierstrass corrections
 W_i = f(z_i) / (c prod_{m != i} (z_i - z_m)), f/c is the characteristic
 polynomial of diag(z) - W 1^T, so by Gerschgorin the disks D(z_i, d|W_i|)
@@ -147,10 +148,10 @@ U = 2.0**-53  # unit roundoff of float64
 
 def _disk_radii(
     chain: list[kernels.Row], groups: list[np.ndarray], values: list[np.ndarray], rho: np.ndarray
-) -> list[np.ndarray]:
-    """The radii of every level's sibling groups, one flat array per level.  groups[k-1], of
-    shape (P, d), holds the roots of chain[k-1].row - w for each w of values[k-1], and rho is
-    the radius of values[0].  Raises "sibling disks overlap at level k" for the first level
+) -> np.ndarray:
+    """The radii of every level's sibling groups, of shape (G, d), the groups in level order
+    as np.concatenate(groups) holds them.  groups[k-1], of shape (P, d), holds the roots of
+    chain[k-1].row - w for each w of values[k-1], and rho is the radius of values[0].  Raises "sibling disks overlap at level k" for the first level
     with a radius that is not finite or two sibling disks that meet.  The caller owns
     np.errstate: overflow and NaN make a radius that is not finite."""
     import numpy as np  # only the numeric trees load numpy
@@ -159,10 +160,10 @@ def _disk_radii(
 
     n = len(groups)
     if n == 0:
-        return []
+        return np.empty((0, 1))
     d = groups[0].shape[1]
     sizes = [len(g) for g in groups]
-    cuts = np.cumsum(sizes)[:-1]  # where each level after the first starts in the stack
+    ends = np.cumsum(sizes).tolist()  # where each level ends in the stack
     # the groups of all levels in level order, each beside its own coefficient row, of shape
     # (d + 1, G, 1): the residuals and sizes of the whole tree are one Horner pass each
     z, w = np.concatenate(groups), np.concatenate(values[:n])[:, None]
@@ -174,17 +175,16 @@ def _disk_radii(
     gaps.reshape(-1, d * d)[:, :: d + 1] = 1.0  # the diagonal, out of the product
     den = np.abs(coef[-1]) * np.prod(gaps, axis=2) * (1 - 4 * (d + 3) * U)
     radii = np.empty_like(s)
-    levels = np.split(radii, cuts)  # views: each level's radii, filled in place
-    for r, s_k, den_k in zip(levels, np.split(s, cuts), np.split(den, cuts)):
-        r[:] = d * (s_k + rho[:, None]) / den_k  # a level's radii enter the next's, as its rho
-        rho = r.reshape(-1)
+    for a, b in zip([0, *ends], ends):
+        radii[a:b] = d * (s[a:b] + rho[:, None]) / den[a:b]  # a level's radii enter the next's, as its rho
+        rho = radii[a:b].reshape(-1)
     gaps.reshape(-1, d * d)[:, :: d + 1] = np.inf  # and out of the apartness test
     ok = (gaps > radii[:, :, None] + radii[:, None, :]).all(axis=(1, 2))
     ok &= np.isfinite(den).all(axis=1) & np.isfinite(radii).all(axis=1)
     if not ok.all():
-        k = np.searchsorted(cuts, np.argmin(ok), side="right") + 1
+        k = np.searchsorted(ends, np.argmin(ok), side="right") + 1
         raise ValueError(f"sibling disks overlap at level {k}")
-    return [r.reshape(-1) for r in levels]
+    return radii
 
 
 def build_tree(gens: list[BelyiPoly], alpha, n: int) -> ArborealTree:
@@ -212,7 +212,7 @@ def build_tree(gens: list[BelyiPoly], alpha, n: int) -> ArborealTree:
         try:
             for k, row in enumerate(chain, 1):
                 # each child is solved under its own parent, so parenthood is exact
-                roots = kernels.newton_chain(row, kernels.dk_batch(row, values[-1]), values[-1][:, None])
+                roots = kernels.dk_batch(row, values[-1])
                 if not np.isfinite(roots).all():
                     raise ValueError(f"polish failed at level {k}: non-finite root")
                 groups.append(np.sort(roots, axis=1))  # complex order: (re, im)
@@ -222,14 +222,19 @@ def build_tree(gens: list[BelyiPoly], alpha, n: int) -> ArborealTree:
             raise
         radii = _disk_radii(chain, groups, values, rho)
         residuals = np.abs(kernels.chain_values([row.row for row in chain], values[1:]) - complex(alpha))
-    levels = [((w, 0.0, -1),)]
-    for nodes in values[1:]:
-        parent_of = np.arange(len(nodes)) // d
-        # + 0.0 makes a signed zero, such as the imaginary part of -(-1/3 + 0j), read 0.0
-        re, im = (nodes.real + 0.0).tolist(), (nodes.imag + 0.0).tolist()
-        levels.append(tuple(zip(re, im, parent_of.tolist())))
-    radii_out = [tuple(r.tolist()) for r in (rho, *radii)]
-    tol = max(1e-9, max(max(r) for r in radii_out))
+    # every level's nodes and radii, the root's first, as lists in one pass each; + 0.0 makes
+    # a signed zero, such as the imaginary part of -(-1/3 + 0j), read 0.0
+    nodes = np.concatenate(values)
+    re, im = (nodes.real + 0.0).tolist(), (nodes.imag + 0.0).tolist()
+    radius = np.concatenate([rho, radii.reshape(-1)]).tolist()
+    parent_of = (np.arange(d**n) // d).tolist()  # the parents of level k are its first d^k
+    levels, radii_out, a = [((w, 0.0, -1),)], [(radius[0],)], 1
+    for level in values[1:]:
+        b = a + len(level)
+        levels.append(tuple(zip(re[a:b], im[a:b], parent_of)))
+        radii_out.append(tuple(radius[a:b]))
+        a = b
+    tol = max(1e-9, max(radius))
     return ArborealTree(d, alpha, tol, tuple(levels), float(residuals.max(initial=0.0)), tuple(radii_out))
 
 

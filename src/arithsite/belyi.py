@@ -24,10 +24,8 @@ from functools import cached_property
 from itertools import count
 from math import comb
 
-from . import MAX_EXACT_DEGREE, conway
-from .bigpicture import PicClass
+from . import MAX_EXACT_DEGREE
 from .dessins import Passport, _parts, compose_passport
-from .primes import is_prime
 from .ratpoly import PolyQ, format_poly, multiplicity_counts, poly_gcd
 
 
@@ -174,11 +172,15 @@ def beta_morphism(p: BelyiPoly) -> PicClass:
     """The class (1/d, (b-1)/d) with d = deg P and b the black count.  Since
     1 <= b <= d, its Hermite form is (1, b - 1, d): tree dessins never wrap
     the offset mod 1."""
+    from .bigpicture import PicClass  # only the morphisms to the other sites load their modules
+
     return PicClass(Fraction(1, p.degree), Fraction(black_count(p) - 1, p.degree))
 
 
 def beta_word(p: BelyiPoly) -> conway.Word:
     """The normal word of beta(P), free since M N = (1/d) d = 1 leaves no power letter."""
+    from . import conway
+
     return conway.class_to_word(beta_morphism(p))
 
 
@@ -226,6 +228,8 @@ def free_check(generators: list[BelyiPoly], maxlen: int) -> bool:
         total += sum(g.degree for g in generators) ** n
         if total > MAX_FREE_DEGREE:
             raise ValueError(f"refusing composites of total degree {total} > {MAX_FREE_DEGREE}")
+    from .primes import is_prime
+
     q = next(q for q in count(3) if is_prime(q) and all(g.poly.num[-1] * g.poly.den % q for g in generators))
     seen: dict[Fraction, list[tuple[int, ...]]] = {}
     level = [((), Fraction(1, q))]  # level n puts one factor outside each level n-1 word

@@ -21,10 +21,10 @@ from . import MAX_INT_DIGITS
 MAX_ERROR_CHARS = 200  # error messages may echo a whole 128 KiB argument
 
 
-def _import(group: str) -> None:
+def _import(group: str, verb: str) -> None:
     # bind the modules that the handlers of group read: a CLI call is mostly
     # start-up time, so a group imports only its own (numpy loads in ar tree/dot;
-    # the ds and bc handlers print json)
+    # the ds and bc handlers print json; of the by verbs only beta reads bp and cw)
     global arboreal, bc, belyi, bp, cw, ds, pt, sn, json, format_poly, parse_poly, parse_rational
     if group == "bp":
         from . import bigpicture as bp
@@ -37,8 +37,11 @@ def _import(group: str) -> None:
 
         from . import dessins as ds
     elif group == "by":
-        from . import belyi, bigpicture as bp, conway as cw
+        from . import belyi
         from .ratpoly import format_poly, parse_poly
+
+        if verb == "beta":
+            from . import bigpicture as bp, conway as cw
     elif group == "bc":
         import json
 
@@ -211,7 +214,7 @@ def main(argv=None) -> int:
     # argv[0] names the group only when it is one; otherwise build every verb
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        _import(args.imports)
+        _import(args.imports, args.verb)
         _print(args.handler(args))
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
     except BrokenPipeError:

@@ -5,11 +5,13 @@ one generator and one Horner rule for the Newton step and chain values, each
 vectorised over its batch.  A ``Row`` holds what the kernels read of one
 generator: its ascending float row, that row over its leading coefficient,
 the derivative row and whether the monic row is real.  The tree builder makes
-one per generator per tree, so no level rebuilds them.  Degree-2 rows are
-solved by the quadratic formula in its cancellation-free form; every other
-degree by the eigenvalues of the stacked companion matrices.  Per level, the
-tree builder solves and polishes the roots with one Newton step
-(``newton_chain``); per tree, it finds every residual in one pass
+one per generator per tree, so no level rebuilds them.  ``dk_batch`` returns
+finished roots: degree-2 rows by the quadratic formula in its cancellation-free
+form, which gives each root to working accuracy and takes no Newton step
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+section 1.8); every other degree by the eigenvalues of the stacked companion
+matrices, polished by one Newton step (``newton_chain``).  Per level, the tree
+builder makes that one call; per tree, it finds every residual in one pass
 (``chain_values``) and certifies every level with one ``horner`` pass over a
 stack of each sibling group's coefficient row.  ``min_pairwise_gap`` stays
 only as a traced name.
@@ -56,22 +58,24 @@ def horner(row: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def dk_batch(g: Row, values: np.ndarray) -> np.ndarray:
-    """Roots of g.row - w for each parent value w of values, shape (len(values), d).
+    """Roots of g.row - w for each parent value w of values, shape (len(values), d), finished.
 
     Each row is divided by its leading coefficient.  A degree-2 row
     z^2 + p z + r is solved in closed form without cancellation:
     q = -(p + s sqrt(p^2 - 4r)) / 2, the sign s making Re(conj(p) s sqrt(p^2 - 4r)) >= 0,
     and the roots q and r / q, or conj(q) when the row is real and q is not.
-    Other degrees, and the degree-2 rows where that is not finite (q = 0, the
-    double root 0, p^2 or 4r overflowing, or a row that is not finite), take
-    the eigenvalues of the stacked companion matrices (Edelman and Murakami,
-    Math. Comp. 64, 1995), which LAPACK finds or raises LinAlgError, a
-    ValueError, for a row that is not finite.  The name is the Durand-Kerner
-    solver's that this replaced; perfbench traces it by name.
+    These take no Newton step: near a double root a step would move them by
+    rounding over a small derivative.  Other degrees, and the degree-2 rows
+    where that is not finite (q = 0, the double root 0, p^2 or 4r overflowing,
+    or a row that is not finite), take the eigenvalues of the stacked companion
+    matrices (Edelman and Murakami, Math. Comp. 64, 1995), which LAPACK finds or
+    raises LinAlgError, a ValueError, for a row that is not finite, and then one
+    newton_chain step on g.row - w.  The name is the Durand-Kerner solver's that
+    this replaced; perfbench traces it by name.
     """
     r = (g.row[0] - values) / g.row[-1]  # the constant term of each monic row
     if len(g.monic) != 2:
-        return _companion_eigvals(g.monic, r)
+        return _companion_roots(g, r, values)
     # a one-element array, not the scalar monic[1]: numpy's complex array loops
     # may fuse a multiply and an add where its scalar arithmetic rounds twice
     p = g.monic[1:]
@@ -82,18 +86,19 @@ def dk_batch(g: Row, values: np.ndarray) -> np.ndarray:
     roots[:, 1] = np.where(mirror, q.conjugate(), r / q)
     if not np.isfinite(roots).all():
         wide = ~np.isfinite(roots).all(axis=1)
-        roots[wide] = _companion_eigvals(g.monic, r[wide])
+        roots[wide] = _companion_roots(g, r[wide], values[wide])
     return roots
 
 
-def _companion_eigvals(monic: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the companion matrix of monic with each constant term of r."""
-    m, d = len(r), len(monic)
+def _companion_roots(g: Row, r: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the companion matrix of g.monic with each constant term of r, the
+    monic row of g.row - w for the w of values, after one Newton step on that row."""
+    m, d = len(r), len(g.monic)
     companion = np.zeros((m, d, d), dtype=np.complex128)
-    companion[:, 0, :-1] = -monic[:0:-1]  # the first row is the monic row, reversed and negated
+    companion[:, 0, :-1] = -g.monic[:0:-1]  # the first row is the monic row, reversed and negated
     companion[:, 0, -1] = -r
     companion.reshape(m, d * d)[:, d :: d + 1] = 1.0  # the subdiagonal
-    return np.linalg.eigvals(companion)
+    return newton_chain(g, np.linalg.eigvals(companion), values[:, None])
 
 
 def newton_chain(g: Row, xs: np.ndarray, targets) -> np.ndarray:

@@ -43,12 +43,14 @@
 - arboreal.squarefree_level as it was before the chain rule answered it: the
   exact composite and one gcd with its derivative.
 - The preimage tree with the eight-step Newton polish that arboreal.build_tree
-  ran before one step replaced it.  And its level loop as it was before each
+  ran before one step replaced it, and before the degree-2 closed form took
+  none.  And its level loop as it was before each
   level took one (P, d) pass: siblings ordered by lexsort on the flat level,
   disk radii through an identity mask, and every level's residual found by
   evaluating the whole chain so far.
 - kernels.dk_batch as it was before degree-2 rows took the closed form: the
-  eigenvalues of the stacked companion matrices, for every degree.
+  eigenvalues of the stacked companion matrices, for every degree, and one
+  Newton step.
 - A flood-fill count of the eps-clusters of a point set.
 - The points queries as they were before the order facts of the points
   docstring decided them: interleaving by testing every pair of entries, a
@@ -59,7 +61,8 @@
   the two continuations.
 - Two checks of the inclusion disks that certify arboreal.build_tree: the
   Weierstrass corrections of level 1 in exact rational arithmetic, and the
-  roots of a level's composite to 80 digits with mpmath.
+  roots of a level's composite to 80 digits with mpmath.  And one of the
+  degree-2 closed form: each node against the 113-bit roots of its own row.
 """
 
 from fractions import Fraction
@@ -671,32 +674,38 @@ def exact_squarefree_level(gens, alpha, n: int) -> bool:
 
 
 def eight_step_tree(gens, alpha, n: int) -> arboreal.ArborealTree:
-    """build_tree with each level polished by eight Newton steps, not one."""
-    one_step = kernels.newton_chain
+    """build_tree with each level polished by eight Newton steps: the companion eigenvalues
+    take eight, not one, and the degree-2 closed form eight, not none."""
+    one_step, solve = kernels.newton_chain, kernels.dk_batch
 
     def eight_steps(g, xs, targets):
         for _ in range(8):
             xs = one_step(g, xs, targets)
         return xs
 
-    kernels.newton_chain = eight_steps
+    def polished(g, values):
+        roots = solve(g, values)
+        return eight_steps(g, roots, values[:, None]) if len(g.monic) == 2 else roots
+
+    kernels.newton_chain, kernels.dk_batch = eight_steps, polished
     try:
         return arboreal.build_tree(gens, alpha, n)
     finally:
-        kernels.newton_chain = one_step
+        kernels.newton_chain, kernels.dk_batch = one_step, solve
 
 
 def companion_roots(g: kernels.Row, values: np.ndarray) -> np.ndarray:
     """Roots of g.row - w for each w of values: the eigenvalues of the stacked
-    companion matrices of the batch of rows, degree 2 included."""
+    companion matrices of the batch of rows, degree 2 included, after one Newton
+    step, as kernels.dk_batch finishes every root it does not find in closed form."""
     coeffs = np.tile(g.row, (len(values), 1))
     coeffs[:, 0] -= values
     m, d = coeffs.shape[0], coeffs.shape[1] - 1
     companion = np.zeros((m, d, d), dtype=np.complex128)
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        companion[:, 0, :] = -coeffs[:, -2::-1] / coeffs[:, -1:]
     companion.reshape(m, d * d)[:, d :: d + 1] = 1.0  # the subdiagonal
-    return np.linalg.eigvals(companion)
+    with np.errstate(all="ignore"):
+        companion[:, 0, :] = -coeffs[:, -2::-1] / coeffs[:, -1:]
+        return kernels.newton_chain(g, np.linalg.eigvals(companion), values[:, None])
 
 
 def _masked_disk_radii(g, z, w, rho):
@@ -739,7 +748,6 @@ def per_level_tree(gens, alpha, n: int) -> arboreal.ArborealTree:
         parent_of = np.repeat(np.arange(len(values)), d)
         with np.errstate(all="ignore"):
             roots = kernels.dk_batch(g, values).reshape(-1)
-            roots = kernels.newton_chain(g, roots, values[parent_of])
         if not np.all(np.isfinite(roots)):
             raise ValueError(f"polish failed at level {k}: non-finite root")
         roots = roots[np.lexsort((roots.imag, roots.real, parent_of))]
@@ -933,3 +941,22 @@ def _window_search(c1: pt.TruncatedChain, c2: pt.TruncatedChain) -> bool:
             if interleaves(c1.site, t1, t2) and interleaves(c1.site, t2[:depth], m1[i:]):
                 return True
     return False
+
+
+def quadratic_local_error(gens, levels) -> float:
+    """Largest |z - z*| / (1 + |z|) over the nodes z of a degree-2 tree's levels, z* the root of
+    B_k - w nearest z for z's float parent w, from the quadratic formula in 113-bit mpmath:
+    how far each level's solve lands from the roots of the row it was given."""
+    import mpmath
+
+    worst = mpmath.mpf(0)
+    with mpmath.workprec(113):
+        for k in range(1, len(levels)):
+            c0, c1, c2 = (mpmath.mpf(c.numerator) / c.denominator for c in arboreal._factor(gens, k).poly.coeffs)
+            parents = levels[k - 1]
+            for re, im, p in levels[k]:
+                root = mpmath.sqrt(c1 * c1 - 4 * c2 * (c0 - mpmath.mpc(*parents[p][:2])))
+                z = mpmath.mpc(re, im)
+                near = min(abs(z - (s * root - c1) / (2 * c2)) for s in (1, -1))
+                worst = max(worst, near / (1 + abs(z)))
+    return float(worst)

@@ -18,6 +18,7 @@ from oracles import (
     exact_weierstrass_bounds,
     mpmath_disk_problems,
     per_level_tree,
+    quadratic_local_error,
 )
 
 B31 = b_dk(3, 1)
@@ -93,8 +94,8 @@ def test_build_tree_runs_no_exact_certificate(monkeypatch):
 
 
 @st.composite
-def _gens_alpha(draw):
-    d = draw(st.integers(2, 9))
+def _gens_alpha(draw, low=2):
+    d = draw(st.integers(low, 9))
     gens = [b_dk(d, draw(st.integers(0, d - 1))) for _ in range(draw(st.integers(1, 3)))]
     den = draw(st.integers(2, 50))
     return gens, Fraction(draw(st.integers(1, den - 1)), den)
@@ -158,9 +159,10 @@ def _matched_error(got, want):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(_gens_alpha())
+@given(_gens_alpha(3))
 def test_one_newton_step_matches_eight(case):
-    # the eigenvalues are backward stable, so further steps move only rounding
+    # the eigenvalues are backward stable, so further steps move only rounding;
+    # degree 2 takes no step (test_degree_two_closed_form_needs_no_polish)
     gens, alpha = case
     d = gens[0].degree
     n = max(k for k in range(1, 7) if d**k <= 81)
@@ -304,6 +306,38 @@ def test_degree_two_closed_form_matches_the_companion_eigenvalues(monkeypatch):
             assert _matched_error(mine[3], theirs[3]) <= 1e-12, (gens, alpha)
 
 
+def _nodes(levels):
+    """Every node of a tree's levels as one complex array, and its parents."""
+    nodes = np.array([node for level in levels for node in level])
+    return nodes[:, 0] + 1j * nodes[:, 1], nodes[:, 2]
+
+
+def test_degree_two_closed_form_needs_no_polish():
+    # the cancellation-free quadratic formula gives each root to working accuracy
+    # (Higham, 2nd ed., 2002, section 1.8): eight Newton steps after it move every
+    # node of 300 seeded trees of the sweep by rounding alone, and change no tol
+    for gens, alpha in _degree_two_sweep(300, 35):
+        mine, theirs = (_tree_or_refusal(build, gens, alpha, 10) for build in (arboreal.build_tree, eight_step_tree))
+        (z, parents), (w, their_parents) = _nodes(mine[3]), _nodes(theirs[3])
+        assert mine[2] == theirs[2] and np.array_equal(parents, their_parents), (gens, alpha)
+        assert (np.abs(z - w) <= 2e-15 * (1 + np.abs(z))).all(), (gens, alpha)
+    # near the double root 1: the same refusals, at the same level, and every node of
+    # a certified tree within 4u (1 + |z|) of a root of the row under its float parent;
+    # there a step moves a root by rounding over a small derivative, so the eight-step
+    # tree differs by more than 2e-15, and some tol by up to 1%
+    refused = 0
+    for gens in ([b_dk(2, 1)], [b_dk(2, 0), b_dk(2, 1)], [b_dk(2, 1), b_dk(2, 0)]):
+        for k in range(1, 16):
+            alpha = 1 - Fraction(1, 10**k)
+            mine, theirs = (_tree_or_refusal(build, gens, alpha, 8) for build in (arboreal.build_tree, eight_step_tree))
+            if isinstance(mine, str) or isinstance(theirs, str):
+                refused += 1
+                assert mine == theirs, (gens, k)
+            else:
+                assert quadratic_local_error(gens, mine[3]) <= 4 * arboreal.U, (gens, k)
+    assert refused == 8
+
+
 def test_degree_two_conjugate_siblings_print_in_one_order():
     # under a real parent the siblings are real or a conjugate pair; the closed
     # form gives the pair equal real parts, so the negative imaginary part is first
@@ -319,8 +353,8 @@ def test_degree_two_conjugate_siblings_print_in_one_order():
 
 
 def test_degree_two_conjugate_siblings_are_exact_mirrors():
-    # a real row's roots are exact conjugates, and the Newton step keeps them
-    # so: B_{2,1} at depth 8, every reduced alpha = a/b with b < 40
+    # the closed form's roots of a real row are exact conjugates: B_{2,1} at
+    # depth 8, every reduced alpha = a/b with b < 40
     pairs = 0
     for b in range(2, 40):
         for a in (a for a in range(1, b) if gcd(a, b) == 1):
@@ -446,7 +480,7 @@ def test_disk_radii_cover_residual_and_parent_error():
 def test_coincident_siblings_are_refused(monkeypatch):
     # two equal siblings make a Weierstrass denominator 0: no disk separates them
     def coincident_roots(g, values):
-        # 1/2 is a true root of B31 - 1/2, so the Newton step leaves both copies
+        # two copies of 1/2, a true root of B31 - 1/2
         return np.tile(np.array([0.5, 0.5, 2.0], dtype=np.complex128), (len(values), 1))
 
     monkeypatch.setattr(kernels, "dk_batch", coincident_roots)
@@ -495,8 +529,9 @@ def test_non_finite_root_is_refused(monkeypatch):
 
 
 def test_each_generator_row_is_built_once_per_tree(monkeypatch):
-    # two generators over six levels: one Row per generator, and at each level
-    # one dk_batch and one newton_chain, both on the Row of that level's generator
+    # two generators over six levels: one Row per generator, and at each level one
+    # dk_batch on the Row of that level's generator; at degree 3 dk_batch takes one
+    # newton_chain on that Row, and at degree 2, whose closed form needs no step, none
     seen = {"Row": [], "dk_batch": [], "newton_chain": []}
     for name in seen:
 
@@ -506,9 +541,13 @@ def test_each_generator_row_is_built_once_per_tree(monkeypatch):
             return out
 
         monkeypatch.setattr(kernels, name, spy)
-    gens = [b_dk(2, 1), b_dk(2, 0)]
-    assert arboreal.build_tree(gens, Fraction(1, 3), 6).leaves() == 64
-    rows = seen["Row"]
-    assert len(rows) == 2 and rows[0] is not rows[1]
-    per_level = [id(rows[k % 2]) for k in range(6)]
-    assert [id(g) for g in seen["dk_batch"]] == [id(g) for g in seen["newton_chain"]] == per_level
+    for gens in ([b_dk(2, 1), b_dk(2, 0)], [b_dk(3, 1), b_dk(3, 0)]):
+        for calls in seen.values():
+            calls.clear()
+        d = gens[0].degree
+        assert arboreal.build_tree(gens, Fraction(1, 3), 6).leaves() == d**6
+        rows = seen["Row"]
+        assert len(rows) == 2 and rows[0] is not rows[1]
+        per_level = [id(rows[k % 2]) for k in range(6)]
+        assert [id(g) for g in seen["dk_batch"]] == per_level
+        assert [id(g) for g in seen["newton_chain"]] == (per_level if d == 3 else [])

@@ -856,6 +856,16 @@ def test_sn_imports_its_modules_only():
     assert "json" not in _loaded_modules(["bp", "fiber", "12", "--count"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["by", "bdk", "3", "1"],
+    ["by", "check", "-2*x^3+3*x^2"],
+    ["ar", "tree", "-2*x^3+3*x^2", "--alpha", "1/2", "--depth", "2"],
+], ids=" ".join)
+def test_polynomial_verbs_skip_the_rewriting_modules(argv):
+    # belyi loads conway and bigpicture only inside the morphisms to those sites
+    assert not {"arithsite.conway", "arithsite.bigpicture"} & _loaded_modules(argv)
+
+
 def test_pt_does_not_import_dessins():
     a = json.dumps({"site": "A", "entries": [2, 4, 8]})
     assert "arithsite.dessins" not in _loaded_modules(["pt", "tail", a, a])

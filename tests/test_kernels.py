@@ -114,7 +114,7 @@ def test_dk_batch_degree_two_double_root_at_zero():
 
 def test_dk_batch_falls_back_to_the_companion_eigenvalues():
     # p^2 or 4r overflows in the closed form: those rows, and every degree other
-    # than 2, take the companion eigenvalues bit for bit
+    # than 2, take the companion eigenvalues and their Newton step bit for bit
     wide = np.array([[1.0, 1e200, 1.0], [1e-300, 1e300, 1.0], [1e308, 0.0, 1.0], [-1.0, 0.0, 1.0]])
     got = _dk_rows(wide)
     assert np.array_equal(got[:3], _companion_rows(wide[:3])) and np.isfinite(got).all()

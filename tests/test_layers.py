@@ -97,12 +97,16 @@ def test_belyi_compose_takes_one_gcd_per_operation(tracing, monkeypatch):
 
 
 def test_preimage_trees_take_one_residual_pass_per_tree(tracing, monkeypatch):
-    # each level takes one root solve and one Newton step on its (P, d)
-    # array; the residuals of all levels come from one chain_values pass
+    # each level takes one root solve on its (P, d) array, and one Newton step
+    # inside it at degree 3 and up, none under the degree-2 closed form; the
+    # residuals of all levels come from one chain_values pass
     tracer, trees = _traced_round(tracing, monkeypatch, "PreimageTrees")
     depths = sum(len(t.levels) - 1 for t in trees)
+    stepped = sum(len(t.levels) - 1 for t in trees if t.degree >= 3)
+    assert 0 < stepped < depths
     assert tracer.calls["arboreal.build_tree"] == tracer.calls["kernels.chain_values"] == len(trees)
-    assert tracer.calls["kernels.dk_batch"] == tracer.calls["kernels.newton_chain"] == depths
+    assert tracer.calls["kernels.dk_batch"] == depths
+    assert tracer.calls["kernels.newton_chain"] == stepped
     assert tracer.calls["kernels.min_pairwise_gap"] == 0
 
 
