@@ -8,12 +8,15 @@ like a usage line: `x p:int` are positionals, `:int` makes an int, a trailing
 `+` takes one or more values, `--count` is a flag, `--radius:int=1` an option
 with a default and `--alpha!` a required option.  A handler returns what to
 print: a bool prints as true/false, a list one item per line, and anything
-else with str.
+else with str.  The handlers read their modules through _Lazy handles, so a
+call imports the modules its handler reads and no others: a CLI call is
+mostly start-up time, and only ar tree and ar dot load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 
 from . import MAX_INT_DIGITS
@@ -21,47 +24,40 @@ from . import MAX_INT_DIGITS
 MAX_ERROR_CHARS = 200  # error messages may echo a whole 128 KiB argument
 
 
-def _import(group: str, verb: str) -> None:
-    # bind the modules that the handlers of group read: a CLI call is mostly
-    # start-up time, so a group imports only its own (numpy loads in ar tree/dot;
-    # the ds and bc handlers print json; of the by verbs only beta reads bp and cw)
-    global arboreal, bc, belyi, bp, cw, ds, pt, sn, json, format_poly, parse_poly, parse_rational
-    if group == "bp":
-        from . import bigpicture as bp
-    elif group == "cw":
-        from . import bigpicture as bp, conway as cw
-    elif group == "sn":
-        from . import supernatural as sn
-    elif group == "ds":
-        import json
+class _Lazy:
+    """A module, imported when one of its attributes is first read.  Every read
+    goes to the module and nothing is cached, so a binding rebound there (as
+    perfbench's tracer does) is seen here."""
 
-        from . import dessins as ds
-    elif group == "by":
-        from . import belyi
-        from .ratpoly import format_poly, parse_poly
+    __slots__ = ("_name",)
 
-        if verb == "beta":
-            from . import bigpicture as bp, conway as cw
-    elif group == "bc":
-        import json
+    def __init__(self, name: str):
+        self._name = name
 
-        from . import bostconnes as bc, conway as cw
-        from .literals import parse_rational
-    elif group == "ar":
-        from . import arboreal, belyi
-        from .literals import parse_rational
-        from .ratpoly import parse_poly
-    elif group == "pt":
-        from . import points as pt
+    def __getattr__(self, attr: str):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+arboreal = _Lazy("arithsite.arboreal")
+bc = _Lazy("arithsite.bostconnes")
+belyi = _Lazy("arithsite.belyi")
+bp = _Lazy("arithsite.bigpicture")
+cw = _Lazy("arithsite.conway")
+ds = _Lazy("arithsite.dessins")
+literals = _Lazy("arithsite.literals")
+pt = _Lazy("arithsite.points")
+ratpoly = _Lazy("arithsite.ratpoly")
+sn = _Lazy("arithsite.supernatural")
+json = _Lazy("json")
 
 
 def _poly(text: str):
-    return belyi.BelyiPoly(parse_poly(text))
+    return belyi.BelyiPoly(ratpoly.parse_poly(text))
 
 
 def _generators(a) -> tuple:
     """The generators and alpha of an `ar` verb, parsed in that order."""
-    return [_poly(t) for t in a.polys], parse_rational(a.alpha)
+    return [_poly(t) for t in a.polys], literals.parse_rational(a.alpha)
 
 
 _AR = "polys+ --alpha! --depth:int!"
@@ -109,8 +105,8 @@ GROUPS = {
         "edk": ("d:int k:int", lambda a: ds.to_json(ds.e_dessin(a.d, a.k))),
     }),
     "by": ("belyi", "dynamical Belyi polynomials", {
-        "bdk": ("d:int k:int", lambda a: format_poly(belyi.b_dk(a.d, a.k).poly)),
-        "check": ("poly", lambda a: belyi.is_dynamical_belyi(parse_poly(a.poly))),
+        "bdk": ("d:int k:int", lambda a: ratpoly.format_poly(belyi.b_dk(a.d, a.k).poly)),
+        "check": ("poly", lambda a: belyi.is_dynamical_belyi(ratpoly.parse_poly(a.poly))),
         "beta": ("poly --word", lambda a: cw.format_word(belyi.beta_word(_poly(a.poly))) if a.word
                  else bp.format_class(belyi.beta_morphism(_poly(a.poly)))),
         "triangle": ("poly", lambda a: belyi.triangle_check(_poly(a.poly))),
@@ -125,8 +121,8 @@ GROUPS = {
             {"condition": 5, "p": a.p, "q": a.q, "ok": bc.check_condition5(a.p, a.q), "cells": a.p * a.q})),
         # keyword arguments run in the order written: x is parsed before the letter is built;
         # operator and rho read x mod 1 themselves
-        "op": ("p:int i:int x", lambda a: bc.operator(x=parse_rational(a.x), l=cw.Letter(a.p, a.i))),
-        "rho": ("p:int x", lambda a: json.dumps(sorted(str(v) for v in bc.rho(a.p, parse_rational(a.x))))),
+        "op": ("p:int i:int x", lambda a: bc.operator(x=literals.parse_rational(a.x), l=cw.Letter(a.p, a.i))),
+        "rho": ("p:int x", lambda a: json.dumps(sorted(str(v) for v in bc.rho(a.p, literals.parse_rational(a.x))))),
         "presheaf": ("word level:int", lambda a: json.dumps(
             [str(v) for v in sorted(bc.presheaf_value(cw.parse_word(a.word), a.level))])),
     }),
@@ -186,7 +182,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         sub = g.add_subparsers(dest="verb", required=True)
         for verb, (spec, handler) in verbs.items():
             p = sub.add_parser(verb)
-            p.set_defaults(imports=group, handler=handler)
+            p.set_defaults(handler=handler)
             _add_arguments(p, spec)
     return ap
 
@@ -214,7 +210,6 @@ def main(argv=None) -> int:
     # argv[0] names the group only when it is one; otherwise build every verb
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        _import(args.imports, args.verb)
         _print(args.handler(args))
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
     except BrokenPipeError:

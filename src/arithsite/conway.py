@@ -208,19 +208,6 @@ def mul(w1: Word, w2: Word) -> Word:
     return normalize(tuple(w1) + tuple(w2))
 
 
-def _quotient(y: Word, x: Word) -> tuple[int, list[int]] | None:
-    """The digits value and ascending primes of divide_left(y, x), or None."""
-    if not (is_free(y) and is_free(x)):
-        raise ValueError("outside monoid C")
-    primes = Counter(l.p for l in y)
-    primes.subtract(l.p for l in x)
-    if not is_normal(y) or min(primes.values(), default=0) < 0:
-        return None
-    (n_y, _), (n_x, p_x) = free_value(y), free_value(x)
-    r, rem = divmod(n_y - n_x, p_x)
-    return (r, sorted(primes.elements())) if rem == 0 else None
-
-
 def divide_left(y: Word, x: Word) -> Word | None:
     """The unique z with y = mul(z, x), or None; free words only.
 
@@ -230,14 +217,15 @@ def divide_left(y: Word, x: Word) -> Word | None:
     words of one class, and such a word is fixed by its class, so they are equal;
     mul returns normal words, so y must be normal.
     """
-    q = _quotient(y, x)
-    return None if q is None else _normal_word(*q, [])
-
-
-def left_divides(x: Word, y: Word) -> bool:
-    """Whether y = mul(z, x) for some z, as divide_left(y, x) decides, without
-    spelling out the quotient's digits; free words only."""
-    return _quotient(y, x) is not None
+    if not (is_free(y) and is_free(x)):
+        raise ValueError("outside monoid C")
+    primes = Counter(l.p for l in y)
+    primes.subtract(l.p for l in x)
+    if not is_normal(y) or min(primes.values(), default=0) < 0:
+        return None
+    (n_y, _), (n_x, p_x) = free_value(y), free_value(x)
+    r, rem = divmod(n_y - n_x, p_x)
+    return _normal_word(r, sorted(primes.elements()), []) if rem == 0 else None
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ means "not equivalent at this truncation depth"); tail_equiv decides extended
 chains by their limits, exactly.
 
 Each site's order (divisibility in N on site A, the prefix order of words on
-site B, left division in the Conway monoid on site C) is transitive, so a chain
-xs interleaves ys (each x >= some y) iff xs[-1] >= ys[-1], and antisymmetric,
-so a periodic extension is trivial iff its last two entries are equal.
+site B, left division in the monoid C of free Conway words on site C, where
+entries are stored as free normal words) is transitive, so a chain xs
+interleaves ys (each x >= some y) iff xs[-1] >= ys[-1], and antisymmetric, so
+a periodic extension is trivial iff its last two entries are equal.
 
 Limits.  A nontrivial extension of prev >= L continues L, L s, L s s, ... on
 site B (s = L[len(prev):]) and L, u L, u u L, ... on site C (L = u prev).  All
@@ -25,8 +26,9 @@ its tails have its limit, and two tails interleave iff:
   Proc. AMS 16, 1965).  So [[0],[0,1]] and [[1],[1,1]] are not equivalent;
 - site C: the limits in the profinite integers Zhat are equal.  With
   (N_w, P_w) = conway.free_value(w), x >= y iff the ball N_y + P_y Zhat lies in
-  N_x + P_x Zhat.  The balls are open and closed in the compact Zhat, so nested
-  runs of them interleave iff their intersections are equal.  u acts as
+  N_x + P_x Zhat: iff P_x | P_y and N_y = N_x mod P_x.  The balls are open and
+  closed in the compact Zhat, so nested runs of them interleave iff their
+  intersections are equal.  u acts as
   t -> (t + A_u)/P_u, so N_{u^k L} = N_L + A_u P_L (P_u^k - 1)/(P_u - 1), and the
   intersection is N_L mod D, for D the part of P_L prime to P_u, times the point
   r = N_L + A_u P_L/(1 - P_u) of Z_p at each prime p of P_u.  Q embeds in Z_p,
@@ -73,6 +75,8 @@ class TruncatedChain(record("TruncatedChain", "site entries extend gen_degrees")
                 for idx in e:
                     if not 0 <= idx < len(gen_degrees):
                         raise ValueError(f"generator index {idx} out of range")
+        if site == "C" and not all(map(conway.is_free, entries)):
+            raise ValueError("outside monoid C")
         return tuple.__new__(cls, (site, entries, extend, gen_degrees))
 
 
@@ -80,8 +84,11 @@ def _geq(site: str, a, b) -> bool:
     """a >= b in the site order: b factors through a."""
     if site == "A":
         return b % a == 0
-    if site == "C":
-        return conway.left_divides(a, b)
+    if site == "C":  # the ball of b lies in the ball of a
+        if not (conway.is_free(a) and conway.is_free(b)):
+            raise ValueError("outside monoid C")
+        (n_a, p_a), (n_b, p_b) = conway.free_value(a), conway.free_value(b)
+        return p_b % p_a == 0 and (n_b - n_a) % p_a == 0
     return len(a) <= len(b) and b[: len(a)] == a  # B: prefix of the composition
 
 

@@ -871,6 +871,98 @@ def test_pt_does_not_import_dessins():
     assert "arithsite.dessins" not in _loaded_modules(["pt", "tail", a, a])
 
 
+# One golden call of each verb, with the arithsite modules (short names, past
+# arithsite and cli), json and numpy that it loaded when cli still imported a
+# whole group's modules in a hand-kept table.  The handles load the same sets.
+_BP = "bigpicture literals primes"
+_CW = f"{_BP} conway json"
+_DS = "dessins literals json"
+_BY = f"{_DS} belyi ratpoly"
+_AR = f"{_BY} arboreal"
+_D1 = '{"n":1,"alpha":[0],"beta":[0],"frame_black":0,"frame_white":0}'
+VERB_IMPORTS = [
+    (["bp", "distance", "1:0", "1:1/2"], _BP),
+    (["bp", "neighbours", "2/2:2/2", "2"], _BP),
+    (["bp", "fiber", "1"], _BP),
+    (["bp", "psi", "3"], _BP),
+    (["bp", "ball-dot", "20/12:-1/3", "2"], _BP),
+    (["cw", "normalize", "e"], _CW),
+    (["cw", "mul", "e", "P[5,0]*P[7,4]"], _CW),
+    (["cw", "word2class", "e"], _CW),
+    (["cw", "class2word", "1:1/2"], _CW),
+    (["cw", "delta", "e"], _CW),
+    (["cw", "divide", "P[5,1]", "e"], _CW),
+    (["sn", "chain", "1"], "primes supernatural"),
+    (["sn", "equiv", "1", "1"], "primes supernatural"),
+    (["sn", "divides", "1", "1"], "primes supernatural"),
+    (["sn", "lcm", "1", "1"], "primes supernatural"),
+    (["sn", "open", "1", "1"], "primes supernatural"),
+    (["ds", "passport", _D1], _DS),
+    (["ds", "compose", _D1, _D1], _DS),
+    (["ds", "iso", _D1, _D1], _DS),
+    (["ds", "equiv", _D1, _D1], _DS),
+    (["ds", "auto", _D1], _DS),
+    (["ds", "involution", _D1], _DS),
+    (["ds", "dot", _D1], _DS),
+    (["ds", "monodromy", _D1], _DS),
+    (["ds", "edk", "5", "4"], _DS),
+    (["by", "bdk", "3", "1"], _BY),
+    (["by", "check", "x"], _BY),
+    (["by", "beta", "-x^2+2*x", "--word"], f"{_BY} bigpicture conway primes"),
+    (["by", "triangle", "x"], _BY),
+    (["by", "compose-count", "x", "x"], _BY),
+    (["by", "free", "x"], f"{_BY} primes"),
+    (["bc", "cond3", "3"], f"{_CW} bostconnes"),
+    (["bc", "cond4", "9", "8"], f"{_CW} bostconnes"),
+    (["bc", "cond5", "7", "3"], f"{_CW} bostconnes"),
+    (["bc", "op", "7", "0", "6/4"], f"{_CW} bostconnes"),
+    (["bc", "rho", "1", "1e-3"], f"{_CW} bostconnes"),
+    (["bc", "presheaf", "e", "1"], f"{_CW} bostconnes"),
+    (["ar", "generic", "x^5", "--alpha", "1/6"], _AR),
+    (["ar", "squarefree", "x^6", "--alpha", "0", "--depth", "3"], _AR),
+    (["ar", "tree", "x^2", "--alpha", "1/2", "--depth", "3"], f"{_AR} kernels numpy"),
+    (["ar", "dot", "x^2", "--alpha", "1/8", "--depth", "4"], f"{_AR} kernels numpy"),
+    (["pt", "equiv", '{"site":"A","entries":[1,2],"extend":true}', '{"site":"A","entries":[4,8],"extend":false}'],
+     f"{_CW} points supernatural"),
+    (["pt", "tail", '{"site":"A","entries":[2,4,8]}', '{"site":"A","entries":[12,24]}'], f"{_CW} points supernatural"),
+    (["pt", "project", '{"site":"A","entries":[2,2],"extend":false}'], f"{_CW} points supernatural"),
+]
+
+
+def _pinned(loaded) -> set[str]:
+    return {m.removeprefix("arithsite.") for m in loaded if m.startswith("arithsite.") or m in ("json", "numpy")}
+
+
+def test_verb_imports_cover_every_verb():
+    assert sorted(" ".join(argv[:2]) for argv, _ in VERB_IMPORTS) == sorted(
+        f"{group} {verb}" for group, (_, _, verbs) in cli.GROUPS.items() for verb in verbs)
+
+
+@pytest.mark.parametrize("argv, want", VERB_IMPORTS, ids=[" ".join(argv[:2]) for argv, _ in VERB_IMPORTS])
+def test_each_verb_loads_its_modules(argv, want):
+    assert _pinned(_loaded_modules(argv)) == {"cli", *want.split()}
+
+
+def test_by_beta_loads_conway_only_for_the_word():
+    # the class alone reads bigpicture; the table loaded conway for every by beta
+    assert _pinned(_loaded_modules(["by", "beta", "-x^2+2*x"])) == {"cli", "bigpicture", "primes", *_BY.split()}
+
+
+def test_cli_imports_arithsite_modules_only_through_its_handles():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    submodules = {p.stem for p in Path(cli.__file__).parent.glob("*.py")} - {"__init__"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("arithsite") for a in node.names), ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("arithsite")):
+            # only names of the package itself, such as MAX_INT_DIGITS
+            assert node.module in (None, "arithsite"), ast.unparse(node)
+            assert not {a.name for a in node.names} & submodules, ast.unparse(node)
+    handles = [n.args[0].value for n in ast.walk(tree)
+               if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_Lazy"]
+    assert {h.removeprefix("arithsite.") for h in handles if h.startswith("arithsite.")} <= submodules
+
+
 # ---------------------------------------------------------------------------
 # Fuzz: every verb, on valid shapes mixed with huge, negative, non-integer and
 # malformed values

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arithsite import bigpicture as bp, conway as cw, ratpoly
+from arithsite import bigpicture as bp, conway as cw, points as pt, ratpoly
 from arithsite.bigpicture import PIC_ONE, PicClass, hyperdistance, parse_class
 from arithsite.conway import Letter
 from arithsite.ratpoly import Mat2Q
@@ -258,11 +258,12 @@ def test_divide_left_by_delta_matches_quotient_class(z, x, w):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_free_words(6), _free_words(6), _free_words(6))
-def test_left_divides_matches_divide_left(z, x, w):
-    for y in (z, cw.normalize(z), z + x, cw.mul(z, x), cw.mul(w, z), cw.normalize(z + w + x)):
-        assert cw.left_divides(x, y) == (cw.divide_left(y, x) is not None)
+def test_site_c_order_matches_divide_left(z, x, w):
+    # points orders site C by ball containment; x need not be normal
+    for y in (cw.normalize(z), cw.mul(z, x), cw.mul(w, z), cw.normalize(z + w + x)):
+        assert pt._geq("C", x, y) == (cw.divide_left(y, x) is not None)
     with pytest.raises(ValueError, match="outside monoid C"):
-        cw.left_divides(x, z + (Letter(2, 2),))
+        pt._geq("C", x, z + (Letter(2, 2),))
 
 
 def _assert_checked_letters(w):

@@ -139,6 +139,17 @@ def _module_of(node: ast.ImportFrom) -> str | None:
     return None
 
 
+def _lazy_module(node: ast.AST) -> str | None:
+    """The arithsite module of a cli handle `NAME = _Lazy("arithsite.MOD")`, or None."""
+    if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)):
+        return None
+    call = node.value
+    if isinstance(call.func, ast.Name) and call.func.id == "_Lazy" and isinstance(node.targets[0], ast.Name):
+        name = call.args[0].value
+        return name.removeprefix("arithsite.") if name.startswith("arithsite.") else None
+    return None
+
+
 def _references(path: Path, module: str | None) -> set[tuple[str, str]]:
     """(module, name) of each arithsite name that the file at path refers to,
     outside the top-level statement that defines that name."""
@@ -156,6 +167,8 @@ def _references(path: Path, module: str | None) -> set[tuple[str, str]]:
             for a in node.names:
                 if a.name.startswith("arithsite.") and a.asname:
                     aliases[a.asname] = a.name.removeprefix("arithsite.")
+        elif (mod := _lazy_module(node)) is not None:
+            aliases[node.targets[0].id] = mod
     refs = {("__init__", name) for name in imported_from_package}
     for stmt in tree.body:
         defined = {t.id for t in ast.walk(stmt) if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)}
@@ -183,18 +196,37 @@ def _public_names(path: Path) -> set[str]:
     return {n for n in names if not n.startswith("_")}
 
 
-def test_every_src_name_has_a_caller():
-    # a public name stays in src/ only if src/ or perfbench/ uses it, or it
-    # is listed above; a name only tests use belongs in tests/oracles.py
-    src = sorted((ROOT / "src" / "arithsite").glob("*.py"))
+SRC = sorted((ROOT / "src" / "arithsite").glob("*.py"))
+
+
+def _uncalled(src) -> set[str]:
+    """module.name of each public name of the src files that no src or perfbench file refers to."""
     refs = set()
     for path in src:
         refs |= _references(path, path.stem)
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         refs |= _references(path, None)
-    uncalled = {f"{p.stem}.{n}" for p in src for n in _public_names(p) if (p.stem, n) not in refs}
+    return {f"{p.stem}.{n}" for p in src for n in _public_names(p) if (p.stem, n) not in refs}
+
+
+def test_every_src_name_has_a_caller():
+    # a public name stays in src/ only if src/ or perfbench/ uses it, or it
+    # is listed above; a name only tests use belongs in tests/oracles.py
+    uncalled = _uncalled(SRC)
     assert not uncalled - set(UNCALLED), "no caller: move these to tests/oracles.py or delete them"
     assert not set(UNCALLED) - uncalled, "these have callers now: drop them from UNCALLED"
+
+
+def test_a_name_only_a_handler_reads_needs_that_handler(tmp_path):
+    # cli reads points.project through its handle pt, in the pt project handler
+    # alone: without that handler the name has no caller
+    cli = ROOT / "src" / "arithsite" / "cli.py"
+    handler = """        "project": ("c", lambda a: pt.to_json(pt.project(pt.from_json(a.c)))),\n"""
+    assert handler in cli.read_text()
+    (tmp_path / "cli.py").write_text(cli.read_text().replace(handler, ""))
+    src = [tmp_path / "cli.py" if p == cli else p for p in SRC]
+    assert "points.project" not in _uncalled(SRC)
+    assert "points.project" in _uncalled(src) - set(UNCALLED)
 
 
 # The record rule (arithsite/__init__.py): each checking record, with field

@@ -254,8 +254,18 @@ def test_site_c_entries_are_checked_letters():
         TruncatedChain("C", [[(2, 1)], [(2, 3), (2, 1)]])
 
 
+def test_site_c_entries_are_free():
+    # a power letter leaves monoid C, also in a chain of one entry
+    for entries in ([[(2, 2)]], [[(3, 1), (2, 2)]], [[(2, 1)], [(3, 3), (2, 1)]]):
+        with pytest.raises(ValueError, match="outside monoid C"):
+            TruncatedChain("C", entries)
+    with pytest.raises(ValueError, match="outside monoid C"):
+        pt.from_json(json.dumps({"site": "C", "entries": [[[2, 2]]]}))
+    assert TruncatedChain("C", [[(2, 2), (2, 1)]]).entries == ((),)  # P[2,2] P[2,1] cancels
+
+
 def test_site_c_order_builds_no_quotient(monkeypatch):
-    # the site-C order asks whether a quotient exists, not for its letters
+    # the site-C order compares the entries' balls; it spells out no quotient
     top = (Letter(2, 1),)
     low = cw.mul((Letter(3, 2), Letter(5, 4)), top)
     c1, c2 = TruncatedChain("C", (top, low)), TruncatedChain("C", (top,))
@@ -325,10 +335,11 @@ def _window(draw, es):
 @st.composite
 def _point(draw, site, base):
     """A window or a subchain of base or of a fresh run, of at most 5 entries
-    and sometimes ending on a repeated entry; on site C sometimes one word
-    with a power letter, which only the order test refuses."""
+    and sometimes ending on a repeated entry.  On site C it sometimes first
+    draws one word with a power letter, which the constructor refuses."""
     if site == "C" and draw(st.integers(0, 9)) == 7:
-        return _chain("C", [draw(_STEPS["C"]) + (Letter(2, 2),)], False)
+        with pytest.raises(ValueError, match="outside monoid C"):
+            _chain("C", [draw(_STEPS["C"]) + (Letter(2, 2),)], False)
     es = base if draw(st.booleans()) else draw(_entries(site))
     if draw(st.booleans()):
         es = draw(_window(es))
