@@ -14,7 +14,8 @@ multiplicity chains of P from B and of P - 1 from W, with no second gcd.
 B_{d,k}, composites and involutions carry their passport and the multiplicities
 v0, v1 of 0 in P and 1 in P - 1.  g fixes 0, 1 with critical values in {0, 1}, so
 f o g has f's black parts less one v0, deg g times over, plus v0 times g's; white
-alike at 1 (dessins.compose_passport); and the valencies multiply.
+alike at 1 (compose_passport); and the valencies multiply.  A passport is the
+pair (black, white) of descending tuples, equal to dessins.passport of the tree.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from itertools import count
 from math import comb
 
 from . import MAX_EXACT_DEGREE
-from .dessins import Passport, _parts, compose_passport
 from .ratpoly import PolyQ, format_poly, multiplicity_counts, poly_gcd
+
+Passport = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _roots(f: PolyQ) -> int:
@@ -82,7 +84,7 @@ class BelyiPoly:
     @cached_property
     def counts(self) -> tuple[int, int]:
         """(black, white): the distinct roots of P and of P - 1."""
-        return len(self.passport.black), len(self.passport.white)
+        return tuple(map(len, self.passport))
 
     @cached_property
     def passport(self) -> Passport:
@@ -92,11 +94,9 @@ class BelyiPoly:
         """
         parts = []
         for f, first in zip((self.poly, self.poly - PolyQ.const(1)), self._split):
-            ms = []
-            for m, cnt in multiplicity_counts(f, first).items():
-                ms += [m] * cnt
-            parts.append(_parts(ms))
-        return Passport(*parts)
+            mults = sorted(multiplicity_counts(f, first).items(), reverse=True)
+            parts.append(tuple(m for m, cnt in mults for _ in range(cnt)))
+        return tuple(parts)
 
     @cached_property
     def valencies(self) -> tuple[int, int]:
@@ -131,8 +131,19 @@ def b_dk(d: int, k: int) -> BelyiPoly:
     inner = [Fraction((-1) ** (k - i) * comb(k, i), d - i) for i in range(k + 1)]
     inner.reverse()  # a_k + ... + a_0 x^k, lowest degree first
     poly = PolyQ.monomial(c, d - k) * PolyQ(inner)
-    passport = Passport((d - k, *[1] * k), (k + 1, *[1] * (d - k - 1)))
+    passport = (d - k, *[1] * k), (k + 1, *[1] * (d - k - 1))
     return _trusted(poly, passport, (d - k, k + 1))
+
+
+def compose_passport(p: Passport, v0: int, v1: int, p2: Passport, d2: int) -> Passport:
+    """The passport of f o g, for f of passport p and marked valencies v0, v1 and g of
+    passport p2 and degree d2, by the law in the module docstring."""
+    out = []
+    for parts, v, parts2 in zip(p, (v0, v1), p2):
+        parts = list(parts)
+        parts.remove(v)
+        out.append(tuple(sorted(parts * d2 + [v * part for part in parts2], reverse=True)))
+    return tuple(out)
 
 
 def compose(p: BelyiPoly, p2: BelyiPoly) -> BelyiPoly:
@@ -193,7 +204,7 @@ def triangle_check(p: BelyiPoly) -> bool:
 def involution_poly(p: BelyiPoly) -> BelyiPoly:
     """1 - P(1 - x); swaps the roles of 0 and 1, so the colours and valencies."""
     flipped = PolyQ.const(1) - p.poly.compose(PolyQ((1, -1)))
-    return _trusted(flipped, Passport(*p.passport[::-1]), p.valencies[::-1])
+    return _trusted(flipped, p.passport[::-1], p.valencies[::-1])
 
 
 # MAX_FREE_DEGREE bounds free_check by the summed degree of its words,
@@ -221,6 +232,8 @@ def free_check(generators: list[BelyiPoly], maxlen: int) -> bool:
     has q-adic valuation -deg w, and distinct values prove distinct composites.
     Only words whose values collide build their composites and compare them.
     """
+    if maxlen < 0:
+        raise ValueError("maxlen must be >= 0")
     if len(set(g.poly for g in generators)) != len(generators):
         raise ValueError("generators must be pairwise distinct")
     total = 0

@@ -239,18 +239,6 @@ def compose(t: FramedDessin, t2: FramedDessin) -> FramedDessin:
     return _trusted(t.n * m, tuple(alpha), tuple(beta), e0 * m + f0, e1 * m + f1)
 
 
-def compose_passport(p: Passport, v0: int, v1: int, p2: Passport, d2: int) -> Passport:
-    """The passport of f o g, for f of passport p and marked valencies v0, v1, and g
-    of passport p2 and degree d2: f's other vertices lift d2 times, the marked ones
-    to g's vertices, times v0 or v1.  Dessins and belyi share this law."""
-    black, white = list(p.black), list(p.white)
-    black.remove(v0)
-    white.remove(v1)
-    black = black * d2 + [v0 * part for part in p2.black]
-    white = white * d2 + [v1 * part for part in p2.white]
-    return Passport(_parts(black), _parts(white))
-
-
 def involution(d: FramedDessin) -> FramedDessin:
     """Swap colours and the 0/1 marks; the 180-degree turn keeps orientations."""
     return _trusted(d.n, d.beta, d.alpha, d.frame_white, d.frame_black)

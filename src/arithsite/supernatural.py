@@ -76,9 +76,14 @@ def _merge(s: Supernatural, t: Supernatural, op) -> Supernatural:
     return _trusted(factors, op(s.default, t.default))
 
 
+def _add(a, b):
+    """The sum of two exponents; inf absorbs."""
+    return INF if INF in (a, b) else a + b
+
+
 def mul(s: Supernatural, t: Supernatural) -> Supernatural:
-    """Exponent-wise sum; inf absorbs."""
-    return _merge(s, t, lambda a, b: INF if INF in (a, b) else a + b)
+    """Exponent-wise sum."""
+    return _merge(s, t, _add)
 
 
 def lcm(s: Supernatural, t: Supernatural) -> Supernatural:
@@ -191,10 +196,12 @@ def parse_named(text: str) -> tuple[Supernatural, tuple[int, ...]]:
     if re.fullmatch(r"\d+", s):
         return Supernatural.from_int(int(s)), ()
     factors: dict[int, object] = {}
-    default: object = 0
+    default: object = None
     for tok in s.split("*"):
         m = _DEFAULT_RE.match(tok)
         if m:
+            if default is not None:
+                raise ValueError("more than one [default=...] token")
             default = INF if m.group(1) == "inf" else int(m.group(1))
             continue
         m = _FACTOR_RE.match(tok)
@@ -205,7 +212,8 @@ def parse_named(text: str) -> tuple[Supernatural, tuple[int, ...]]:
             continue
         e = m.group(2)
         exp = INF if e == "inf" else (int(e) if e else 1)
-        factors[p] = exp
+        factors[p] = _add(factors.get(p, 0), exp)  # a repeated prime multiplies
+    default = 0 if default is None else default
     named = tuple(p for p, e in factors.items() if e == default)
     for p in named:
         if not is_prime(p):

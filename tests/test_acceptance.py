@@ -129,7 +129,7 @@ def test_criterion_06_passport_composition_formula():
         t = random_tree_dessin(rng.randrange(1, 11), rng)
         t2 = random_tree_dessin(rng.randrange(1, 11), rng)
         anat = ds.anatomy(t)
-        predicted = ds.compose_passport(ds.passport(t), anat.valency0, anat.valency1, ds.passport(t2), t2.n)
+        predicted = belyi.compose_passport(ds.passport(t), anat.valency0, anat.valency1, ds.passport(t2), t2.n)
         ok &= predicted == ds.passport(ds.compose(t, t2))
     for _ in range(200):
         d = rng.randint(2, 6)

@@ -94,6 +94,10 @@ def test_sn_verbs(run):
     assert run("sn", "divides", "12", "2^inf*3")[1].strip() == "true"
     assert run("sn", "lcm", "2^inf", "3^2")[1].strip() == "2^inf*3^2*[default=0]"
     assert run("sn", "open", "2^inf", "6", "4")[1].strip() == "true"
+    # a repeated prime multiplies; a literal has at most one default
+    assert run("sn", "lcm", "2^3*2", "1") == (0, "2^4*[default=0]\n", "")
+    assert run("sn", "divides", "4", "2*2") == (0, "true\n", "")
+    assert run("sn", "lcm", "2*[default=1]*[default=0]", "1") == (1, "", "error: more than one [default=...] token\n")
     # 2^127 - 1 is prime and far above the trial-division bound
     code, out, err = run("sn", "chain", "170141183460469231731687303715884105727")
     assert code == 1 and out == "" and "error: refusing" in err
@@ -136,6 +140,9 @@ def test_by_verbs(run):
     assert code == 1 and out == "" and "error: refusing exponent 1000000 > 512" in err
     code, out, err = run("by", "free", "-2*x^3+3*x^2", "x^3", "--maxlen", "7")
     assert code == 1 and out == "" and "error: refusing composites of total degree" in err
+    # no word has a negative length; the empty words alone are vacuously free
+    assert run("by", "free", "-2*x^3+3*x^2", "--maxlen", "-3") == (1, "", "error: maxlen must be >= 0\n")
+    assert run("by", "free", "-2*x^3+3*x^2", "--maxlen", "0") == (0, "true\n", "")
 
 
 def test_bc_verbs(run):
@@ -873,12 +880,14 @@ def test_pt_does_not_import_dessins():
 
 # One golden call of each verb, with the arithsite modules (short names, past
 # arithsite and cli), json and numpy that it loaded when cli still imported a
-# whole group's modules in a hand-kept table.  The handles load the same sets.
+# whole group's modules in a hand-kept table.  The handles load the same sets,
+# except that belyi, which keeps the passport law itself, loads no dessins and
+# so no json: a by verb loads json only through conway, an ar verb through arboreal.
 _BP = "bigpicture literals primes"
 _CW = f"{_BP} conway json"
 _DS = "dessins literals json"
-_BY = f"{_DS} belyi ratpoly"
-_AR = f"{_BY} arboreal"
+_BY = "belyi literals ratpoly"
+_AR = f"{_BY} arboreal json"
 _D1 = '{"n":1,"alpha":[0],"beta":[0],"frame_black":0,"frame_white":0}'
 VERB_IMPORTS = [
     (["bp", "distance", "1:0", "1:1/2"], _BP),
@@ -908,7 +917,7 @@ VERB_IMPORTS = [
     (["ds", "edk", "5", "4"], _DS),
     (["by", "bdk", "3", "1"], _BY),
     (["by", "check", "x"], _BY),
-    (["by", "beta", "-x^2+2*x", "--word"], f"{_BY} bigpicture conway primes"),
+    (["by", "beta", "-x^2+2*x", "--word"], f"{_BY} bigpicture conway primes json"),
     (["by", "triangle", "x"], _BY),
     (["by", "compose-count", "x", "x"], _BY),
     (["by", "free", "x"], f"{_BY} primes"),
@@ -961,6 +970,41 @@ def test_cli_imports_arithsite_modules_only_through_its_handles():
     handles = [n.args[0].value for n in ast.walk(tree)
                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_Lazy"]
     assert {h.removeprefix("arithsite.") for h in handles if h.startswith("arithsite.")} <= submodules
+
+
+def _fresh(*argv) -> tuple[int, str]:
+    """The exit code and stdout of `python argv...`, with src on the path."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=path, COLUMNS="80"))
+    return proc.returncode, proc.stdout
+
+
+OO_CALLS = [
+    ["bp", "distance", "1:0", "1:1/2"],
+    ["cw", "normalize", "P[3,1]*P[2,0]"],
+    ["sn", "lcm", "2^3*2", "3"],
+    ["ds", "passport", _D1],
+    ["by", "bdk", "3", "1"],
+    ["bc", "cond4", "9", "8"],
+    ["ar", "generic", "x^5", "--alpha", "1/6"],
+    ["pt", "project", '{"site":"A","entries":[2,4]}'],
+    ["by", "free", "x", "--maxlen", "-1"],
+    ["by", "bdk", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", OO_CALLS, ids=" ".join)
+def test_cli_runs_without_docstrings(argv):
+    # python -OO drops every docstring, cli's own too
+    assert _fresh("-OO", "-m", "arithsite.cli", *argv) == _fresh("-m", "arithsite.cli", *argv)
+
+
+def test_help_without_docstrings_drops_only_the_description():
+    code, out = _fresh("-m", "arithsite.cli", "-h")
+    usage, description, *rest = out.split("\n\n")
+    assert code == 0 and description.startswith("Command-line front end")
+    assert _fresh("-OO", "-m", "arithsite.cli", "-h") == (0, "\n\n".join([usage, *rest]))
 
 
 # ---------------------------------------------------------------------------

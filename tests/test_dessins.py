@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arithsite import dessins as ds
+from arithsite.belyi import compose_passport
 from arithsite.dessins import FramedDessin, Passport
 from oracles import (
     bfs_anatomy,
@@ -173,16 +174,16 @@ def test_compose_valency_anchor():
         assert ac.valency1 == at.valency1 * at2.valency1
 
 
-def _predict(t: ds.FramedDessin, p2: ds.Passport, d2: int) -> ds.Passport:
-    """compose_passport with t's passport and the valencies of its marked vertices."""
+def _predict(t: ds.FramedDessin, p2: ds.Passport, d2: int) -> tuple:
+    """belyi.compose_passport with t's passport and the valencies of its marked vertices."""
     anat = ds.anatomy(t)
-    return ds.compose_passport(ds.passport(t), anat.valency0, anat.valency1, p2, d2)
+    return compose_passport(ds.passport(t), anat.valency0, anat.valency1, p2, d2)
 
 
 def test_passport_compose_predict_e31_pair():
     e31 = ds.e_dessin(3, 1)
     predicted = _predict(e31, ds.passport(e31), 3)
-    assert predicted.black == (4, 2, 1, 1, 1)
+    assert predicted[0] == (4, 2, 1, 1, 1)
     assert predicted == ds.passport(ds.compose(e31, e31))
 
 

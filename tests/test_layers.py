@@ -185,6 +185,16 @@ def _references(path: Path, module: str | None) -> set[tuple[str, str]]:
     return refs
 
 
+def _private_crossings(path: Path) -> set[str]:
+    """module.name of each underscore name of another arithsite module that the
+    file at path imports, or reads through a module alias or a cli handle."""
+    found = {(mod, name) for mod, name in _references(path, path.stem) if mod != path.stem}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (mod := _module_of(node)) not in (None, path.stem):
+            found |= {(mod or "__init__", a.name) for a in node.names}
+    return {f"{mod}.{name}" for mod, name in found if name.startswith("_") and not name.startswith("__")}
+
+
 def _public_names(path: Path) -> set[str]:
     names = set()
     for stmt in ast.parse(path.read_text()).body:
@@ -215,6 +225,15 @@ def test_every_src_name_has_a_caller():
     uncalled = _uncalled(SRC)
     assert not uncalled - set(UNCALLED), "no caller: move these to tests/oracles.py or delete them"
     assert not set(UNCALLED) - uncalled, "these have callers now: drop them from UNCALLED"
+
+
+def test_no_private_name_crosses_a_module(tmp_path):
+    # a module's underscore names are its own: no other src module imports one
+    # or reads one through the module
+    assert set().union(*map(_private_crossings, SRC)) == set()
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .dessins import Passport, _parts\nfrom . import conway as cw\ncw._trusted\n")
+    assert _private_crossings(probe) == {"dessins._parts", "conway._trusted"}
 
 
 def test_a_name_only_a_handler_reads_needs_that_handler(tmp_path):

@@ -222,3 +222,28 @@ def test_text_roundtrip():
     for text in ("2^inf*3^2*[default=0]", "[default=0]", "2*3^2*[default=0]", "5^2*[default=inf]"):
         assert format_supernatural(parse_supernatural(text)) == text
     assert parse_supernatural("12") == S("2^2*3")
+
+
+_TOKENS = ["1", "2", "3", "5", "2^0", "2^3", "3^2", "7^1", "2^inf", "5^inf"]
+
+
+def _literal(rng) -> str:
+    """A literal without a default token, of prime-power tokens that may repeat."""
+    return "*".join(rng.choices(_TOKENS, k=rng.randint(1, 3)))
+
+
+def test_a_literal_is_the_product_of_its_tokens():
+    # a repeated prime's exponents add and inf absorbs, as in mul
+    rng = random.Random(37)
+    for _ in range(300):
+        x, y = _literal(rng), _literal(rng)
+        assert S(f"{x}*{y}") == mul(S(x), S(y)), (x, y)
+    assert S("2^3*2") == S("2^4") and S("2*2^inf") == S("2^inf")
+    assert divides(4, *parse_named("2*2"))
+    assert parse_named("2*2^0*[default=1]") == (S("[default=1]"), (2,))
+
+
+def test_a_literal_has_at_most_one_default():
+    for text in ("[default=0]*[default=0]", "2*[default=inf]*3*[default=1]"):
+        with pytest.raises(ValueError, match="more than one"):
+            S(text)
