@@ -25,13 +25,17 @@ MAX_INT_DIGITS = 131072
 
 # MAX_EXACT_DEGREE caps the degree of the exact polynomials built from user
 # input: each term of ratpoly.parse_poly and belyi.b_dk (and the dessin of the
-# same degree, dessins.e_dessin), the composite of belyi.compose_count_check,
-# and arboreal.composite, the tests' oracle.  On a 2-core Xeon host a
-# composite and its squarefree check took 0.05 s together at degree 512
-# (B_{8,3} three times), 0.12 s at degree 729 and 2.2-2.5 s at degree 2187
-# (B_{3,1} six and seven times), the gcd taking most of it: cost climbs
-# steeply with the degree.  The check of `by compose-count` took 0.06 s at
-# degree 512 (B_{32,16} and B_{16,8}) and 28 s at degree 4096 (B_{64,32} twice).
+# same degree, dessins.e_dessin), the composite whose roots
+# belyi.compose_count_check counts, and arboreal.composite, the tests' oracle.
+# On a 2-core Xeon host a composite and its squarefree check took 0.05 s
+# together at degree 512 (B_{8,3} three times), 0.12 s at degree 729 and
+# 2.2-2.5 s at degree 2187 (B_{3,1} six and seven times), the gcd taking most
+# of it: cost climbs steeply with the degree.  `by compose-count` builds no
+# composite: in process, parsing included, it took 4 ms at degree 512 for
+# B_{32,16} o B_{16,8} and 65 ms for B_{2,1} o B_{256,128}, where composing
+# with the dense inner map dominates (0.05-0.08 s through the composite's own
+# gcd).  Past the cap, its count took 0.7 s at degree 4096 (B_{64,32} twice),
+# against 25 s through the composite's gcd.
 MAX_EXACT_DEGREE = 512
 
 # MAX_BITS caps the bits that one `bp` or `bc` listing builds.  Each such verb

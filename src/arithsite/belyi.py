@@ -26,14 +26,9 @@ from itertools import count
 from math import comb
 
 from . import MAX_EXACT_DEGREE
-from .ratpoly import PolyQ, format_poly, multiplicity_counts, poly_gcd
+from .ratpoly import PolyQ, format_poly, multiplicity_counts, poly_gcd, squarefree_part
 
 Passport = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def _roots(f: PolyQ) -> int:
-    """Number of distinct complex roots of a nonconstant f."""
-    return f.degree - poly_gcd(f, f.derivative()).degree
 
 
 def _belyi_split(p: PolyQ) -> tuple[PolyQ, PolyQ] | None:
@@ -164,13 +159,27 @@ def poly_passport(p: BelyiPoly) -> Passport:
     return p.passport
 
 
+def _composite_roots(f: PolyQ, g: PolyQ) -> int:
+    """#roots(f o g) for nonconstant f and g, as deg(S o g) - deg gcd(S o g, g') with
+    S the squarefree part of f, without building f o g:
+    - S o g has the roots of f o g, since S and f have the same roots;
+    - gcd(S, S') = 1, so U S + V S' = 1 for some U, V, and composing with g gives
+      U(g) (S o g) + V(g) (S' o g) = 1: gcd(S o g, S' o g) = 1;
+    - so gcd(S o g, (S o g)') = gcd(S o g, (S' o g) g') = gcd(S o g, g'),
+    and #roots(h) = deg h - deg gcd(h, h') for h = S o g.
+    """
+    s = squarefree_part(f).compose(g)
+    return s.degree - poly_gcd(s, g.derivative()).degree
+
+
 def compose_count_check(p: BelyiPoly, p2: BelyiPoly) -> bool:
     """Black count of the composition versus deg(P2)(#P^-1(0)-1) + #(P2)^-1(0); the
-    left side takes its own gcd, independent of the passport compose carries.
-    The composite is exact, so its degree is held to MAX_EXACT_DEGREE."""
+    left side, #roots(P o P2), is an exact count of its own (_composite_roots),
+    independent of the passport compose carries.  Its gcd is of degree at most
+    deg P2 - 1, but the composite's degree stays held to MAX_EXACT_DEGREE."""
     if p.degree * p2.degree > MAX_EXACT_DEGREE:
         raise ValueError(f"refusing a composite of degree {p.degree * p2.degree} > {MAX_EXACT_DEGREE}")
-    left = _roots(p.poly.compose(p2.poly))
+    left = _composite_roots(p.poly, p2.poly)
     right = p2.degree * (black_count(p) - 1) + black_count(p2)
     return left == right
 

@@ -16,7 +16,6 @@ mostly start-up time, and only ar tree and ar dot load numpy.
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 
 from . import MAX_INT_DIGITS
@@ -27,7 +26,8 @@ MAX_ERROR_CHARS = 200  # error messages may echo a whole 128 KiB argument
 class _Lazy:
     """A module, imported when one of its attributes is first read.  Every read
     goes to the module and nothing is cached, so a binding rebound there (as
-    perfbench's tracer does) is seen here."""
+    perfbench's tracer does) is seen here.  It imports through __import__, the
+    import statement's hook, so `python -X importtime` logs the module."""
 
     __slots__ = ("_name",)
 
@@ -35,7 +35,8 @@ class _Lazy:
         self._name = name
 
     def __getattr__(self, attr: str):
-        return getattr(importlib.import_module(self._name), attr)
+        __import__(self._name)
+        return getattr(sys.modules[self._name], attr)
 
 
 arboreal = _Lazy("arithsite.arboreal")

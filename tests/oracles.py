@@ -25,6 +25,9 @@
   a full multiplicity chain of P and another of P - 1, each to its end.  And
   the dynamical-Belyi predicate as it was before W = P'/gcd(P, P') dividing
   P - 1 decided it: the root counts of P and of P - 1, one gcd each.
+- The root count of belyi.compose_count_check as it was before the outer
+  map's squarefree part took it: the exact composite and one gcd with its
+  derivative.
 - belyi.free_check as it was before one rational value per word decided it:
   every composite built, level by level, and compared.
 - Primality by trial division, which primes.is_prime ran before the strong
@@ -391,6 +394,12 @@ def two_chain_poly_passport(p: BelyiPoly) -> ds.Passport:
             ms += [m] * cnt
         parts.append(tuple(sorted(ms, reverse=True)))
     return ds.Passport(*parts)
+
+
+def composite_roots(f: PolyQ, g: PolyQ) -> int:
+    """#roots(f o g) for nonconstant f and g, by one gcd of the exact composite and its derivative."""
+    h = f.compose(g)
+    return h.degree - poly_gcd(h, h.derivative()).degree
 
 
 def composite_free_check(generators: list[BelyiPoly], maxlen: int) -> bool:

@@ -227,8 +227,40 @@ def test_compose_count_check_examples():
     assert belyi.compose_count_check(b_dk(4, 2), b_dk(3, 1))
 
 
+def test_composite_roots_on_bdk_pairs():
+    # the count through the outer map's squarefree part against the gcd of the
+    # whole composite, on every pair of B_dk with d <= 7
+    members = [b_dk(d, k) for d in range(2, 8) for k in range(d)]
+    assert len(members) == 27
+    for p in members:
+        for q in members:
+            assert belyi._composite_roots(p.poly, q.poly) == oracles.composite_roots(p.poly, q.poly)
+            assert belyi.compose_count_check(p, q)
+
+
+def _random_int_poly(rng, degree: int) -> PolyQ:
+    return PolyQ([rng.randint(-4, 4) for _ in range(degree)] + [rng.choice([-3, -2, -1, 1, 2, 3])])
+
+
+def test_composite_roots_on_random_polys():
+    # the identity holds for any nonconstant f and g, not only Belyi maps: f a
+    # product of powers of random integer factors, so with repeated roots, and
+    # g a random nonconstant integer polynomial
+    rng = random.Random(38)
+    repeated = 0
+    for _ in range(300):
+        f = PolyQ.const(1)
+        for _ in range(rng.randint(1, 3)):
+            f = f * poly_pow(_random_int_poly(rng, rng.randint(1, 3)), rng.randint(1, 3))
+        g = _random_int_poly(rng, rng.randint(1, 4))
+        repeated += squarefree_part(f).degree < f.degree
+        assert belyi._composite_roots(f, g) == oracles.composite_roots(f, g), (f, g)
+    assert repeated > 150
+
+
 def test_compose_count_check_caps_the_composite_degree():
-    # the check builds its composite exactly: degree 512 is built, 4096 refused
+    # the check builds no composite, but the cap on its degree stays: degree
+    # 512 is answered, 4096 refused
     assert belyi.compose_count_check(b_dk(32, 16), b_dk(16, 8))
     with pytest.raises(ValueError, match=r"^refusing a composite of degree 4096 > 512$"):
         belyi.compose_count_check(b_dk(64, 32), b_dk(64, 32))

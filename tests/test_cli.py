@@ -504,6 +504,9 @@ S, E, O = _dessin_arg(STAR), _dessin_arg(EDK), _dessin_arg(OVER)
 # B_{512,256}, the generator at the degree cap, and a 955-digit alpha
 B512 = format_poly(belyi.b_dk(512, 256).poly)
 B16 = format_poly(belyi.b_dk(16, 8).poly)
+B32 = format_poly(belyi.b_dk(32, 16).poly)
+B256 = format_poly(belyi.b_dk(256, 128).poly)
+B2 = format_poly(belyi.b_dk(2, 1).poly)
 THIRD_POWER = f"1/{3**2000}"
 # a 30000-digit integer over another, 60 KB in all
 RHO_Y = f"1{'0' * 29998}1/1{'0' * 29998}3"
@@ -541,6 +544,8 @@ ARG_IDS = {
     ROUGH: "<3^80000+2>",
     B512: "<B_512,256>",
     B16: "<B_16,8>",
+    B32: "<B_32,16>",
+    B256: "<B_256,128>",
     THIRD_POWER: "<1/3^2000>",
     RHO_Y: "<(10^29999+1)/(10^29999+3)>",
     ONES_CLASS: "<10^5 ones>x:0",
@@ -641,6 +646,10 @@ BOUNDED = [
     (f"ar generic {B512} --alpha {THIRD_POWER}", "true\n"),
     # the exact composite would have degree 8192: refused before it is built
     (f"by compose-count {B512} {B16}", None),
+    # at the cap the gcd of the composite and its derivative took 0.05-0.08 s;
+    # the count through the outer map's squarefree part takes a smaller one
+    (f"by compose-count {B32} {B16}", "true\n"),
+    (f"by compose-count {B2} {B256}", "true\n"),
     # Fraction built 10^20000000 before any cap: 35 s to refuse
     ("bc op 2 1 1e-20000000", None),
     ("bc rho 2 1e-20000000", None),
@@ -978,6 +987,15 @@ def _fresh(*argv) -> tuple[int, str]:
     proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=path, COLUMNS="80"))
     return proc.returncode, proc.stdout
+
+
+def test_importtime_logs_the_handlers_module():
+    # cli's handles import through __import__, whose imports -X importtime logs
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "arithsite.cli", "by", "bdk", "3", "1"],
+                          capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert (proc.returncode, proc.stdout) == (0, "-2*x^3+3*x^2\n")
+    assert re.search(r"^import time:.*\|\s*arithsite\.belyi$", proc.stderr, re.M), proc.stderr
 
 
 OO_CALLS = [

@@ -83,13 +83,15 @@ def _traced_round(tracing, monkeypatch, workload: str):
     return tracer, results
 
 
-def test_belyi_compose_takes_one_gcd_per_operation(tracing, monkeypatch):
-    # the composite carries its passport, so of the belyi-compose operation
-    # only compose_count_check takes a gcd, on the composite it builds
+def test_belyi_compose_counts_roots_through_the_squarefree_part(tracing, monkeypatch):
+    # the composite carries its passport, so of the belyi-compose operation only
+    # compose_count_check takes gcds: one in the squarefree part S of the outer
+    # map, and one of S o Q with Q', the inner map's derivative
     tracer, results = _traced_round(tracing, monkeypatch, "BelyiCompose")
     n = len(results)
     assert n == 36
-    assert tracer.calls["ratpoly.poly_gcd"] == n
+    assert tracer.calls["ratpoly.poly_gcd"] == 2 * n
+    assert tracer.calls["ratpoly.squarefree_part"] == n
     assert tracer.calls["ratpoly.multiplicity_counts"] == 0
     assert tracer.calls["belyi.is_dynamical_belyi"] == 0
     assert tracer.calls["belyi.compose"] == n
@@ -115,7 +117,6 @@ def test_preimage_trees_take_one_residual_pass_per_tree(tracing, monkeypatch):
 UNCALLED = {
     # perfbench/tracing.py names these in LAYERS strings, not in code
     "ratpoly.primitive_form": "traced layer",
-    "ratpoly.squarefree_part": "traced layer",
     "arboreal.composite": "traced layer",
     # constructs of the paper that the tests and acceptance criteria check
     "belyi.degree_morphism": "the degree morphism to the multiplicative integers",
