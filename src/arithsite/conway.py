@@ -43,7 +43,6 @@ from math import prod
 
 from . import record
 from .bigpicture import PicClass
-from .literals import json_int
 from .primes import factorize, is_prime
 
 
@@ -70,12 +69,19 @@ _trusted = partial(tuple.__new__, Letter)  # a pair (p, i) proved valid: p prime
 
 
 def letters(pairs) -> Word:
-    """The letters P[p, i] of the (p, i) pairs, testing each distinct prime once: the
-    test of a 12-digit prime takes 0.12 ms, and one argument can hold 7000 letters.
-    A letter over a tested prime is built by _trusted once its index is in range."""
+    """The letters P[p, i] of the [p, i] pairs of a word or site-C chain, its one reader:
+    any other shape, or a p or i that is no int (bools too), is a bad letter.  Each
+    distinct prime is tested once (0.12 ms for 12 digits; one argument can hold 7000
+    letters): a letter over a tested prime, its index in range, is built by _trusted."""
     primes: set[int] = set()
     out = []
-    for p, i in pairs:
+    for pair in pairs:
+        try:
+            p, i = pair
+        except (TypeError, ValueError):
+            p = i = None
+        if type(p) is not int or type(i) is not int:
+            raise ValueError(f"bad letter {pair!r}: need [p, i] with integer p and i")
         if p in primes and 0 <= i <= p:
             out.append(_trusted((p, i)))
         else:
@@ -247,15 +253,6 @@ def format_word(w: Word) -> str:
     return "*".join(f"P[{l.p},{l.i}]" for l in w)
 
 
-def _json_pair(v) -> tuple[int, int]:
-    """One [p, i] entry of the JSON form; p and i must be JSON integers."""
-    try:
-        p, i = v if type(v) is list else ()
-        return json_int(p), json_int(i)
-    except ValueError:
-        raise ValueError(f"bad letter {v!r}: need [p, i] with integer p and i") from None
-
-
 def _text_pairs(s: str):
     for tok in s.split("*"):
         if not (tok.startswith("P[") and tok.endswith("]")):
@@ -272,5 +269,5 @@ def parse_word(text: str) -> Word:
     if s in ("", "e", "1"):
         return EMPTY
     if s.startswith("["):
-        return letters(_json_pair(v) for v in json.loads(s))
+        return letters(json.loads(s))
     return letters(_text_pairs(s))

@@ -274,15 +274,7 @@ def monodromy_order(d: FramedDessin) -> int | None:
 
 
 def to_json(d: FramedDessin) -> str:
-    return json.dumps(
-        {
-            "n": d.n,
-            "alpha": list(d.alpha),
-            "beta": list(d.beta),
-            "frame_black": d.frame_black,
-            "frame_white": d.frame_white,
-        }
-    )
+    return json.dumps(d._asdict())
 
 
 # MAX_EDGES caps the dessins that from_json reads, and admits every e_dessin.

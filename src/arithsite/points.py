@@ -95,7 +95,7 @@ def _geq(site: str, a, b) -> bool:
 def _format(site: str, e) -> str:
     if site == "C":
         return conway.format_word(e)
-    return json.dumps(list(e)) if site == "B" else str(e)
+    return json.dumps(e) if site == "B" else str(e)
 
 
 def chain_equiv(c1: TruncatedChain, c2: TruncatedChain) -> bool:
@@ -172,20 +172,18 @@ def chain_in_open(c: TruncatedChain, target) -> bool:
 
 
 def to_json(c: TruncatedChain) -> str:
-    obj: dict = {"site": c.site}
-    if c.site == "A":
-        obj["entries"] = list(c.entries)
-    elif c.site == "C":
-        obj["entries"] = [[[l.p, l.i] for l in w] for w in c.entries]
-    else:
-        obj["entries"] = [list(e) for e in c.entries]
-        obj["gen_degrees"] = list(c.gen_degrees)
+    """The chain's fields as stored: tuples, and so letters, are JSON arrays."""
+    obj: dict = {"site": c.site, "entries": c.entries}
+    if c.site == "B":
+        obj["gen_degrees"] = c.gen_degrees
     if c.extend:
         obj["extend"] = True
     return json.dumps(obj)
 
 
 def from_json(text: str) -> TruncatedChain:
+    """The chain of a JSON object: site-A and site-B numbers must be JSON integers, and
+    site-C entries pass as they are to TruncatedChain, whose conway.letters reads them."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("a chain is a JSON object")
@@ -195,7 +193,7 @@ def from_json(text: str) -> TruncatedChain:
         if site == "A":
             return TruncatedChain("A", tuple(json_int(e) for e in obj["entries"]), extend)
         if site == "C":
-            return TruncatedChain("C", [[(json_int(p), json_int(i)) for p, i in w] for w in obj["entries"]], extend)
+            return TruncatedChain("C", obj["entries"], extend)
         if site != "B":
             raise ValueError(f"unknown site {site!r}")
         entries = tuple(tuple(json_int(i) for i in e) for e in obj["entries"])

@@ -24,7 +24,7 @@ from itertools import zip_longest
 from math import gcd, lcm
 
 from . import MAX_EXACT_DEGREE, record
-from .literals import frac
+from .literals import frac, parse_rational
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +344,8 @@ _TERM_RE = re.compile(
 
 
 def parse_poly(text: str) -> PolyQ:
+    """The polynomial of signed terms c*x^k.  A coefficient is an integer or p/q,
+    read by literals.parse_rational, so p/0 is a bad rational literal."""
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial")
@@ -357,7 +359,7 @@ def parse_poly(text: str) -> PolyQ:
         if not m or (m.group(2) is None and m.group(3) is None):
             raise ValueError(f"bad term {t!r} in polynomial {text!r}")
         sign, num, xs, exp = m.groups()
-        c = Fraction(num) if num else Fraction(1)
+        c = parse_rational(num) if num else Fraction(1)
         if sign == "-":
             c = -c
         k = 0 if xs is None else (int(exp) if exp else 1)

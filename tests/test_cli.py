@@ -213,6 +213,8 @@ def test_zero_denominators_are_bad_literals(run):
     assert run("bc", "op", "2", "1", "1/0") == (1, "", "error: " + bad)
     assert run("ar", "generic", "x", "--alpha", "1/0") == (1, "", "error: " + bad)
     assert run("bp", "distance", "1:1/0", "1:0") == (1, "", "error: bad class literal '1:1/0': " + bad)
+    # a polynomial coefficient once printed `error: Fraction(1, 0)`
+    assert run("by", "check", "1/0*x") == (1, "", "error: " + bad)
 
 
 def test_ar_tree_refuses_non_finite_roots(run):
@@ -389,6 +391,32 @@ def test_chain_order_refusals_print_entries(run):
     b = '{"site":"B","entries":[[1],[0,0]],"gen_degrees":[2]}'
     assert run("pt", "project", b) == (1, "", "error: chain order violation: [1] !>= [0, 0]\n")
     assert run("pt", "project", '{"site":"A","entries":[4,2]}') == (1, "", "error: chain order violation: 4 !>= 2\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("sn", "lcm", "4^2", "1"), "exception key 4 is not prime"),
+    (("pt", "project", '{"site":"B","entries":[[5]],"gen_degrees":[2]}'), "generator index 5 out of range"),
+    (("pt", "tail", '{"site":"A","entries":[2]}', '{"site":"C","entries":[[[2,0]]]}'),
+     "chains live on different sites"),
+    # two cycles each in alpha and beta make a tree of 3 edges, but it has 3 faces
+    (("ds", "passport", '{"n":3,"alpha":[0,2,1],"beta":[0,2,1],"frame_black":0,"frame_white":0}'),
+     "not of polynomial type"),
+    # is_normal refuses the powers out of ascending order
+    (("bc", "presheaf", "P[3,3]*P[2,2]", "5"), "word is not in normal form"),
+])
+def test_refusals_reached_from_the_cli(run, argv, message):
+    assert run(*argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("letter", ["[2,1,3]", '"P2"', '{"p":2}', "[2,true]"])
+def test_site_c_letters_are_read_by_conway(run, letter):
+    # these once printed Python's unpacking errors, or `JSON field 'P' is not an integer`
+    pair = repr(json.loads(letter))
+    want = (1, "", f"error: bad letter {pair}: need [p, i] with integer p and i\n")
+    chain = '{"site":"C","entries":[[%s]]}' % letter
+    assert run("pt", "project", chain) == want
+    assert run("pt", "tail", chain, '{"site":"C","entries":[[[2,0]]]}') == want
+    assert run("cw", "normalize", f"[{letter}]") == want
 
 
 def test_domain_error_exit_code(run):

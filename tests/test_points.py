@@ -289,6 +289,9 @@ def test_json_roundtrip():
         text = pt.to_json(c)
         json.loads(text)
         assert pt.from_json(text) == c
+    # the stored tuples, letters among them, are written as JSON arrays
+    assert pt.to_json(chains[2]) == '{"site": "C", "entries": [[[2, 0]], [[2, 1], [2, 0]]]}'
+    assert pt.to_json(chains[3]) == '{"site": "B", "entries": [[0], [0, 1]], "gen_degrees": [3, 4]}'
 
 
 _FREE = st.sampled_from((2, 3, 5)).flatmap(lambda p: st.integers(0, p - 1).map(lambda i: Letter(p, i)))
