@@ -94,6 +94,12 @@ class BelyiPoly:
         return tuple(parts)
 
     @cached_property
+    def squarefree(self) -> PolyQ:
+        """S, the monic squarefree part of P: one gcd per polynomial, however often
+        compose_count_check meets it as the outer map."""
+        return squarefree_part(self.poly)
+
+    @cached_property
     def valencies(self) -> tuple[int, int]:
         """(v0, v1): the lowest nonzero coefficient index of P and of 1 - P(1 - x)."""
         flipped = PolyQ.const(1) - self.poly.compose(PolyQ((1, -1)))
@@ -159,27 +165,28 @@ def poly_passport(p: BelyiPoly) -> Passport:
     return p.passport
 
 
-def _composite_roots(f: PolyQ, g: PolyQ) -> int:
-    """#roots(f o g) for nonconstant f and g, as deg(S o g) - deg gcd(S o g, g') with
-    S the squarefree part of f, without building f o g:
+def _composite_roots(s: PolyQ, g: PolyQ) -> int:
+    """#roots(f o g) for nonconstant f and g, given S, the squarefree part of f, as
+    deg(S o g) - deg gcd(S o g, g'), without building f o g:
     - S o g has the roots of f o g, since S and f have the same roots;
     - gcd(S, S') = 1, so U S + V S' = 1 for some U, V, and composing with g gives
       U(g) (S o g) + V(g) (S' o g) = 1: gcd(S o g, S' o g) = 1;
     - so gcd(S o g, (S o g)') = gcd(S o g, (S' o g) g') = gcd(S o g, g'),
     and #roots(h) = deg h - deg gcd(h, h') for h = S o g.
     """
-    s = squarefree_part(f).compose(g)
-    return s.degree - poly_gcd(s, g.derivative()).degree
+    h = s.compose(g)
+    return h.degree - poly_gcd(h, g.derivative()).degree
 
 
 def compose_count_check(p: BelyiPoly, p2: BelyiPoly) -> bool:
     """Black count of the composition versus deg(P2)(#P^-1(0)-1) + #(P2)^-1(0); the
     left side, #roots(P o P2), is an exact count of its own (_composite_roots),
-    independent of the passport compose carries.  Its gcd is of degree at most
-    deg P2 - 1, but the composite's degree stays held to MAX_EXACT_DEGREE."""
+    independent of the passport compose carries.  P keeps its squarefree part S
+    (BelyiPoly.squarefree), so a call takes one gcd, of S o P2 with P2', of degree
+    at most deg P2 - 1; the composite's degree stays held to MAX_EXACT_DEGREE."""
     if p.degree * p2.degree > MAX_EXACT_DEGREE:
         raise ValueError(f"refusing a composite of degree {p.degree * p2.degree} > {MAX_EXACT_DEGREE}")
-    left = _composite_roots(p.poly, p2.poly)
+    left = _composite_roots(p.squarefree, p2.poly)
     right = p2.degree * (black_count(p) - 1) + black_count(p2)
     return left == right
 

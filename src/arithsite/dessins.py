@@ -54,7 +54,7 @@ import json
 from collections import namedtuple
 
 from . import MAX_EXACT_DEGREE, record
-from .literals import json_int
+from .literals import json_int, json_list
 
 Perm = tuple[int, ...]
 
@@ -295,8 +295,8 @@ def from_json(text: str) -> FramedDessin:
             raise ValueError(f"refusing a dessin of {n} edges > {MAX_EDGES}")
         return FramedDessin(
             n,
-            tuple(json_int(v) for v in obj["alpha"]),
-            tuple(json_int(v) for v in obj["beta"]),
+            tuple(json_int(v) for v in json_list(obj["alpha"], "alpha")),
+            tuple(json_int(v) for v in json_list(obj["beta"], "beta")),
             json_int(obj["frame_black"]),
             json_int(obj["frame_white"]),
         )

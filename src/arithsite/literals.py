@@ -1,5 +1,5 @@
 """Literal readers shared by the CLI and the text and JSON formats: exact
-rationals, and the integer and boolean fields of JSON objects.  They live
+rationals, and the integer, list and boolean fields of JSON objects.  They live
 apart from the polynomial kernel, so a verb that reads only these loads no
 ratpoly."""
 
@@ -19,6 +19,13 @@ def json_int(v) -> int:
     """A JSON integer field; floats, strings and booleans are refused."""
     if type(v) is not int:
         raise ValueError(f"JSON field {v!r} is not an integer")
+    return v
+
+
+def json_list(v, field: str) -> list:
+    """A JSON array field, named in the refusal: a string or object is not iterated."""
+    if type(v) is not list:
+        raise ValueError(f"JSON field {field!r} is not a list: {v!r}")
     return v
 
 

@@ -41,7 +41,7 @@ import json
 from math import prod
 
 from . import conway, record
-from .literals import json_bool, json_int
+from .literals import json_bool, json_int, json_list
 from .supernatural import Supernatural, from_chain
 
 SITES = ("A", "C", "B")
@@ -182,22 +182,26 @@ def to_json(c: TruncatedChain) -> str:
 
 
 def from_json(text: str) -> TruncatedChain:
-    """The chain of a JSON object: site-A and site-B numbers must be JSON integers, and
-    site-C entries pass as they are to TruncatedChain, whose conway.letters reads them."""
+    """The chain of a JSON object: entries, and each site-B or site-C entry, must be
+    JSON arrays, site-A and site-B numbers JSON integers, and site-C letters pass as
+    they are to TruncatedChain, whose conway.letters reads them."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("a chain is a JSON object")
     try:
         site = obj["site"]
         extend = json_bool(obj.get("extend", False))
-        if site == "A":
-            return TruncatedChain("A", tuple(json_int(e) for e in obj["entries"]), extend)
-        if site == "C":
-            return TruncatedChain("C", obj["entries"], extend)
-        if site != "B":
+        if site not in SITES:
             raise ValueError(f"unknown site {site!r}")
-        entries = tuple(tuple(json_int(i) for i in e) for e in obj["entries"])
-        return TruncatedChain("B", entries, extend, tuple(json_int(d) for d in obj.get("gen_degrees", ())))
+        entries = json_list(obj["entries"], "entries")
+        if site == "A":
+            return TruncatedChain("A", tuple(json_int(e) for e in entries), extend)
+        entries = [json_list(e, f"entries[{j}]") for j, e in enumerate(entries)]
+        if site == "C":
+            return TruncatedChain("C", entries, extend)
+        entries = tuple(tuple(json_int(i) for i in e) for e in entries)
+        degrees = json_list(obj.get("gen_degrees", []), "gen_degrees")
+        return TruncatedChain("B", entries, extend, tuple(json_int(d) for d in degrees))
     except TypeError as e:
         raise ValueError(f"bad chain field: {e}") from e
     except KeyError as e:

@@ -234,7 +234,7 @@ def test_composite_roots_on_bdk_pairs():
     assert len(members) == 27
     for p in members:
         for q in members:
-            assert belyi._composite_roots(p.poly, q.poly) == oracles.composite_roots(p.poly, q.poly)
+            assert belyi._composite_roots(squarefree_part(p.poly), q.poly) == oracles.composite_roots(p.poly, q.poly)
             assert belyi.compose_count_check(p, q)
 
 
@@ -254,8 +254,38 @@ def test_composite_roots_on_random_polys():
             f = f * poly_pow(_random_int_poly(rng, rng.randint(1, 3)), rng.randint(1, 3))
         g = _random_int_poly(rng, rng.randint(1, 4))
         repeated += squarefree_part(f).degree < f.degree
-        assert belyi._composite_roots(f, g) == oracles.composite_roots(f, g), (f, g)
+        assert belyi._composite_roots(squarefree_part(f), g) == oracles.composite_roots(f, g), (f, g)
     assert repeated > 150
+
+
+def _squarefree_cases() -> list[BelyiPoly]:
+    """The 27 B_dk with d <= 7, their involutions, composites of pairs of them
+    and parsed polynomials."""
+    members = [b_dk(d, k) for d in range(2, 8) for k in range(d)]
+    composites = [belyi.compose(p, q) for p, q in zip(members, members[5:] + members[:5])]
+    parsed = [BelyiPoly(parse_poly(t)) for t in ("x", "x^2", "-2*x^3+3*x^2", "x^3-3*x^2+3*x")]
+    parsed += [BelyiPoly(c.poly) for c in composites[::4]]
+    return members + [belyi.involution_poly(p) for p in members] + composites + parsed
+
+
+def test_squarefree_is_the_squarefree_part():
+    # each polynomial keeps S: the same object on a second read
+    cases = _squarefree_cases()
+    assert len(cases) == 27 * 3 + 4 + 7
+    for p in cases:
+        s = p.squarefree
+        assert s == squarefree_part(p.poly), p
+        assert p.squarefree is s
+        assert s.degree == belyi.black_count(p)
+
+
+def test_squarefree_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for p in _squarefree_cases():
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(p.poly.coeffs))
+        want = sympy.Poly(expr, x).sqf_part().monic().all_coeffs()[::-1]
+        assert p.squarefree == PolyQ([Fraction(int(c.p), int(c.q)) for c in want]), p
 
 
 def test_compose_count_check_caps_the_composite_degree():

@@ -383,6 +383,21 @@ def test_missing_json_fields_are_named(run):
     assert run("pt", "project", '{"site":"A"}') == (1, "", "error: missing field 'entries'\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    # each once iterated the string and named one character of it:
+    # `bad letter 'P'`, `JSON field '2'` and `JSON field '0'`
+    (("pt", "project", '{"site":"C","entries":["P[2,1]"]}'), "JSON field 'entries[0]' is not a list: 'P[2,1]'"),
+    (("pt", "project", '{"site":"A","entries":"24"}'), "JSON field 'entries' is not a list: '24'"),
+    (("pt", "project", '{"site":"B","entries":[[0],"00"],"gen_degrees":[2]}'),
+     "JSON field 'entries[1]' is not a list: '00'"),
+    (("pt", "project", '{"site":"B","entries":[[0]],"gen_degrees":"2"}'), "JSON field 'gen_degrees' is not a list: '2'"),
+    (("ds", "passport", '{"n":3,"alpha":"012","beta":[0,1,2],"frame_black":0,"frame_white":0}'),
+     "JSON field 'alpha' is not a list: '012'"),
+])
+def test_json_strings_are_not_lists(run, argv, message):
+    assert run(*argv) == (1, "", f"error: {message}\n")
+
+
 def test_chain_order_refusals_print_entries(run):
     # once Python reprs: (Letter(p=3, i=1),) !>= (Letter(p=2, i=0),) and (1,) !>= (0, 0)
     c = '{"site":"C","entries":[[[3,1]],[[2,0]]]}'

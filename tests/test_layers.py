@@ -13,6 +13,7 @@ import copy
 import importlib
 import importlib.util
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -64,10 +65,16 @@ def test_compose_is_traced_through_the_product(tracing):
     assert not hasattr(ratpoly.PolyQ.__mul__, "__wrapped__")  # bindings restored
 
 
-def _traced_round(tracing, monkeypatch, workload: str):
-    """Round 0 of a perfbench workload at seed 7, each operation traced and checked."""
+def _workload(monkeypatch, name: str):
+    """A perfbench workload at seed 7."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    ops = getattr(importlib.import_module("workloads"), workload)(7, ROOT).round(0)
+    return getattr(importlib.import_module("workloads"), name)(7, ROOT)
+
+
+def _traced_round(tracing, work):
+    """Round 0 of a perfbench workload: the tracer, the operations and their results,
+    each operation traced and checked."""
+    ops = work.round(0)
     tracer = tracing.Tracer()
     tracer.install()
     results = []
@@ -80,29 +87,37 @@ def _traced_round(tracing, monkeypatch, workload: str):
         tracer.active = False
         tracer.uninstall()
     assert [op.check(got) for op, got in zip(ops, results)] == [None] * len(ops)
-    return tracer, results
+    return tracer, ops, results
 
 
 def test_belyi_compose_counts_roots_through_the_squarefree_part(tracing, monkeypatch):
     # the composite carries its passport, so of the belyi-compose operation only
-    # compose_count_check takes gcds: one in the squarefree part S of the outer
-    # map, and one of S o Q with Q', the inner map's derivative
-    tracer, results = _traced_round(tracing, monkeypatch, "BelyiCompose")
-    n = len(results)
-    assert n == 36
-    assert tracer.calls["ratpoly.poly_gcd"] == 2 * n
-    assert tracer.calls["ratpoly.squarefree_part"] == n
+    # compose_count_check takes gcds: one of S o Q with Q', the inner map's
+    # derivative, and one in the squarefree part S of each outer map the first
+    # time the workload meets it, since each BelyiPoly keeps its S
+    work = _workload(monkeypatch, "BelyiCompose")
+    tracer, ops, _ = _traced_round(tracing, work)
+    n = len(ops)
+    outer = len({re.match(r"compose\(B(\(\d+, \d+\)), ", op.label)[1] for op in ops})
+    assert n == 36 and 6 <= outer < n
+    assert tracer.calls["ratpoly.squarefree_part"] == outer
+    assert tracer.calls["ratpoly.poly_gcd"] == n + outer
     assert tracer.calls["ratpoly.multiplicity_counts"] == 0
     assert tracer.calls["belyi.is_dynamical_belyi"] == 0
     assert tracer.calls["belyi.compose"] == n
     assert tracer.calls["ratpoly.PolyQ.compose"] == 2 * n
+    # round 0 again, on the same workload: every outer map kept its S
+    tracer, ops, _ = _traced_round(tracing, work)
+    assert tracer.calls["ratpoly.squarefree_part"] == 0
+    assert tracer.calls["ratpoly.poly_gcd"] == len(ops)
+    assert tracer.calls["ratpoly.PolyQ.compose"] == 2 * len(ops)
 
 
 def test_preimage_trees_take_one_residual_pass_per_tree(tracing, monkeypatch):
     # each level takes one root solve on its (P, d) array, and one Newton step
     # inside it at degree 3 and up, none under the degree-2 closed form; the
     # residuals of all levels come from one chain_values pass
-    tracer, trees = _traced_round(tracing, monkeypatch, "PreimageTrees")
+    tracer, _, trees = _traced_round(tracing, _workload(monkeypatch, "PreimageTrees"))
     depths = sum(len(t.levels) - 1 for t in trees)
     stepped = sum(len(t.levels) - 1 for t in trees if t.degree >= 3)
     assert 0 < stepped < depths
